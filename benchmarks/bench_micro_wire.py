@@ -11,6 +11,11 @@ Measures the hot protocol paths on dgesv-sized SolveRequests
   the legacy equivalent is encoding and taking ``len``),
 * ``decode``           — zero-copy decode from a writable bytearray.
 
+and, because a megabyte payload hides per-message cost, the same three
+calls in nanoseconds on the control frames that make up most traffic
+(``SolveRequest`` with a 64-element vector, ``Busy``, ``QueryRequest``,
+``WorkloadReport``) — the rows the per-class field plans move.
+
 Prints a paper-style table, persists it under ``benchmarks/results/``,
 and writes machine-readable ``benchmarks/results/BENCH_wire.json``.
 Asserts the headline claim: the new encode+frame_size path is >= 3x
@@ -31,7 +36,9 @@ from repro.protocol.codec import (
     encode_message_iov,
     frame_size,
 )
-from repro.protocol.messages import SolveRequest
+from repro.protocol.messages import (
+    Busy, QueryRequest, SolveRequest, WorkloadReport,
+)
 
 RNG = np.random.default_rng(0)
 SIZES = (256, 1024, 2048)
@@ -160,8 +167,43 @@ def _measure(n: int) -> dict:
     return row
 
 
+def _control_frames() -> list:
+    return [
+        SolveRequest(
+            request_id=7, problem="linsys/dgesv",
+            inputs=(RNG.standard_normal(64),), reply_to="client/c0",
+        ),
+        Busy(request_id=7, queue_depth=12, detail="queue full (batch)"),
+        QueryRequest(
+            problem="linsys/dgesv", sizes={"n": 64}, client_host="ch0",
+            exclude=("server/s3",), tag=5,
+        ),
+        WorkloadReport(server_id="server/s0", workload=137.5, inflight=2),
+    ]
+
+
+def _ns_per_call(fn, calls: int = 2000, repeats: int = 7) -> float:
+    """Best-of-k nanoseconds per call over a ``calls``-long loop."""
+    def loop():
+        for _ in range(calls):
+            fn()
+    return _best_of(loop, repeats) / calls * 1e9
+
+
+def _measure_control(msg) -> dict:
+    wire = bytearray(encode_message(msg))
+    return {
+        "message": type(msg).__name__,
+        "frame_bytes": frame_size(msg),
+        "frame_size_ns": _ns_per_call(lambda: frame_size(msg)),
+        "encode_iov_ns": _ns_per_call(lambda: encode_message_iov(msg)),
+        "decode_ns": _ns_per_call(lambda: decode_message(wire)),
+    }
+
+
 def test_wire_microbench():
     rows = [_measure(n) for n in SIZES]
+    control = [_measure_control(msg) for msg in _control_frames()]
 
     # frame_size must be purely analytic: no payload-sized allocation
     big = _solve_request(1024)
@@ -192,11 +234,27 @@ def test_wire_microbench():
     lines.append(
         "speedup = (legacy encode + legacy frame_size) / (encode + frame_size)"
     )
+    lines += [
+        "",
+        "Control frames, ns per call (best-of-k loops)",
+        "",
+        f"{'message':>16} {'bytes':>6} {'size':>8} {'encode':>8} {'decode':>8}",
+    ]
+    for r in control:
+        lines.append(
+            f"{r['message']:>16} {r['frame_bytes']:>6} "
+            f"{r['frame_size_ns']:>8.0f} {r['encode_iov_ns']:>8.0f} "
+            f"{r['decode_ns']:>8.0f}"
+        )
     emit("BENCH_wire", "\n".join(lines))
 
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_wire.json").write_text(
-        json.dumps({"benchmark": "wire_micro", "rows": rows}, indent=2) + "\n"
+        json.dumps(
+            {"benchmark": "wire_micro", "rows": rows,
+             "control_frames": control},
+            indent=2,
+        ) + "\n"
     )
 
     at_1024 = next(r for r in rows if r["n"] == 1024)

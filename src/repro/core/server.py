@@ -1124,7 +1124,7 @@ class ComputationalServer(DispatchComponent):
         )
 
         def run() -> tuple:
-            return self.registry.execute(msg.problem, inputs)
+            return self.registry.execute(msg.problem, coerced)
 
         def done(result, elapsed: float) -> None:
             if generation != self._generation:
@@ -1321,7 +1321,7 @@ class ComputationalServer(DispatchComponent):
             return solve_digest(problem, coerced_inputs, member_env)
 
         signature = (env, _batch_signature(coerced))
-        members = [(src, msg, flops, member_digest(coerced, env))]
+        members = [(src, msg, flops, member_digest(coerced, env), coerced)]
         kept: list = []
         now = self.node.now()
         # walk in drain (deadline) order so member selection matches
@@ -1350,7 +1350,8 @@ class ComputationalServer(DispatchComponent):
                 kept.append(entry)
                 continue
             members.append(
-                (q_src, q_msg, q_flops, member_digest(q_coerced, q_env))
+                (q_src, q_msg, q_flops, member_digest(q_coerced, q_env),
+                 q_coerced)
             )
             self._queued_by_class[qos_index(q_msg.qos)] -= 1
             if self._metrics is not None:
@@ -1369,7 +1370,7 @@ class ComputationalServer(DispatchComponent):
         every member (each of which the client retries independently).
         """
         problem = members[0][1].problem
-        total_flops = sum(flops for _src, _msg, flops, _digest in members)
+        total_flops = sum(m[2] for m in members)
         self.batches += 1
         self.batched_requests += len(members)
         if self._metrics is not None:
@@ -1385,7 +1386,7 @@ class ComputationalServer(DispatchComponent):
             size=len(members),
             flops=total_flops,
         )
-        inputs_list = [list(m.inputs) for _src, m, _flops, _digest in members]
+        inputs_list = [m[4] for m in members]
 
         def run():
             return self.registry.execute_batch(problem, inputs_list)
@@ -1412,7 +1413,7 @@ class ComputationalServer(DispatchComponent):
                 items = [result] * len(members)
             else:
                 items = list(result)
-            for (m_src, m_msg, _flops, m_digest), item in zip(members, items):
+            for (m_src, m_msg, _flops, m_digest, _in), item in zip(members, items):
                 reply_to = m_msg.reply_to or m_src
                 if isinstance(item, BaseException):
                     detail = f"{type(item).__name__}: {item}"

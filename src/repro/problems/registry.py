@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from ..errors import BadArgumentsError, ProblemNotFoundError
-from .spec import ObjectKind, ProblemSpec, validate_inputs
+from .spec import CoercedArgs, ObjectKind, ProblemSpec, validate_inputs
 
 __all__ = ["RegisteredProblem", "ProblemRegistry"]
 
@@ -127,13 +127,14 @@ class ProblemRegistry:
     def execute(self, name: str, args: Sequence[Any]) -> tuple:
         """Validate ``args`` and run the handler; returns the output tuple.
 
+        ``args`` that ``validate_inputs`` already coerced against this
+        problem's spec (a :class:`CoercedArgs`) are not validated twice.
         Outputs are checked against the spec (count, kind rank, dtype)
         so a buggy handler fails on the server, loudly, rather than
         shipping malformed objects back to the client.
         """
         reg = self.get(name)
-        coerced, _env = validate_inputs(reg.spec, args)
-        result = reg.handler(*coerced)
+        result = reg.handler(*_coerced(reg.spec, args))
         return _check_outputs(name, reg.spec, result)
 
     def execute_batch(self, name: str, args_list: Sequence[Sequence[Any]]) -> list:
@@ -151,9 +152,7 @@ class ProblemRegistry:
         if not args_list:
             return []
         try:
-            coerced_items = [
-                validate_inputs(reg.spec, args)[0] for args in args_list
-            ]
+            coerced_items = [_coerced(reg.spec, args) for args in args_list]
             results = reg.batch_handler(coerced_items)
             if len(results) != len(args_list):
                 raise BadArgumentsError(
@@ -169,6 +168,13 @@ class ProblemRegistry:
                 except Exception as exc:
                     out.append(exc)
             return out
+
+
+def _coerced(spec: ProblemSpec, args: Sequence[Any]) -> Sequence[Any]:
+    """``args`` validated against ``spec`` — by the caller or here."""
+    if type(args) is CoercedArgs and args.spec is spec:
+        return args
+    return validate_inputs(spec, args)[0]
 
 
 def _check_outputs(name: str, spec: ProblemSpec, result: Any) -> tuple:

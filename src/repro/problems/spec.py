@@ -26,6 +26,7 @@ __all__ = [
     "ObjectSpec",
     "SizeRule",
     "ProblemSpec",
+    "CoercedArgs",
     "validate_inputs",
     "bind_output_env",
 ]
@@ -254,15 +255,26 @@ def _coerce(obj: ObjectSpec, value: Any) -> Any:
     return np.ascontiguousarray(arr)
 
 
+class CoercedArgs(list):
+    """The argument list :func:`validate_inputs` returns, remembering
+    the spec it was checked against — so a later hop handed the list
+    (``ProblemRegistry.execute``) can see the work is done instead of
+    repeating it.  A plain list of the same values makes no such claim
+    and validates again."""
+
+    __slots__ = ("spec",)
+
+
 def validate_inputs(
     spec: ProblemSpec, args: Sequence[Any]
-) -> tuple[list[Any], dict[str, int]]:
+) -> tuple[CoercedArgs, dict[str, int]]:
     """Type-check/coerce ``args`` against ``spec`` and bind size symbols.
 
-    Returns the coerced argument list and the ``{symbol: size}``
-    environment.  Raises :class:`BadArgumentsError` on any mismatch,
-    including inconsistent shared dimensions (an ``n x n`` matrix next to
-    a length-``m`` vector claiming the same ``n``).
+    Returns the coerced argument list (a :class:`CoercedArgs`) and the
+    ``{symbol: size}`` environment.  Raises :class:`BadArgumentsError`
+    on any mismatch, including inconsistent shared dimensions (an
+    ``n x n`` matrix next to a length-``m`` vector claiming the same
+    ``n``).
 
     An argument may be a :class:`~repro.protocol.messages.DataHandle` to
     a server-resident object: the value itself is not in hand, so the
@@ -278,7 +290,8 @@ def validate_inputs(
             f"got {len(args)}"
         )
     env: dict[str, int] = {}
-    coerced: list[Any] = []
+    coerced = CoercedArgs()
+    coerced.spec = spec
 
     def bind(symbol: str, value: int, what: str) -> None:
         prior = env.get(symbol)

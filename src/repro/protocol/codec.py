@@ -24,23 +24,33 @@ referenced as ``memoryview``\\ s of the (C-contiguous) array — so a
 megabyte matrix is never duplicated just to frame it.  ``b"".join`` of
 the parts is byte-identical to the single-buffer encoding, which
 :func:`encode_message` produces with exactly one payload copy.
-:func:`frame_size` walks the value tree summing tag/header/``nbytes``
-analytically, materializing nothing, so the simulated wire can charge a
-frame without serializing it.  On decode, frames held in a *writable*
+:func:`frame_size` sums tag/header/``nbytes`` analytically,
+materializing nothing, so the simulated wire can charge a frame without
+serializing it.  On decode, frames held in a *writable*
 buffer (``bytearray``) yield ndarrays aliasing that buffer — no payload
 copy; read-only input (``bytes``) still copies so decoded arrays stay
 writable either way.
+
+Per-message work is compiled, not interpreted: each registered class has
+a field plan (``messages.FieldPlan``) from which :func:`_compile`
+generates its frame sizer, encoder and decoder at import, with the
+header, dict header and keys folded into constants.  Only field values
+are walked at run time (``docs/protocol.md``, "Field plans").
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import Any
 
 import numpy as np
 
 from ..errors import CodecError
-from .messages import MESSAGE_TYPES, DataHandle, Message, NodeOutput, ObjectRef
+from .messages import (
+    MESSAGE_TYPES, WIRE_DICT_TAG, WIRE_STR_TAG, DataHandle, Message,
+    NodeOutput, ObjectRef, field_plan,
+)
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -65,17 +75,21 @@ _T_NONE = 0
 _T_BOOL = 1
 _T_INT = 2
 _T_FLOAT = 3
-_T_STR = 4
+_T_STR = WIRE_STR_TAG
 _T_BYTES = 5
 _T_LIST = 6
-_T_DICT = 7
+_T_DICT = WIRE_DICT_TAG
 _T_NDARRAY = 8
 _T_COMPLEX = 9
 _T_OBJREF = 10
 _T_HANDLE = 11
 _T_NODEOUT = 12
 
-_ALLOWED_DTYPES = {"float64", "int64", "complex128", "float32", "int32", "bool"}
+#: wire dtype name -> dtype
+_ALLOWED_DTYPES = {
+    name: np.dtype(name)
+    for name in ("float64", "int64", "complex128", "float32", "int32", "bool")
+}
 
 # guards against absurd allocations from hostile length fields
 _MAX_CONTAINER = 1_000_000
@@ -89,14 +103,32 @@ MAX_BODY = _MAX_BODY
 #: being copied into the scratch buffer (below it, locality wins)
 _IOV_PAYLOAD_MIN = 1024
 
-_pack_i64 = struct.Struct("<q").pack
-_pack_f64 = struct.Struct("<d").pack
-_pack_c128 = struct.Struct("<dd").pack
-_pack_u64 = struct.Struct("<Q").pack
+_I64, _F64, _C128 = struct.Struct("<q"), struct.Struct("<d"), struct.Struct("<dd")
+_U32, _U64 = struct.Struct("<I"), struct.Struct("<Q")
+_pack_i64, _pack_u32, _pack_u64 = _I64.pack, _U32.pack, _U64.pack
+#: a tag byte and its fixed-width payload in one call
+_pack_tag_i64 = struct.Struct("<Bq").pack
+_pack_tag_f64 = struct.Struct("<Bd").pack
+_pack_tag_c128 = struct.Struct("<Bdd").pack
+_pack_tag_u32 = struct.Struct("<BI").pack
+#: ndarray header tail by rank: ndim u8, the dims as i64, nbytes u64
+_PACK_SHAPE = [struct.Struct(f"<B{n}qQ").pack for n in range(_MAX_NDIM + 1)]
+
+#: dtype object -> ``ndarray tag + name length + name``; filling it is
+#: also the allowed-dtype check, so ``dtype.name`` (slow on numpy 2) is
+#: read once per dtype, not once per array
+_DTYPE_HEADS: dict = {}
 
 
-def _pack_u32(n: int) -> bytes:
-    return struct.pack("<I", n)
+def _dtype_head(dtype) -> bytes:
+    head = _DTYPE_HEADS.get(dtype)
+    if head is None:
+        name = dtype.name
+        if name not in _ALLOWED_DTYPES:
+            raise CodecError(f"unsupported ndarray dtype {name!r}")
+        head = bytes((_T_NDARRAY, len(name))) + name.encode("ascii")
+        _DTYPE_HEADS[dtype] = head
+    return head
 
 
 class _IovBuilder:
@@ -107,20 +139,22 @@ class _IovBuilder:
     earlier would lock the bytearray against further appends.
     """
 
-    __slots__ = ("scratch", "_segments", "_run_start")
+    __slots__ = ("scratch", "_segments", "_run_start", "payload_bytes")
 
     def __init__(self) -> None:
         self.scratch = bytearray()
         self._segments: list[tuple[int, int, Any]] = []
         self._run_start = 0
+        self.payload_bytes = 0
 
-    def add_payload(self, buf) -> None:
+    def add_payload(self, buf, nbytes: int) -> None:
         """Emit ``buf`` (bytes or a C-contiguous memoryview) in place."""
         end = len(self.scratch)
         if end > self._run_start:
             self._segments.append((self._run_start, end, None))
         self._segments.append((0, 0, buf))
         self._run_start = end
+        self.payload_bytes += nbytes
 
     def finish(self) -> list:
         end = len(self.scratch)
@@ -134,115 +168,150 @@ class _IovBuilder:
         ]
 
 
+# ----------------------------------------------------------------------
+# value walkers: one sizer and one encoder per wire type, in two tables
+# keyed by the value's exact type.  A subclass or numpy scalar is looked
+# up through its MRO once and remembered.
+# ----------------------------------------------------------------------
+def _resolve(table: dict, kind: type):
+    for base in kind.__mro__:
+        walker = table.get(base)
+        if walker is not None:
+            table[kind] = walker
+            return walker
+    raise CodecError(f"cannot encode {kind.__name__}")
+
+
+def _check_int(iv: int) -> int:
+    if not -(2**63) <= iv < 2**63:
+        raise CodecError(f"integer out of i64 range: {iv}")
+    return iv
+
+
+def _check_len(value) -> int:
+    if len(value) > _MAX_CONTAINER:
+        raise CodecError("container too large")
+    return len(value)
+
+
+def _handle_texts(value: DataHandle) -> tuple:
+    """The handle's five strings in wire order, once its rank is checked."""
+    if len(value.shape) > _MAX_NDIM:
+        raise CodecError(f"handle rank {len(value.shape)} exceeds {_MAX_NDIM}")
+    return value.key, value.digest, value.server_id, value.address, value.dtype
+
+
+def _enc_int(value, b: _IovBuilder) -> None:
+    b.scratch += _pack_tag_i64(_T_INT, _check_int(int(value)))
+
+
+def _enc_float(value, b: _IovBuilder) -> None:
+    b.scratch += _pack_tag_f64(_T_FLOAT, float(value))
+
+
+def _enc_complex(value, b: _IovBuilder) -> None:
+    cv = complex(value)
+    b.scratch += _pack_tag_c128(_T_COMPLEX, cv.real, cv.imag)
+
+
+def _enc_str(value: str, b: _IovBuilder, tag: int = _T_STR) -> None:
+    raw = value.encode("utf-8")
+    b.scratch += _pack_tag_u32(tag, len(raw))
+    b.scratch += raw
+
+
+def _enc_bytes(value, b: _IovBuilder) -> None:
+    if isinstance(value, memoryview) and not (
+        value.c_contiguous and value.format == "B"
+    ):
+        value = bytes(value)
+    nbytes = value.nbytes if isinstance(value, memoryview) else len(value)
+    b.scratch += _pack_tag_u32(_T_BYTES, nbytes)
+    if nbytes >= _IOV_PAYLOAD_MIN:
+        b.add_payload(
+            bytes(value) if isinstance(value, bytearray) else value, nbytes
+        )
+    else:
+        b.scratch += value
+
+
+def _enc_ndarray(value: np.ndarray, b: _IovBuilder) -> None:
+    head = _dtype_head(value.dtype)
+    if value.ndim > _MAX_NDIM:
+        raise CodecError(f"ndarray rank {value.ndim} exceeds {_MAX_NDIM}")
+    contig = np.ascontiguousarray(value)
+    nbytes = contig.nbytes
+    out = b.scratch
+    out += head
+    out += _PACK_SHAPE[contig.ndim](contig.ndim, *contig.shape, nbytes)
+    if nbytes >= _IOV_PAYLOAD_MIN:
+        # the memoryview keeps ``contig`` alive until the parts are
+        # consumed; no byte materialization happens here
+        b.add_payload(memoryview(contig).cast("B"), nbytes)
+    elif nbytes:
+        out += memoryview(contig).cast("B")
+
+
+def _enc_handle(value: DataHandle, b: _IovBuilder) -> None:
+    texts = _handle_texts(value)
+    out = b.scratch
+    out.append(_T_HANDLE)
+    for text in texts:
+        raw = text.encode("utf-8")
+        out += _pack_u32(len(raw))
+        out += raw
+    out += _pack_u64(value.nbytes)
+    out.append(len(value.shape))
+    for dim in value.shape:
+        out += _pack_i64(int(dim))
+
+
+def _enc_node(value: NodeOutput, b: _IovBuilder) -> None:
+    _enc_str(value.node, b, _T_NODEOUT)
+    b.scratch += _pack_i64(value.index)
+
+
+def _enc_seq(value, b: _IovBuilder) -> None:
+    b.scratch += _pack_tag_u32(_T_LIST, _check_len(value))
+    for item in value:
+        _encode_iov(item, b)
+
+
+def _enc_dict(value: dict, b: _IovBuilder) -> None:
+    b.scratch += _pack_tag_u32(_T_DICT, _check_len(value))
+    for key, item in value.items():
+        if not isinstance(key, str):
+            raise CodecError(f"dict keys must be str, got {type(key).__name__}")
+        _enc_str(key, b)
+        _encode_iov(item, b)
+
+
+_ENCODERS = {
+    type(None): lambda v, b: b.scratch.append(_T_NONE),
+    bool: lambda v, b: b.scratch.extend((_T_BOOL, v)),
+    int: _enc_int, np.integer: _enc_int,
+    float: _enc_float, np.floating: _enc_float,
+    complex: _enc_complex, np.complexfloating: _enc_complex,
+    str: _enc_str,
+    bytes: _enc_bytes, bytearray: _enc_bytes, memoryview: _enc_bytes,
+    np.ndarray: _enc_ndarray,
+    ObjectRef: lambda v, b: _enc_str(v.key, b, _T_OBJREF),
+    DataHandle: _enc_handle,
+    NodeOutput: _enc_node,
+    tuple: _enc_seq, list: _enc_seq,
+    dict: _enc_dict,
+}
+
+
 def _encode_iov(value: Any, b: _IovBuilder) -> None:
     """Append the tagged encoding of ``value`` to the builder."""
-    out = b.scratch
-    if value is None:
-        out.append(_T_NONE)
-    elif isinstance(value, bool):
-        out.append(_T_BOOL)
-        out.append(1 if value else 0)
-    elif isinstance(value, (int, np.integer)):
-        iv = int(value)
-        if not -(2**63) <= iv < 2**63:
-            raise CodecError(f"integer out of i64 range: {iv}")
-        out.append(_T_INT)
-        out += _pack_i64(iv)
-    elif isinstance(value, (float, np.floating)):
-        out.append(_T_FLOAT)
-        out += _pack_f64(float(value))
-    elif isinstance(value, (complex, np.complexfloating)):
-        out.append(_T_COMPLEX)
-        cv = complex(value)
-        out += _pack_c128(cv.real, cv.imag)
-    elif isinstance(value, str):
-        raw = value.encode("utf-8")
-        out.append(_T_STR)
-        out += _pack_u32(len(raw))
-        out += raw
-    elif isinstance(value, (bytes, bytearray, memoryview)):
-        if isinstance(value, memoryview) and not (
-            value.c_contiguous and value.format == "B"
-        ):
-            value = bytes(value)
-        nbytes = value.nbytes if isinstance(value, memoryview) else len(value)
-        out.append(_T_BYTES)
-        out += _pack_u32(nbytes)
-        if nbytes >= _IOV_PAYLOAD_MIN:
-            b.add_payload(bytes(value) if isinstance(value, bytearray) else value)
-        else:
-            out += value
-    elif isinstance(value, np.ndarray):
-        name = value.dtype.name
-        if name not in _ALLOWED_DTYPES:
-            raise CodecError(f"unsupported ndarray dtype {name!r}")
-        if value.ndim > _MAX_NDIM:
-            raise CodecError(f"ndarray rank {value.ndim} exceeds {_MAX_NDIM}")
-        contig = np.ascontiguousarray(value)
-        out.append(_T_NDARRAY)
-        dname = name.encode("ascii")
-        out.append(len(dname))
-        out += dname
-        out.append(contig.ndim)
-        for dim in contig.shape:
-            out += _pack_i64(dim)
-        out += _pack_u64(contig.nbytes)
-        if contig.nbytes >= _IOV_PAYLOAD_MIN:
-            # the memoryview keeps ``contig`` alive until the parts are
-            # consumed; no byte materialization happens here
-            b.add_payload(memoryview(contig).cast("B"))
-        elif contig.nbytes:
-            out += memoryview(contig).cast("B")
-    elif isinstance(value, ObjectRef):
-        raw = value.key.encode("utf-8")
-        out.append(_T_OBJREF)
-        out += _pack_u32(len(raw))
-        out += raw
-    elif isinstance(value, DataHandle):
-        if len(value.shape) > _MAX_NDIM:
-            raise CodecError(f"handle rank {len(value.shape)} exceeds {_MAX_NDIM}")
-        out.append(_T_HANDLE)
-        for text in (value.key, value.digest, value.server_id,
-                     value.address, value.dtype):
-            raw = text.encode("utf-8")
-            out += _pack_u32(len(raw))
-            out += raw
-        out += _pack_u64(value.nbytes)
-        out.append(len(value.shape))
-        for dim in value.shape:
-            out += _pack_i64(int(dim))
-    elif isinstance(value, NodeOutput):
-        raw = value.node.encode("utf-8")
-        out.append(_T_NODEOUT)
-        out += _pack_u32(len(raw))
-        out += raw
-        out += _pack_i64(value.index)
-    elif isinstance(value, (list, tuple)):
-        if len(value) > _MAX_CONTAINER:
-            raise CodecError("container too large")
-        out.append(_T_LIST)
-        out += _pack_u32(len(value))
-        for item in value:
-            _encode_iov(item, b)
-    elif isinstance(value, dict):
-        if len(value) > _MAX_CONTAINER:
-            raise CodecError("container too large")
-        out.append(_T_DICT)
-        out += _pack_u32(len(value))
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise CodecError(f"dict keys must be str, got {type(key).__name__}")
-            _encode_iov(key, b)
-            _encode_iov(item, b)
-    else:
-        raise CodecError(f"cannot encode {type(value).__name__}")
+    kind = type(value)
+    (_ENCODERS.get(kind) or _resolve(_ENCODERS, kind))(value, b)
 
 
 def encode_value(value: Any, out: bytearray) -> None:
     """Append the tagged encoding of ``value`` to ``out``."""
-    b = _IovBuilder()
-    _encode_iov(value, b)
-    for part in b.finish():
+    for part in encoded_parts(value):
         out += part
 
 
@@ -260,64 +329,81 @@ def encoded_parts(value: Any) -> list:
     return b.finish()
 
 
+def _size_int(value) -> int:
+    _check_int(int(value))
+    return 9
+
+
+def _size_str(value: str) -> int:
+    return 5 + (len(value) if value.isascii() else len(value.encode("utf-8")))
+
+
+def _size_ndarray(value: np.ndarray) -> int:
+    head = _dtype_head(value.dtype)
+    if value.ndim > _MAX_NDIM:
+        raise CodecError(f"ndarray rank {value.ndim} exceeds {_MAX_NDIM}")
+    # ascontiguousarray promotes 0-d to shape (1,) on the wire
+    return len(head) + 1 + 8 * (value.ndim or 1) + 8 + value.nbytes
+
+
+def _size_handle(value: DataHandle) -> int:
+    texts = sum(_size_str(text) - 1 for text in _handle_texts(value))
+    return 1 + texts + 8 + 1 + 8 * len(value.shape)
+
+
+def _size_seq(value) -> int:
+    _check_len(value)
+    return 5 + sum(map(encoded_size, value))
+
+
+def _size_dict(value: dict) -> int:
+    _check_len(value)
+    total = 5
+    for key, item in value.items():
+        if not isinstance(key, str):
+            raise CodecError(f"dict keys must be str, got {type(key).__name__}")
+        total += _size_str(key) + encoded_size(item)
+    return total
+
+
+_SIZERS = {
+    type(None): lambda v: 1,
+    bool: lambda v: 2,
+    int: _size_int, np.integer: _size_int,
+    float: lambda v: 9, np.floating: lambda v: 9,
+    complex: lambda v: 17, np.complexfloating: lambda v: 17,
+    str: _size_str,
+    bytes: lambda v: 5 + len(v), bytearray: lambda v: 5 + len(v),
+    memoryview: lambda v: 5 + v.nbytes,
+    np.ndarray: _size_ndarray,
+    ObjectRef: lambda v: _size_str(v.key),
+    DataHandle: _size_handle,
+    NodeOutput: lambda v: _size_str(v.node) + 8,
+    tuple: _size_seq, list: _size_seq,
+    dict: _size_dict,
+}
+
+
 def encoded_size(value: Any) -> int:
     """Exact byte count :func:`encode_value` would produce — computed
     analytically, with the same validation, materializing no payloads."""
-    if value is None:
-        return 1
-    if isinstance(value, bool):
-        return 2
-    if isinstance(value, (int, np.integer)):
-        iv = int(value)
-        if not -(2**63) <= iv < 2**63:
-            raise CodecError(f"integer out of i64 range: {iv}")
-        return 9
-    if isinstance(value, (float, np.floating)):
-        return 9
-    if isinstance(value, (complex, np.complexfloating)):
-        return 17
-    if isinstance(value, str):
-        return 5 + len(value.encode("utf-8"))
-    if isinstance(value, (bytes, bytearray)):
-        return 5 + len(value)
-    if isinstance(value, memoryview):
-        return 5 + value.nbytes
-    if isinstance(value, np.ndarray):
-        name = value.dtype.name
-        if name not in _ALLOWED_DTYPES:
-            raise CodecError(f"unsupported ndarray dtype {name!r}")
-        if value.ndim > _MAX_NDIM:
-            raise CodecError(f"ndarray rank {value.ndim} exceeds {_MAX_NDIM}")
-        # ascontiguousarray promotes 0-d to shape (1,) on the wire
-        ndim = value.ndim or 1
-        return 1 + 1 + len(name) + 1 + 8 * ndim + 8 + value.nbytes
-    if isinstance(value, ObjectRef):
-        return 5 + len(value.key.encode("utf-8"))
-    if isinstance(value, DataHandle):
-        if len(value.shape) > _MAX_NDIM:
-            raise CodecError(f"handle rank {len(value.shape)} exceeds {_MAX_NDIM}")
-        texts = sum(
-            len(t.encode("utf-8"))
-            for t in (value.key, value.digest, value.server_id,
-                      value.address, value.dtype)
-        )
-        return 1 + 5 * 4 + texts + 8 + 1 + 8 * len(value.shape)
-    if isinstance(value, NodeOutput):
-        return 1 + 4 + len(value.node.encode("utf-8")) + 8
-    if isinstance(value, (list, tuple)):
-        if len(value) > _MAX_CONTAINER:
-            raise CodecError("container too large")
-        return 5 + sum(encoded_size(item) for item in value)
-    if isinstance(value, dict):
-        if len(value) > _MAX_CONTAINER:
-            raise CodecError("container too large")
-        total = 5
-        for key, item in value.items():
-            if not isinstance(key, str):
-                raise CodecError(f"dict keys must be str, got {type(key).__name__}")
-            total += 5 + len(key.encode("utf-8")) + encoded_size(item)
-        return total
-    raise CodecError(f"cannot encode {type(value).__name__}")
+    kind = type(value)
+    return (_SIZERS.get(kind) or _resolve(_SIZERS, kind))(value)
+
+
+def _fixed_reader(st: struct.Struct):
+    """A ``_Reader`` method reading one fixed-width scalar in place."""
+    unpack_from, size = st.unpack_from, st.size
+
+    def read(self):
+        try:
+            (value,) = unpack_from(self.data, self.pos)
+        except struct.error:
+            raise CodecError("truncated frame") from None
+        self.pos += size
+        return value
+
+    return read
 
 
 class _Reader:
@@ -343,17 +429,17 @@ class _Reader:
         self.pos += 1
         return byte
 
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
+    u32 = _fixed_reader(_U32)
+    u64 = _fixed_reader(_U64)
+    i64 = _fixed_reader(_I64)
+    f64 = _fixed_reader(_F64)
 
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def i64(self) -> int:
-        return struct.unpack("<q", self.take(8))[0]
-
-    def f64(self) -> float:
-        return struct.unpack("<d", self.take(8))[0]
+    def text(self, where: str = "") -> str:
+        """A u32-length-prefixed utf-8 string."""
+        try:
+            return str(self.take(self.u32()), "utf-8")
+        except UnicodeDecodeError as exc:
+            raise CodecError(f"bad utf-8{where}: {exc}") from None
 
     def done(self) -> bool:
         return self.pos == len(self.data)
@@ -375,14 +461,9 @@ def _decode(reader: _Reader, depth: int = 0) -> Any:
     if tag == _T_FLOAT:
         return reader.f64()
     if tag == _T_COMPLEX:
-        re_, im = struct.unpack("<dd", reader.take(16))
-        return complex(re_, im)
+        return complex(*_C128.unpack(reader.take(16)))
     if tag == _T_STR:
-        raw = reader.take(reader.u32())
-        try:
-            return bytes(raw).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CodecError(f"bad utf-8: {exc}") from None
+        return reader.text()
     if tag == _T_BYTES:
         return bytes(reader.take(reader.u32()))
     if tag == _T_NDARRAY:
@@ -390,7 +471,8 @@ def _decode(reader: _Reader, depth: int = 0) -> Any:
             dname = bytes(reader.take(reader.u8())).decode("ascii")
         except UnicodeDecodeError as exc:
             raise CodecError(f"bad dtype name bytes: {exc}") from None
-        if dname not in _ALLOWED_DTYPES:
+        dtype = _ALLOWED_DTYPES.get(dname)
+        if dtype is None:
             raise CodecError(f"unsupported ndarray dtype {dname!r}")
         ndim = reader.u8()
         if ndim > _MAX_NDIM:
@@ -399,8 +481,7 @@ def _decode(reader: _Reader, depth: int = 0) -> Any:
         if any(d < 0 for d in shape):
             raise CodecError(f"negative dimension in {shape}")
         nbytes = reader.u64()
-        dtype = np.dtype(dname)
-        expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+        expected = math.prod(shape) * dtype.itemsize
         if nbytes != expected:
             raise CodecError(
                 f"ndarray payload {nbytes} bytes, shape {shape} "
@@ -416,20 +497,11 @@ def _decode(reader: _Reader, depth: int = 0) -> Any:
             arr = arr.copy()
         return arr
     if tag == _T_OBJREF:
-        raw = reader.take(reader.u32())
-        try:
-            return ObjectRef(bytes(raw).decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise CodecError(f"bad utf-8 in object key: {exc}") from None
+        return ObjectRef(reader.text(" in object key"))
     if tag == _T_HANDLE:
-        texts = []
-        for _ in range(5):
-            raw = reader.take(reader.u32())
-            try:
-                texts.append(bytes(raw).decode("utf-8"))
-            except UnicodeDecodeError as exc:
-                raise CodecError(f"bad utf-8 in handle: {exc}") from None
-        key, digest, server_id, address, dtype = texts
+        key, digest, server_id, address, dtype = (
+            reader.text(" in handle") for _ in range(5)
+        )
         nbytes = reader.u64()
         ndim = reader.u8()
         if ndim > _MAX_NDIM:
@@ -442,11 +514,7 @@ def _decode(reader: _Reader, depth: int = 0) -> Any:
             address=address, shape=shape, dtype=dtype,
         )
     if tag == _T_NODEOUT:
-        raw = reader.take(reader.u32())
-        try:
-            node = bytes(raw).decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise CodecError(f"bad utf-8 in node reference: {exc}") from None
+        node = reader.text(" in node reference")
         return NodeOutput(node=node, index=reader.i64())
     if tag == _T_LIST:
         count = reader.u32()
@@ -483,8 +551,128 @@ def decode_value(data) -> Any:
 
 
 # ----------------------------------------------------------------------
-# message framing
+# message framing: one compiled sizer / encoder / decoder per class
 # ----------------------------------------------------------------------
+#: message class -> its compiled (frame_size, encode, decode)
+_FRAME_CODECS: dict[type, tuple] = {}
+
+
+def _finish_frame(b: _IovBuilder, type_code: int) -> list:
+    HEADER.pack_into(
+        b.scratch, 0, MAGIC, PROTOCOL_VERSION, type_code,
+        len(b.scratch) + b.payload_bytes - HEADER.size,
+    )
+    return b.finish()
+
+
+def _decode_generic(cls: type, view: memoryview) -> Message:
+    """The frame decoder for anything but the canonical layout (fields
+    reordered, missing, repeated, surplus): decode the body as a plain
+    dict and let ``from_fields`` judge the field set."""
+    fields = decode_value(view[HEADER.size :])
+    if not isinstance(fields, dict):
+        raise CodecError("message body is not a field dict")
+    return cls.from_fields(fields)
+
+
+#: the three functions of one class.  Upper-case names are constants of
+#: the class (``PRE``: zeroed frame header + dict header, ``K<i>``: the
+#: i-th key's bytes, ``U<i>``: a ``Struct`` reading that many bytes), ``S``
+#: / ``E`` the exact-type tables, ``size`` / ``enc`` / ``dec`` the generic
+#: walkers.  The decoder leaves on the first byte that is not the
+#: canonical layout: ``generic`` then decodes the frame from the start.
+_FRAME_SOURCE = """\
+def frame_size(m):
+    n = {const}
+{size_fields}    return n
+
+def encode(m):
+    b = B()
+    out = b.scratch
+    out += PRE
+{encode_fields}    return finish(b, {type_code})
+
+def decode(view):
+    r = R(view)
+    data = r.data
+    try:
+        if UH(data, {head_at})[0] != HEAD:
+            return generic(cls, view)
+        pos = {body_at}
+{decode_fields}    except short_buffer:
+        return generic(cls, view)
+    if pos != len(data):
+        return generic(cls, view)
+    return cls({values})
+"""
+_SIZE_FIELD = """\
+    v = m.{name}
+    f = S.get(type(v))
+    n += f(v) if f is not None else size(v)
+"""
+_ENCODE_FIELD = """\
+    out += K{i}
+    v = m.{name}
+    f = E.get(type(v))
+    if f is not None:
+        f(v, b)
+    else:
+        enc(v, b)
+"""
+_DECODE_FIELD = """\
+        if U{i}(data, pos)[0] != K{i}:
+            return generic(cls, view)
+        r.pos = pos + {key_len}
+        v{i} = dec(r, 1)
+        if type(v{i}) is list:
+            v{i} = tuple(v{i})
+        pos = r.pos
+"""
+
+
+def _compile(cls: type) -> tuple:
+    """Generate ``cls``'s frame sizer, encoder and decoder from its field
+    plan.  The frame header, the dict header and every key are constants
+    of the class, so the sizer starts from their folded byte count and
+    the encoder appends them as literals; only field *values* are walked,
+    through the exact-type tables with the generic walkers behind them.
+    The decoder expects the keys in declared order and hands anything
+    else to :func:`_decode_generic`."""
+    if cls.TYPE_CODE not in MESSAGE_TYPES:
+        raise CodecError(f"unregistered message type {cls.__name__}")
+    plan = field_plan(cls)
+    ns = {
+        "B": _IovBuilder, "E": _ENCODERS, "S": _SIZERS, "R": _Reader,
+        "enc": _encode_iov, "size": encoded_size, "dec": _decode,
+        "finish": _finish_frame, "generic": _decode_generic, "cls": cls,
+        "short_buffer": struct.error,
+        "PRE": bytes(HEADER.size) + plan.head, "HEAD": plan.head,
+        "UH": struct.Struct(f"{len(plan.head)}s").unpack_from,
+    }
+    fields = []
+    for i, (name, key) in enumerate(zip(plan.names, plan.keys)):
+        ns[f"K{i}"] = key
+        ns[f"U{i}"] = struct.Struct(f"{len(key)}s").unpack_from
+        fields.append({"i": i, "name": name, "key_len": len(key)})
+    source = _FRAME_SOURCE.format(
+        const=HEADER.size + plan.body_const,
+        type_code=cls.TYPE_CODE,
+        head_at=HEADER.size,
+        body_at=HEADER.size + len(plan.head),
+        size_fields="".join(_SIZE_FIELD.format(**f) for f in fields),
+        encode_fields="".join(_ENCODE_FIELD.format(**f) for f in fields),
+        decode_fields="".join(_DECODE_FIELD.format(**f) for f in fields),
+        values=", ".join(f"v{f['i']}" for f in fields),
+    )
+    exec(source, ns)  # noqa: S102 — our own template, dataclass field names
+    compiled = _FRAME_CODECS[cls] = ns["frame_size"], ns["encode"], ns["decode"]
+    return compiled
+
+
+for _cls in MESSAGE_TYPES.values():
+    _compile(_cls)
+
+
 def encode_message_iov(msg: Message) -> list:
     """Scatter/gather encoding: header + body as a list of buffers.
 
@@ -495,20 +683,8 @@ def encode_message_iov(msg: Message) -> list:
     but mutating a source array before the parts are consumed mutates
     the wire bytes.
     """
-    if type(msg).TYPE_CODE not in MESSAGE_TYPES:
-        raise CodecError(f"unregistered message type {type(msg).__name__}")
-    b = _IovBuilder()
-    b.scratch += bytes(HEADER.size)  # reserved; patched once sizes are known
-    _encode_iov(msg.to_fields(), b)
-    parts = b.finish()
-    body_len = sum(
-        part.nbytes if isinstance(part, memoryview) else len(part)
-        for part in parts
-    ) - HEADER.size
-    HEADER.pack_into(
-        b.scratch, 0, MAGIC, PROTOCOL_VERSION, type(msg).TYPE_CODE, body_len
-    )
-    return parts
+    cls = type(msg)
+    return (_FRAME_CODECS.get(cls) or _compile(cls))[1](msg)
 
 
 def encode_message(msg: Message) -> bytes:
@@ -543,15 +719,11 @@ def decode_message(data) -> Message:
     cls = MESSAGE_TYPES.get(type_code)
     if cls is None:
         raise CodecError(f"unknown message type code {type_code}")
-    fields = decode_value(view[HEADER.size :])
-    if not isinstance(fields, dict):
-        raise CodecError("message body is not a field dict")
-    return cls.from_fields(fields)
+    return (_FRAME_CODECS.get(cls) or _compile(cls))[2](view)
 
 
 def frame_size(msg: Message) -> int:
     """Byte count of the encoded frame (what the simulated wire charges),
     computed analytically — no payload is serialized or copied."""
-    if type(msg).TYPE_CODE not in MESSAGE_TYPES:
-        raise CodecError(f"unregistered message type {type(msg).__name__}")
-    return HEADER.size + encoded_size(msg.to_fields())
+    cls = type(msg)
+    return (_FRAME_CODECS.get(cls) or _compile(cls))[0](msg)

@@ -45,6 +45,7 @@ Protocol summary::
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field, fields
 from typing import Any, ClassVar
 
@@ -90,6 +91,44 @@ __all__ = [
 ]
 
 
+#: codec tags the plans pre-encode (``codec.py`` takes its ``_T_STR`` /
+#: ``_T_DICT`` from here, so each has one definition)
+WIRE_STR_TAG = 4
+WIRE_DICT_TAG = 7
+
+
+class FieldPlan:
+    """What the codec needs to know about one message class, worked out
+    once: the declared field order, each field's pre-encoded dict key
+    (``str tag + u32 length + name``), the body's opening bytes
+    (``dict tag + u32 field count``) and the byte count of all of those
+    — the part of a frame body that does not depend on field values."""
+
+    __slots__ = ("names", "name_set", "keys", "head", "body_const")
+
+    def __init__(self, cls: type) -> None:
+        self.names = tuple(f.name for f in fields(cls))
+        self.name_set = frozenset(self.names)
+        self.keys = tuple(
+            struct.pack("<BI", WIRE_STR_TAG, len(n)) + n.encode("ascii")
+            for n in self.names
+        )
+        self.head = struct.pack("<BI", WIRE_DICT_TAG, len(self.names))
+        self.body_const = len(self.head) + sum(map(len, self.keys))
+
+
+_PLANS: dict[type, FieldPlan] = {}
+
+
+def field_plan(cls: type) -> FieldPlan:
+    """The class's plan: built by ``_register`` for every wire message,
+    on first use for an unregistered subclass."""
+    plan = _PLANS.get(cls)
+    if plan is None:
+        plan = _PLANS[cls] = FieldPlan(cls)
+    return plan
+
+
 @dataclass(frozen=True)
 class Message:
     """Base class; subclasses must define a unique TYPE_CODE."""
@@ -97,26 +136,23 @@ class Message:
     TYPE_CODE: ClassVar[int] = -1
 
     def to_fields(self) -> dict[str, Any]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {n: getattr(self, n) for n in field_plan(type(self)).names}
 
     @classmethod
     def from_fields(cls, data: dict[str, Any]) -> "Message":
-        names = {f.name for f in fields(cls)}
-        extra = set(data) - names
-        missing = names - set(data)
-        if extra or missing:
+        plan = field_plan(cls)
+        if data.keys() != plan.name_set:
+            extra = set(data) - plan.name_set
+            missing = plan.name_set - set(data)
             raise ProtocolError(
                 f"{cls.__name__}: bad field set "
                 f"(extra={sorted(extra)}, missing={sorted(missing)})"
             )
         # tuples flatten to lists on the wire; restore declared tuples
-        coerced = {}
-        for f in fields(cls):
-            value = data[f.name]
-            if isinstance(value, list):
-                value = tuple(value)
-            coerced[f.name] = value
-        return cls(**coerced)
+        return cls(*[
+            tuple(v) if isinstance(v, list) else v
+            for v in map(data.__getitem__, plan.names)
+        ])
 
 
 MESSAGE_TYPES: dict[int, type[Message]] = {}
@@ -132,6 +168,7 @@ def _register(cls: type[Message]) -> type[Message]:
             f"{MESSAGE_TYPES[code].__name__}"
         )
     MESSAGE_TYPES[code] = cls
+    field_plan(cls)
     return cls
 
 

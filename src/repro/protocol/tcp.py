@@ -407,48 +407,18 @@ class TcpNode(Node):
                     if not first:
                         return  # clean close between messages
                     try:
-                        head = bytearray(first)
-                        if len(head) < _ENVELOPE.size:
-                            head += _read_exact(
-                                conn, _ENVELOPE.size - len(head)
-                            )
-                        conn.settimeout(_CONNECT_TIMEOUT)
-                        (src_len,) = _ENVELOPE.unpack(head)
-                        if src_len > _MAX_ENVELOPE:
-                            return  # hostile length: never allocate it
-                        src = bytes(_read_exact(conn, src_len)).decode("utf-8")
-                        (ret_len,) = _ENVELOPE.unpack(
-                            _read_exact(conn, _ENVELOPE.size)
-                        )
-                        if ret_len > _MAX_ENVELOPE:
-                            return
-                        ret = bytes(_read_exact(conn, ret_len)).decode("ascii")
-                        frame = bytearray(HEADER.size)
-                        _read_exact_into(conn, memoryview(frame))
-                        _magic, _ver, _type, length = HEADER.unpack_from(frame)
-                        if length > MAX_BODY:
-                            return  # hostile length: never allocate it
-                        # grow with the data so a hostile length field
-                        # costs at most one spare chunk, not 16 GiB
-                        remaining = length
-                        while remaining:
-                            chunk = min(remaining, 1 << 22)
-                            start = len(frame)
-                            frame += bytes(chunk)
-                            _read_exact_into(conn, memoryview(frame)[start:])
-                            remaining -= chunk
-                        # decode straight off the writable receive buffer:
-                        # ndarray payloads alias it, no copy
-                        msg = decode_message(frame)
-                    except (TransportError, OSError, Exception):
-                        return  # malformed peer: drop the connection, stay up
-                    # learn the sender's return path (no-op for
-                    # same-process nodes)
-                    try:
+                        src, ret, msg = self._read_message(conn, first)
+                        # learn the sender's return path (no-op for
+                        # same-process nodes)
                         ip, port_text = ret.rsplit(":", 1)
                         self.transport.learn_peer(src, ip, int(port_text))
-                    except ValueError:
-                        return  # malformed return endpoint: drop
+                    except Exception:
+                        # malformed peer (hostile length, bad envelope,
+                        # undecodable or cut-short frame): count it,
+                        # drop the connection, stay up
+                        if self.alive:  # our own teardown cuts reads short
+                            self.transport._count_malformed()
+                        return
                     with self.lock:
                         if not self.alive or self.component is None:
                             return
@@ -458,6 +428,41 @@ class TcpNode(Node):
         finally:
             with self._inbound_lock:
                 self._inbound.discard(conn)
+
+    @staticmethod
+    def _read_message(conn: socket.socket, first: bytes):
+        """Read one enveloped frame whose first bytes are ``first``;
+        returns ``(src, return endpoint, message)``.  Raises on anything
+        malformed, before allocating what a hostile length asks for."""
+        head = bytearray(first)
+        if len(head) < _ENVELOPE.size:
+            head += _read_exact(conn, _ENVELOPE.size - len(head))
+        conn.settimeout(_CONNECT_TIMEOUT)
+        (src_len,) = _ENVELOPE.unpack(head)
+        if src_len > _MAX_ENVELOPE:
+            raise TransportError("envelope source length over limit")
+        src = bytes(_read_exact(conn, src_len)).decode("utf-8")
+        (ret_len,) = _ENVELOPE.unpack(_read_exact(conn, _ENVELOPE.size))
+        if ret_len > _MAX_ENVELOPE:
+            raise TransportError("envelope return length over limit")
+        ret = bytes(_read_exact(conn, ret_len)).decode("ascii")
+        frame = bytearray(HEADER.size)
+        _read_exact_into(conn, memoryview(frame))
+        _magic, _ver, _type, length = HEADER.unpack_from(frame)
+        if length > MAX_BODY:
+            raise TransportError("frame body length over limit")
+        # grow with the data so a hostile length field costs at most one
+        # spare chunk, not 16 GiB
+        remaining = length
+        while remaining:
+            chunk = min(remaining, 1 << 22)
+            start = len(frame)
+            frame += bytes(chunk)
+            _read_exact_into(conn, memoryview(frame)[start:])
+            remaining -= chunk
+        # decode straight off the writable receive buffer: ndarray
+        # payloads alias it, no copy
+        return src, ret, decode_message(frame)
 
     def shutdown(self) -> None:
         with self.lock:
@@ -550,6 +555,15 @@ class TcpTransport:
         self.nodes: dict[str, TcpNode] = {}
         self._directory: dict[str, tuple[str, int]] = {}
         self._lock = threading.Lock()
+        #: inbound frames dropped as undecodable (hostile length, bad
+        #: envelope, decode failure) — the connection dies, the node stays
+        self.messages_malformed = 0
+
+    def _count_malformed(self) -> None:
+        with self._lock:
+            self.messages_malformed += 1
+        if self._metrics is not None:
+            self._metrics.malformed.inc()
 
     def _on_pool_saturated(self) -> None:
         if self._pool_saturated is not None:

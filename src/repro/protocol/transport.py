@@ -44,7 +44,7 @@ class _WireMetrics:
     """Pre-resolved wire instruments shared by both transports."""
 
     __slots__ = ("messages", "bytes", "delivered", "dropped", "lost",
-                 "frame_bytes")
+                 "malformed", "frame_bytes")
 
     def __init__(self, registry: MetricsRegistry):
         self.messages = registry.counter("wire.messages", "frames sent")
@@ -55,6 +55,8 @@ class _WireMetrics:
             "wire.dropped", "frames to dead or unknown nodes")
         self.lost = registry.counter(
             "wire.lost", "frames dropped by injected message loss")
+        self.malformed = registry.counter(
+            "wire.malformed", "inbound frames dropped as undecodable")
         self.frame_bytes = registry.histogram(
             "wire.frame_bytes", BYTES_BUCKETS, help="frame size distribution")
 
@@ -256,6 +258,7 @@ class SimNode(Node):
         self.alive = True
         self.component: Component | None = None
         self._timers: list[Timer] = []
+        self._timers_prune_at = 64
         self._jobs: list = []
         self.messages_sent = 0
         self.bytes_sent = 0
@@ -277,10 +280,19 @@ class SimNode(Node):
             if self.alive:
                 fn()
 
-        timer = self.transport.kernel.call_after(delay, guarded)
+        kernel = self.transport.kernel
+        timer = kernel.call_after(delay, guarded)
         self._timers.append(timer)
-        if len(self._timers) > 64:  # keep the teardown list bounded
-            self._timers = [t for t in self._timers if not t.cancelled]
+        if len(self._timers) > self._timers_prune_at:
+            # keep the teardown list to what is still armed: neither
+            # cancelled nor fired (a fired timer is never marked
+            # cancelled; its time is behind the clock).  The threshold
+            # doubles with the survivors so pruning stays amortized O(1)
+            self._timers = [
+                t for t in self._timers
+                if not t.cancelled and t.time >= kernel.now
+            ]
+            self._timers_prune_at = max(64, 2 * len(self._timers))
         return timer
 
     def compute(

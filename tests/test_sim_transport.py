@@ -319,3 +319,36 @@ def test_sample_workload_reads_host():
     transport.add_node("a", "h1", Collector())
     topo.host("h1").set_background_load(1.5)
     assert transport.node("a").sample_workload() == pytest.approx(150.0)
+
+
+def test_fired_timers_do_not_pile_up_on_a_node():
+    # regression: call_after pruned its teardown list with `not
+    # t.cancelled`, but a timer that *fired* is never marked cancelled —
+    # past 64 entries every call rebuilt an ever-growing list
+    kernel, _, transport = make_world()
+    node = transport.add_node("a", "h1", Collector())
+    fired = []
+    for i in range(10_000):
+        node.call_after(0.001, lambda i=i: fired.append(i))
+        kernel.run()  # sequential fire-and-forget: each fires before the next
+    assert len(fired) == 10_000
+    assert len(node._timers) <= 128
+
+
+def test_crash_cancels_every_armed_timer_after_pruning():
+    kernel, _, transport = make_world()
+    node = transport.add_node("a", "h1", Collector())
+    fired = []
+    for i in range(300):  # spent timers, to push the list past pruning
+        node.call_after(0.001, lambda: None)
+        kernel.run()
+    armed = [
+        node.call_after(10.0 + i, lambda i=i: fired.append(i))
+        for i in range(500)  # well past the prune threshold, all live
+    ]
+    assert all(t in node._timers for t in armed)
+    transport.crash("a")
+    assert all(t.cancelled for t in armed)
+    assert node._timers == []
+    kernel.run()
+    assert fired == []

@@ -193,6 +193,59 @@ def test_malformed_bytes_do_not_kill_listener():
             b.close()
 
 
+def test_malformed_frames_are_counted_drops():
+    # a hostile or broken peer costs a connection and a counter tick,
+    # never the node: a frame cut short mid-body and a well-formed frame
+    # of an unknown message type each count once, and the node keeps
+    # delivering what follows
+    import socket
+    import struct
+
+    from repro.protocol.codec import (
+        HEADER, MAGIC, PROTOCOL_VERSION, encode_message,
+    )
+    from repro.trace.instruments import MetricsRegistry
+
+    class Recorder(Component):
+        def __init__(self):
+            self.nonces = []
+
+        def on_message(self, src, msg):
+            self.nonces.append(msg.nonce)
+
+    def envelope(frame: bytes) -> bytes:
+        src, ret = b"raw-peer", b"127.0.0.1:9"
+        return (
+            struct.pack("<I", len(src)) + src
+            + struct.pack("<I", len(ret)) + ret + frame
+        )
+
+    metrics = MetricsRegistry()
+    with TcpTransport(metrics=metrics) as transport:
+        recorder = Recorder()
+        node = transport.add_node("a", recorder)
+        assert transport.messages_malformed == 0
+        whole = encode_message(Ping(nonce=1))
+        with socket.create_connection(("127.0.0.1", node.port)) as conn:
+            conn.sendall(envelope(whole[:-3]))  # truncated, then hang-up
+        assert wait_for(lambda: transport.messages_malformed == 1)
+        unknown = HEADER.pack(
+            MAGIC, PROTOCOL_VERSION, 999, len(whole) - HEADER.size
+        )
+        with socket.create_connection(("127.0.0.1", node.port)) as conn:
+            conn.sendall(envelope(unknown + whole[HEADER.size:]))
+            conn.settimeout(5.0)
+            assert conn.recv(1) == b""  # connection dropped
+        assert wait_for(lambda: transport.messages_malformed == 2)
+        assert metrics.counter("wire.malformed").value == 2
+        assert node.alive and recorder.nonces == []
+        # the next well-formed message is delivered
+        with socket.create_connection(("127.0.0.1", node.port)) as conn:
+            conn.sendall(envelope(encode_message(Ping(nonce=42))))
+            assert wait_for(lambda: recorder.nonces == [42])
+        assert transport.messages_malformed == 2
+
+
 def test_forged_envelope_length_dropped_without_allocation():
     # a hostile 4 GiB envelope-length claim must be rejected *before*
     # any buffer is sized from it: the listener hangs up immediately
