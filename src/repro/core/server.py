@@ -8,6 +8,20 @@ structured error.  ``max_concurrent`` bounds simultaneous executions;
 excess requests queue FIFO, mirroring the original's fork-per-request
 server with a small process cap.
 
+One pipeline serves every request.  A ``SolveRequest`` is *admitted*
+(``_enqueue``: answered from the cache, shed, queued or started) and
+from then on is a ``_Job``; it is *prepared* at most once (``_prepare``:
+references resolved, inputs validated, flops sized, digest folded — or a
+typed error stored), *started* (``_start``: settle a pre-compute failure
+or a start-time cache hit, join an identical running compute, else run),
+*run* (``_run``: one slot and one generation stamp for one request or a
+stacked batch) and *settled* (``_settle``: the only place that counts,
+traces, keeps outputs, builds the ``SolveReply``, publishes and
+records).  ``_drain`` is the only loop; ``_start`` and ``_settle`` return
+to it instead of re-entering it.  Single, batched, coalesced, cached and
+DAG-node requests differ only in the data on the job — the table is in
+docs/architecture.md, "Server request lifecycle".
+
 Overload protection and QoS: waiting requests sit in an earliest-
 deadline-first heap, where each request's deadline is its arrival time
 plus the per-class offset from ``qos_deadlines`` — ``interactive``
@@ -38,11 +52,12 @@ request is content-digested before admission — a hit answers straight
 from the :class:`~repro.store.ResultCache` (``SolveReply.cached=True``),
 skipping the queue, the worker pool and the kernel; a request whose
 digest matches an *in-flight* compute joins it as a waiter instead of
-burning a slot (stampede coalescing).  With ``store_path`` set,
-completed outcomes are persisted to a SQLite :class:`~repro.store.JobStore`
-keyed ``(reply_to, request_id)`` so they survive restarts and can be
-recovered with ``FetchResult``; a memory-cache miss falls through to
-the store by digest, warming the cache after a reboot.
+burning a slot (stampede coalescing).  With ``store_path`` set, every
+settled outcome — computed, cached or coalesced, success or failure — is
+persisted to a SQLite :class:`~repro.store.JobStore` keyed
+``(reply_to, request_id)`` so it survives restarts and can be recovered
+with ``FetchResult``; a memory-cache miss falls through to the store by
+digest, warming the cache after a reboot.
 """
 
 from __future__ import annotations
@@ -195,6 +210,16 @@ def _batch_signature(values) -> tuple:
     return tuple(sig)
 
 
+def _has_refs(msg: SolveRequest) -> bool:
+    """True when an input names resident data instead of carrying it."""
+    return any(isinstance(v, (ObjectRef, DataHandle)) for v in msg.inputs)
+
+
+def _batchable(msg: SolveRequest) -> bool:
+    """Referenced and kept requests keep 1-at-a-time semantics."""
+    return not (msg.keep_result or _has_refs(msg))
+
+
 #: transport-level source of DAG-internal solve requests; replies whose
 #: ``reply_to`` starts with the prefix route back into the DAG executor
 #: instead of the wire
@@ -236,6 +261,37 @@ def _substitute(value, results):
     if isinstance(value, dict):
         return {key: _substitute(item, results) for key, item in value.items()}
     return value
+
+
+class _Job:
+    """One admitted solve request on its way through the pipeline.
+
+    Single, batched, coalesced, cached and DAG-node requests are all
+    this object; they differ only in the data on it.  The lower half is
+    filled by :meth:`ComputationalServer._prepare`, once.
+    """
+
+    __slots__ = (
+        "msg", "reply_to", "t_queued",
+        "inputs", "coerced", "env", "flops", "digest", "error",
+    )
+
+    def __init__(self, src: str, msg: SolveRequest):
+        self.msg = msg
+        #: reply route: a client address, or ``@dag/<token>/<node>``
+        self.reply_to = msg.reply_to or src
+        self.t_queued = 0.0
+        #: ``msg.inputs`` with every reference swapped for its resident
+        #: value (what the process lane ships), then validated
+        self.inputs: Optional[list] = None
+        self.coerced = None
+        self.env = None
+        self.flops = 0.0
+        #: content digest; ``None`` = not addressable / not digesting
+        self.digest: Optional[str] = None
+        #: typed pre-compute failure (not installed, invalid, missing
+        #: object) — the request settles with it instead of running
+        self.error: Optional[NetSolveError] = None
 
 
 class _DagRun:
@@ -304,11 +360,11 @@ class ComputationalServer(DispatchComponent):
         #: stale instead of corrupting the new incarnation's state
         self._generation = 0
         #: earliest-deadline-first admission heap of
-        #: ``(deadline, seq, src, msg, t_enqueued)``: deadline = arrival
-        #: + the request class's ``qos_deadlines`` offset, seq breaks
-        #: ties in arrival order — single-class traffic therefore drains
-        #: in exact FIFO order, same as the pre-QoS deque
-        self._queue: list[tuple[float, int, str, SolveRequest, float]] = []
+        #: ``(deadline, seq, job)``: deadline = arrival + the request
+        #: class's ``qos_deadlines`` offset, seq breaks ties in arrival
+        #: order — single-class traffic therefore drains in exact FIFO
+        #: order, same as the pre-QoS deque
+        self._queue: list[tuple[float, int, _Job]] = []
         self._queue_seq = itertools.count()
         #: waiting entries per QoS class (indexed like QOS_CLASSES),
         #: driving the per-class shed shares
@@ -354,10 +410,10 @@ class ComputationalServer(DispatchComponent):
             ttl=cfg.cache_ttl,
             clock=lambda: self.node.now(),
         )
-        #: digest -> [(reply_to, request_id), ...] of requests joined to
-        #: an identical in-flight compute (stampede coalescing); cleared
-        #: on restart — dropped waiters retry like any lost reply
-        self._inflight: dict[str, list[tuple[str, int]]] = {}
+        #: digest of a running compute -> the jobs that joined it, in
+        #: join order (stampede coalescing); cleared on restart —
+        #: dropped waiters retry like any lost reply
+        self._inflight: dict[str, list[_Job]] = {}
         #: persistent job store, opened lazily so a shut-down incarnation
         #: can reopen it on revival
         self._store: Optional[JobStore] = None
@@ -646,61 +702,35 @@ class ComputationalServer(DispatchComponent):
             self._store = JobStore(self.cfg.store_path)
         return self._store
 
-    def _solve_digest_folded(
-        self, problem: str, raw_inputs: tuple, coerced, env
-    ) -> Optional[str]:
+    def _solve_digest_folded(self, job: _Job) -> Optional[str]:
         """Request digest with references *folded*, not materialized.
 
-        Reference positions contribute the referenced object's stored
-        content digest (O(1) per request, however large the resident
-        value); payload positions contribute their canonicalized bytes.
+        Digests cover the *canonicalized* inputs, so a strided
+        client-side view and the contiguous copy another client sent
+        hash identically.  Reference positions contribute the referenced
+        object's stored content digest (O(1) per request, however large
+        the resident value); payload positions contribute their bytes.
         A handle-bearing request therefore digests to the same key the
         submitting client computed from its ``DataHandle.digest``
         metadata, so repeats hit the result cache and the agent's hot
         cache without re-hashing resident megabytes.  Ref-free requests
         take the historical value-digest path, bit-identical to before.
+        ``None`` means not addressable (unencodable, unresolvable).
         """
-        if not any(
-            isinstance(v, (ObjectRef, DataHandle)) for v in raw_inputs
-        ):
-            return solve_digest(problem, coerced, env)
+        msg = job.msg
+        if not _has_refs(msg):
+            return solve_digest(msg.problem, job.coerced, job.env)
         # normalize both ref flavours to ObjectRef so the folded digest
         # depends on the resident *content*, not on which reference type
         # (or possibly-stale carried digest) named it
         folded = [
             ObjectRef(orig.key)
             if isinstance(orig, (ObjectRef, DataHandle)) else value
-            for orig, value in zip(raw_inputs, coerced)
+            for orig, value in zip(msg.inputs, job.coerced)
         ]
         return solve_digest(
-            problem, folded, env, resolve_ref=self.objects.digest_of
+            msg.problem, folded, job.env, resolve_ref=self.objects.digest_of
         )
-
-    def _request_digest(self, msg: SolveRequest) -> Optional[str]:
-        """Content digest of one request, or ``None`` (not addressable).
-
-        Digests cover the *canonicalized* inputs — arrays coerced, refs
-        folded to their stored digests — so a strided client-side view
-        and the contiguous copy another client sent hash identically.
-        """
-        if msg.problem not in self.registry:
-            return None
-        spec = self.registry.spec(msg.problem)
-        try:
-            inputs = self._resolve_refs(msg.inputs)
-            coerced, env = validate_inputs(spec, inputs)
-        except NetSolveError:
-            return None  # the normal path owns the error reply
-        return self._solve_digest_folded(msg.problem, msg.inputs, coerced, env)
-
-    def _dispatch_reply(self, reply_to: str, reply) -> None:
-        """Deliver a reply: over the wire, or — for DAG-internal
-        requests, whose ``reply_to`` carries the ``@dag/`` prefix —
-        straight back into the DAG executor, no transport involved."""
-        if reply_to.startswith(_DAG_PREFIX):
-            self._on_dag_internal_reply(reply_to, reply)
-        else:
-            self.node.send(reply_to, reply)
 
     def _keep_outputs(
         self, reply_to: str, request_id: int, outputs: tuple
@@ -730,111 +760,70 @@ class ComputationalServer(DispatchComponent):
         )
         return tuple(kept)
 
-    def _reply_cached(
-        self,
-        reply_to: str,
-        request_id: int,
-        outputs: tuple,
-        nbytes: int,
-        *,
-        keep: bool = False,
-    ) -> None:
-        """Send one cache-served reply, with the bookkeeping a fresh
-        compute would have done (minus the compute)."""
-        self.requests_served += 1
-        if self._metrics is not None:
-            self._metrics.ok.inc()
-            self._metrics.cache_hits.inc()
-            self._metrics.cache_bytes_saved.inc(nbytes)
-        self._trace("cache_hit", request_id=request_id, nbytes=nbytes)
-        if keep:
-            outputs = self._keep_outputs(reply_to, request_id, outputs)
-        self._dispatch_reply(
-            reply_to,
-            SolveReply(
-                request_id=request_id,
-                ok=True,
-                outputs=outputs,
-                compute_seconds=0.0,
-                cached=True,
-            ),
-        )
+    def _probe(self, job: _Job) -> Optional[tuple]:
+        """Admission-time cache lookup on a digesting server: the
+        ``(outputs, nbytes)`` entry that answers ``job``, else ``None``.
 
-    def _cache_probe(self, src: str, msg: SolveRequest) -> bool:
-        """Try to answer a request before admission.
-
-        A hit skips the queue, the worker pool and the kernel entirely:
-        the only cost left is the reply transfer.  A memory miss falls
-        through to the persistent store (the restart-warming path) and
-        promotes any hit back into the memory cache.  Returns True when
-        a reply was sent.
+        A memory miss falls through to the persistent store (the
+        restart-warming path) and promotes any hit back into the memory
+        cache.  An unaddressable or already-failed job is no lookup at
+        all: the start owns its reply.
         """
-        digest = self._request_digest(msg)
+        self._prepare(job)
+        digest = job.digest
         if digest is None:
-            return False
+            return None
         entry = self.result_cache.get(digest)
-        if entry is None:
-            store = self._job_store()
-            if store is not None:
-                blob = store.lookup_digest(digest)
-                if blob is not None:
-                    try:
-                        outputs = tuple(decode_value(blob))
-                    except NetSolveError:  # pragma: no cover - corrupt row
-                        outputs = None
-                    if outputs is not None:
-                        entry = (outputs, len(blob))
-                        self.result_cache.put(digest, entry)
-                        if self._metrics is not None:
-                            self._metrics.store_hits.inc()
-        if entry is None:
-            if self._metrics is not None:
-                self._metrics.cache_misses.inc()
-            return False
-        outputs, nbytes = entry
-        if self._metrics is not None:
-            self._metrics.requests.inc()
-        self._reply_cached(
-            msg.reply_to or src, msg.request_id, outputs, nbytes,
-            keep=msg.keep_result,
-        )
-        return True
+        store = self._job_store() if entry is None else None
+        blob = store.lookup_digest(digest) if store is not None else None
+        if blob is not None:
+            try:
+                entry = (tuple(decode_value(blob)), len(blob))
+            except NetSolveError:  # pragma: no cover - corrupt row
+                pass
+            else:
+                self.result_cache.put(digest, entry)
+                if self._metrics is not None:
+                    self._metrics.store_hits.inc()
+        if entry is None and self._metrics is not None:
+            self._metrics.cache_misses.inc()
+        return entry
 
-    def _record_result(
+    def _record(
         self,
-        reply_to: str,
-        request_id: int,
-        problem: str,
-        digest: Optional[str],
-        outputs: tuple,
+        job: _Job,
+        outputs: Optional[tuple],
+        detail: str,
         elapsed: float,
-        *,
-        publish: bool = True,
+        publish: bool,
     ) -> None:
-        """Post-compute bookkeeping for one fresh successful result:
-        memory-cache insert, hot publication to the agent, job-store row.
-        ``publish=False`` (coalesced waiters) records the job row only —
-        the leader already owns the cache entry and the publication.
-        Unencodable outputs are skipped wholesale — they could not have
-        crossed the wire either."""
+        """Post-reply bookkeeping for one settled request.
+
+        A fresh success (``publish``) is inserted into the memory cache
+        and published hot to the agent; cache hits and coalesced waiters
+        skip both — the leader already owns the entry.  Then the
+        job-store row, which every outcome gets (``outputs=None`` = the
+        failure ``detail``).  Unencodable outputs are skipped wholesale —
+        they could not have crossed the wire either.
+        """
         store = self._job_store()
-        if digest is None and store is None:
+        digest = job.digest
+        publish = publish and digest is not None and outputs is not None
+        if store is None and not publish:
             return
-        if store is not None:
-            buf = bytearray()
+        blob = b""
+        if outputs is not None:
             try:
-                encode_value(outputs, buf)
+                if store is not None:
+                    buf = bytearray()
+                    encode_value(outputs, buf)
+                    blob = bytes(buf)
+                    nbytes = len(blob)
+                else:
+                    nbytes = encoded_size(outputs)
             except NetSolveError:  # pragma: no cover - registry outputs
                 return
-            blob = bytes(buf)
-            nbytes = len(blob)
-        else:
-            blob = b""
-            try:
-                nbytes = encoded_size(outputs)
-            except NetSolveError:  # pragma: no cover - registry outputs
-                return
-        if digest is not None and publish:
+        if publish:
             if self.result_cache.enabled:
                 evictions_before = self.result_cache.evictions
                 self.result_cache.put(digest, (outputs, nbytes))
@@ -847,49 +836,25 @@ class ComputationalServer(DispatchComponent):
                     self.agent_address,
                     CacheInsert(
                         digest=digest,
-                        problem=problem,
+                        problem=job.msg.problem,
                         outputs=outputs,
                         nbytes=nbytes,
                     ),
                 )
         if store is not None:
             store.record(
-                reply_to,
-                request_id,
+                job.reply_to,
+                job.msg.request_id,
                 digest=digest or "",
-                problem=problem,
-                ok=True,
+                problem=job.msg.problem,
+                ok=outputs is not None,
                 payload=blob,
+                detail=detail,
                 compute_seconds=elapsed,
                 created=self.node.now(),
             )
             if self._metrics is not None:
                 self._metrics.store_records.inc()
-
-    def _record_failure(
-        self,
-        reply_to: str,
-        request_id: int,
-        problem: str,
-        digest: Optional[str],
-        detail: str,
-        elapsed: float,
-    ) -> None:
-        store = self._job_store()
-        if store is None:
-            return
-        store.record(
-            reply_to,
-            request_id,
-            digest=digest or "",
-            problem=problem,
-            ok=False,
-            detail=detail,
-            compute_seconds=elapsed,
-            created=self.node.now(),
-        )
-        if self._metrics is not None:
-            self._metrics.store_records.inc()
 
     @handles(FetchResult)
     def _fetch_result(self, src: str, msg: FetchResult) -> None:
@@ -949,12 +914,23 @@ class ComputationalServer(DispatchComponent):
         )
 
     # ------------------------------------------------------------------
+    # the request pipeline: admit -> prepare once -> run -> settle
+    # ------------------------------------------------------------------
     @handles(SolveRequest)
     def _enqueue(self, src: str, msg: SolveRequest) -> None:
-        if (
-            self.result_cache.enabled or self.cfg.store_path
-        ) and self._cache_probe(src, msg):
-            return
+        """Admit one request: answer it from the cache, shed it, queue
+        it, or start it.  A digesting server prepares here, because a
+        hit skips the queue, the worker pool and the kernel entirely; a
+        plain one defers all per-request work past the shed decision."""
+        job = None
+        if self.result_cache.enabled or self.cfg.store_path:
+            job = _Job(src, msg)
+            entry = self._probe(job)
+            if entry is not None:
+                if self._metrics is not None:
+                    self._metrics.requests.inc()
+                self._settle(job, entry[0], 0.0, cached=True, saved=entry[1])
+                return
         if self._executing >= self.cfg.max_concurrent:
             depth = len(self._queue)
             ci = qos_index(msg.qos)
@@ -996,11 +972,11 @@ class ComputationalServer(DispatchComponent):
                         ),
                     )
                     return
-            now = self.node.now()
-            deadline = now + self.cfg.qos_deadlines[ci]
+            job = job or _Job(src, msg)
+            job.t_queued = self.node.now()
+            deadline = job.t_queued + self.cfg.qos_deadlines[ci]
             heapq.heappush(
-                self._queue,
-                (deadline, next(self._queue_seq), src, msg, now),
+                self._queue, (deadline, next(self._queue_seq), job)
             )
             self._queued_by_class[ci] += 1
             if len(self._queue) > self.peak_queue:
@@ -1017,234 +993,232 @@ class ComputationalServer(DispatchComponent):
                 "request_queued", request_id=msg.request_id, depth=len(self._queue)
             )
             return
-        self._start(src, msg)
+        self._start(job or _Job(src, msg))
 
-    def _start(self, src: str, msg: SolveRequest) -> None:
-        reply_to = msg.reply_to or src
+    def _prepare(self, job: _Job) -> None:
+        """Resolve, validate, size and digest ``job`` — at most once.
+
+        The admission probe, the batch gatherer and the start all call
+        this; whichever comes first does the work, the rest return at
+        the first line.  A failure is stored on the job, typed, for
+        :meth:`_settle` — nothing is replied from here.
+        """
+        if job.coerced is not None or job.error is not None:
+            return
+        msg = job.msg
+        try:
+            if msg.problem not in self.registry:
+                raise NetSolveError(
+                    f"problem {msg.problem!r} not installed here"
+                )
+            spec = self.registry.spec(msg.problem)
+            job.inputs = self._resolve_refs(msg.inputs)
+            job.coerced, job.env = validate_inputs(spec, job.inputs)
+            job.flops = spec.flops(job.env)
+        except NetSolveError as exc:
+            job.error = exc
+            return
+        if self.result_cache.enabled or self.cfg.store_path:
+            job.digest = self._solve_digest_folded(job)
+
+    def _start(self, job: _Job) -> None:
+        """Take ``job`` as far as it goes without waiting: settle it
+        (pre-compute failure, or a result that landed in the cache while
+        it queued), join it to an identical running compute, or run it —
+        with whatever queued mates can share its kernel call."""
         if self._metrics is not None:
             self._metrics.requests.inc()
-        if msg.problem not in self.registry:
-            self.requests_failed += 1
-            if self._metrics is not None:
-                self._metrics.errors.inc()
-            self._dispatch_reply(
-                reply_to,
-                SolveReply(
-                    request_id=msg.request_id,
-                    ok=False,
-                    detail=f"problem {msg.problem!r} not installed here",
-                ),
-            )
-            self._drain()
+        self._prepare(job)
+        if job.error is not None:
+            self._settle(job, job.error, 0.0)
             return
-        spec = self.registry.spec(msg.problem)
-        try:
-            inputs = self._resolve_refs(msg.inputs)
-            coerced, env = validate_inputs(spec, inputs)
-            flops = spec.flops(env)
-        except MissingObjectError as exc:
-            # fail fast, *typed*: a referenced key is gone (crash wiped
-            # the store, TTL lapsed, ...).  The client re-submits with
-            # the payload instead of treating this as a server fault.
-            self.requests_failed += 1
-            if self._metrics is not None:
-                self._metrics.errors.inc()
-            self._trace(
-                "missing_object",
-                request_id=msg.request_id,
-                keys=",".join(exc.keys),
-            )
-            self._dispatch_reply(
-                reply_to,
-                SolveReply(
-                    request_id=msg.request_id,
-                    ok=False,
-                    detail=str(exc),
-                    error_kind="missing_object",
-                    missing=exc.keys,
-                ),
-            )
-            self._drain()
-            return
-        except NetSolveError as exc:
-            self.requests_failed += 1
-            if self._metrics is not None:
-                self._metrics.errors.inc()
-            self._dispatch_reply(
-                reply_to,
-                SolveReply(request_id=msg.request_id, ok=False, detail=str(exc)),
-            )
-            self._drain()
-            return
-
-        digest = None
-        if self.result_cache.enabled or self.cfg.store_path:
-            digest = self._solve_digest_folded(
-                msg.problem, msg.inputs, coerced, env
-            )
+        digest = job.digest
         if digest is not None:
-            # re-check: an identical result may have landed while this
-            # request waited in the queue (peek: the admission-time miss
-            # was already counted; stats stay one-to-one with requests)
+            # peek: the admission-time miss was already counted; stats
+            # stay one-to-one with requests
             entry = self.result_cache.peek(digest)
             if entry is not None:
-                outputs, nbytes = entry
-                self._reply_cached(
-                    reply_to, msg.request_id, outputs, nbytes,
-                    keep=msg.keep_result,
-                )
-                self._drain()
+                self._settle(job, entry[0], 0.0, cached=True, saved=entry[1])
                 return
             waiters = self._inflight.get(digest)
             if waiters is not None:
                 # an identical compute is already running: join it
                 # instead of burning a slot on the same answer
-                waiters.append((reply_to, msg.request_id, msg.keep_result))
+                waiters.append(job)
                 self.coalesced_requests += 1
                 if self._metrics is not None:
                     self._metrics.coalesced.inc()
                 self._trace(
                     "request_coalesced",
-                    request_id=msg.request_id,
+                    request_id=job.msg.request_id,
                     digest=digest,
                 )
                 return
             if self.result_cache.enabled:
                 self._inflight[digest] = []
+        self._run([job, *self._mates(job)])
 
+    def _run(self, jobs: list) -> None:
+        """Execute ``jobs`` — one request, or a head plus its batch
+        mates in one stacked kernel call — on a *single* slot under a
+        single generation stamp: a restart before completion makes the
+        whole completion stale, dropping every member (each of which
+        the client retries independently)."""
+        head = jobs[0]
+        problem = head.msg.problem
         self._executing += 1
         generation = self._generation
         if self._metrics is not None:
             self._metrics.executing.inc()
-        self._trace(
-            "request_started",
-            request_id=msg.request_id,
-            problem=msg.problem,
-            flops=flops,
-        )
+        if len(jobs) == 1:
+            rid = head.msg.request_id
+            stale_fields = {"request_id": rid}
+            flops = head.flops
+            self._trace(
+                "request_started", request_id=rid, problem=problem, flops=flops
+            )
+            coerced = head.coerced
 
-        def run() -> tuple:
-            return self.registry.execute(msg.problem, coerced)
+            def run():
+                return self.registry.execute(problem, coerced)
+        else:
+            stale_fields = {"problem": problem, "batch": len(jobs)}
+            flops = sum(job.flops for job in jobs)
+            self.batches += 1
+            self.batched_requests += len(jobs)
+            if self._metrics is not None:
+                # the head was counted by _start, its mates never got there
+                self._metrics.requests.inc(len(jobs) - 1)
+                self._metrics.batches.inc()
+                self._metrics.batched_requests.inc(len(jobs))
+            self._trace(
+                "batch_started", problem=problem, size=len(jobs), flops=flops
+            )
+            inputs_list = [job.coerced for job in jobs]
+
+            def run():
+                return self.registry.execute_batch(problem, inputs_list)
 
         def done(result, elapsed: float) -> None:
             if generation != self._generation:
                 # completion of work a restart already forgot: the new
                 # incarnation zeroed _executing and owes no reply
-                self.stale_completions += 1
+                self.stale_completions += len(jobs)
                 if self._metrics is not None:
-                    self._metrics.stale_drops.inc()
-                self._trace(
-                    "stale_completion_dropped", request_id=msg.request_id
-                )
+                    self._metrics.stale_drops.inc(len(jobs))
+                self._trace("stale_completion_dropped", **stale_fields)
                 return
             self._executing -= 1
             if self._metrics is not None:
                 self._metrics.executing.dec()
                 self._metrics.compute_seconds.observe(elapsed)
-            waiters = (
-                self._inflight.pop(digest, []) if digest is not None else []
-            )
-            if isinstance(result, BaseException):
-                detail = f"{type(result).__name__}: {result}"
-                self.requests_failed += 1
-                if self._metrics is not None:
-                    self._metrics.errors.inc()
-                self._trace(
-                    "request_error",
-                    request_id=msg.request_id,
-                    detail=str(result),
-                )
-                self._dispatch_reply(
-                    reply_to,
-                    SolveReply(
-                        request_id=msg.request_id,
-                        ok=False,
-                        detail=detail,
-                        compute_seconds=elapsed,
-                    ),
-                )
-                self._record_failure(
-                    reply_to, msg.request_id, msg.problem, digest,
-                    detail, elapsed,
-                )
-                for w_reply, w_rid, _w_keep in waiters:
-                    # joined requests share the leader's fate; each
-                    # client retries independently
-                    self.requests_failed += 1
-                    if self._metrics is not None:
-                        self._metrics.errors.inc()
-                    self._dispatch_reply(
-                        w_reply,
-                        SolveReply(
-                            request_id=w_rid,
-                            ok=False,
-                            detail=detail,
-                            compute_seconds=elapsed,
-                        ),
-                    )
-                    self._record_failure(
-                        w_reply, w_rid, msg.problem, digest, detail, elapsed
-                    )
+            if len(jobs) == 1:
+                items = [result]
+            elif isinstance(result, BaseException):
+                # execute_batch itself blew up before its per-item
+                # fallback could run: every member shares the error
+                items = [result] * len(jobs)
             else:
-                outputs = tuple(result)
-                self.requests_served += 1
-                if self._metrics is not None:
-                    self._metrics.ok.inc()
-                self._trace(
-                    "request_done",
-                    request_id=msg.request_id,
-                    compute_seconds=elapsed,
-                )
-                sent = outputs
-                if msg.keep_result:
-                    sent = self._keep_outputs(
-                        reply_to, msg.request_id, outputs
-                    )
-                self._dispatch_reply(
-                    reply_to,
-                    SolveReply(
-                        request_id=msg.request_id,
-                        ok=True,
-                        outputs=sent,
-                        compute_seconds=elapsed,
-                    ),
-                )
-                self._record_result(
-                    reply_to, msg.request_id, msg.problem, digest,
-                    outputs, elapsed,
-                )
-                for w_reply, w_rid, w_keep in waiters:
-                    # compute_seconds=0: the waiter paid no compute, and
-                    # charging it the leader's would poison the client's
-                    # transfer accounting (elapsed - compute < 0)
-                    self.requests_served += 1
-                    if self._metrics is not None:
-                        self._metrics.ok.inc()
-                    self._trace("request_done", request_id=w_rid)
-                    w_sent = (
-                        self._keep_outputs(w_reply, w_rid, outputs)
-                        if w_keep else outputs
-                    )
-                    self._dispatch_reply(
-                        w_reply,
-                        SolveReply(
-                            request_id=w_rid,
-                            ok=True,
-                            outputs=w_sent,
-                            compute_seconds=0.0,
-                            cached=True,
-                        ),
-                    )
-                    self._record_result(
-                        w_reply, w_rid, msg.problem, digest, outputs, 0.0,
-                        publish=False,
-                    )
+                items = result
+            for job, item in zip(jobs, items):
+                waiters = self._inflight.pop(job.digest, ())
+                self._settle(job, item, elapsed)
+                # joined requests share the leader's fate, in join order
+                for waiter in waiters:
+                    self._settle(waiter, item, elapsed, cached=True)
             self._drain()
 
-        if self._use_process_lane():
-            self._submit_process(msg.problem, inputs, done)
-            return
-        self.node.compute(flops, run, done)
+        if len(jobs) == 1 and self._use_process_lane():
+            self._submit_process(problem, head.inputs, done)
+        else:
+            self.node.compute(flops, run, done)
+
+    def _settle(
+        self,
+        job: _Job,
+        outcome,
+        elapsed: float,
+        *,
+        cached: bool = False,
+        saved: Optional[int] = None,
+    ) -> None:
+        """End one request's life: the only place that counts it, traces
+        it, keeps its outputs, builds its ``SolveReply``, and publishes
+        and records the outcome.
+
+        ``outcome`` is the output sequence, or the exception standing in
+        for it: ``job.error`` for a typed pre-compute failure (its text
+        is the whole detail), anything else a kernel error.  ``cached``
+        marks a result that cost no compute here — a cache hit (``saved``
+        = the encoded bytes the entry spared) or a waiter sharing its
+        leader's — which owns neither the cache entry nor its
+        publication.
+        """
+        rid = job.msg.request_id
+        outputs = None
+        sent: tuple = ()
+        detail = error_kind = ""
+        missing: tuple = ()
+        if isinstance(outcome, BaseException):
+            self.requests_failed += 1
+            if self._metrics is not None:
+                self._metrics.errors.inc()
+            if outcome is not job.error:
+                detail = f"{type(outcome).__name__}: {outcome}"
+                self._trace(
+                    "request_error", request_id=rid, detail=str(outcome)
+                )
+            else:
+                detail = str(outcome)
+                if isinstance(outcome, MissingObjectError):
+                    # fail fast, *typed*: a referenced key is gone (crash
+                    # wiped the store, TTL lapsed, ...).  The client
+                    # re-submits with the payload instead of treating
+                    # this as a server fault.
+                    error_kind, missing = "missing_object", outcome.keys
+                    self._trace(
+                        "missing_object",
+                        request_id=rid,
+                        keys=",".join(missing),
+                    )
+        else:
+            outputs = sent = tuple(outcome)
+            if cached:
+                # the request paid no compute, and charging it the
+                # leader's would poison the client's transfer accounting
+                # (elapsed - compute < 0)
+                elapsed = 0.0
+            self.requests_served += 1
+            if self._metrics is not None:
+                self._metrics.ok.inc()
+            if saved is None:
+                self._trace(
+                    "request_done", request_id=rid, compute_seconds=elapsed
+                )
+            else:
+                if self._metrics is not None:
+                    self._metrics.cache_hits.inc()
+                    self._metrics.cache_bytes_saved.inc(saved)
+                self._trace("cache_hit", request_id=rid, nbytes=saved)
+            if job.msg.keep_result:
+                sent = self._keep_outputs(job.reply_to, rid, outputs)
+        reply = SolveReply(
+            request_id=rid,
+            ok=outputs is not None,
+            outputs=sent,
+            detail=detail,
+            compute_seconds=elapsed,
+            cached=cached and outputs is not None,
+            error_kind=error_kind,
+            missing=missing,
+        )
+        if job.reply_to.startswith(_DAG_PREFIX):
+            # a DAG node: straight back into the DAG executor, no
+            # transport involved
+            self._on_dag_internal_reply(job.reply_to, reply)
+        else:
+            self.node.send(job.reply_to, reply)
+        self._record(job, outputs, detail, elapsed, publish=not cached)
 
     # ------------------------------------------------------------------
     # executors
@@ -1285,200 +1259,69 @@ class ComputationalServer(DispatchComponent):
             self._process_pool = None
 
     # ------------------------------------------------------------------
-    # same-problem micro-batching
+    # same-problem micro-batching, and the drain
     # ------------------------------------------------------------------
-    def _gather_batch(self, src: str, msg: SolveRequest):
-        """Collect queued requests that can share a stacked kernel call.
+    def _mates(self, head: _Job) -> list:
+        """Pull the queued jobs that can share ``head``'s stacked kernel
+        call out of the queue (others keep their positions).
 
-        Returns ``None`` — meaning *run the plain single-request path* —
-        unless batching is enabled, the problem has a batch handler, and
-        at least one shape-compatible same-problem request is waiting.
-        Otherwise removes the compatible mates from the queue (others
-        keep their FIFO positions) and returns ``(src, msg, flops,
-        digest)`` tuples for the head plus its mates (digest ``None``
-        when result caching and the job store are both off).
+        Eligibility is data: batching on, a batch handler, and — for
+        head and mate alike — no refs, no ``keep_result`` (those keep
+        1-at-a-time semantics), the same problem and the same
+        ``(env, _batch_signature)``; at most ``batch_max`` per call.
+        Candidates are prepared here, once, and stay prepared if they
+        are left behind.
         """
-        if self.cfg.batch_max <= 1 or not self._queue:
-            return None
-        problem = msg.problem
-        if problem not in self.registry or not self.registry.has_batch(problem):
-            return None
-        if msg.keep_result or any(
-            isinstance(v, (ObjectRef, DataHandle)) for v in msg.inputs
+        problem = head.msg.problem
+        if (
+            self.cfg.batch_max <= 1
+            or not self._queue
+            or not self.registry.has_batch(problem)
+            or not _batchable(head.msg)
         ):
-            return None  # referenced/kept requests keep 1-at-a-time semantics
-        spec = self.registry.spec(problem)
-        try:
-            coerced, env = validate_inputs(spec, list(msg.inputs))
-            flops = spec.flops(env)
-        except NetSolveError:
-            return None  # invalid head: the single path owns the error reply
-        digesting = self.result_cache.enabled or bool(self.cfg.store_path)
-
-        def member_digest(coerced_inputs, member_env):
-            if not digesting:
-                return None
-            return solve_digest(problem, coerced_inputs, member_env)
-
-        signature = (env, _batch_signature(coerced))
-        members = [(src, msg, flops, member_digest(coerced, env), coerced)]
+            return []
+        signature = (head.env, _batch_signature(head.coerced))
+        mates: list = []
         kept: list = []
-        now = self.node.now()
         # walk in drain (deadline) order so member selection matches
         # what successive pops would have seen; a sorted list satisfies
         # the heap invariant, so ``kept`` needs no re-heapify
         for entry in sorted(self._queue):
-            _deadline, _seq, q_src, q_msg, t_queued = entry
+            job = entry[2]
             if (
-                len(members) >= self.cfg.batch_max
-                or q_msg.problem != problem
-                or q_msg.keep_result
-                or any(
-                    isinstance(v, (ObjectRef, DataHandle))
-                    for v in q_msg.inputs
-                )
+                len(mates) + 1 < self.cfg.batch_max
+                and job.msg.problem == problem
+                and _batchable(job.msg)
             ):
-                kept.append(entry)
-                continue
-            try:
-                q_coerced, q_env = validate_inputs(spec, list(q_msg.inputs))
-                q_flops = spec.flops(q_env)
-            except NetSolveError:
-                kept.append(entry)
-                continue
-            if (q_env, _batch_signature(q_coerced)) != signature:
-                kept.append(entry)
-                continue
-            members.append(
-                (q_src, q_msg, q_flops, member_digest(q_coerced, q_env),
-                 q_coerced)
-            )
-            self._queued_by_class[qos_index(q_msg.qos)] -= 1
-            if self._metrics is not None:
-                self._metrics.queue_depth.dec()
-                self._metrics.queue_wait_seconds.observe(now - t_queued)
-        if len(members) == 1:
-            return None
-        self._queue = kept
-        return members
+                self._prepare(job)
+                if job.error is None and (
+                    job.env, _batch_signature(job.coerced)
+                ) == signature:
+                    mates.append(job)
+                    self._dequeued(job)
+                    continue
+            kept.append(entry)
+        if mates:
+            self._queue = kept
+        return mates
 
-    def _start_batch(self, members: list) -> None:
-        """Execute a gathered batch in one compute, fan replies back out.
-
-        The batch occupies a *single* slot and a single generation stamp:
-        a restart mid-batch makes the whole completion stale, dropping
-        every member (each of which the client retries independently).
-        """
-        problem = members[0][1].problem
-        total_flops = sum(m[2] for m in members)
-        self.batches += 1
-        self.batched_requests += len(members)
+    def _dequeued(self, job: _Job) -> None:
+        self._queued_by_class[qos_index(job.msg.qos)] -= 1
         if self._metrics is not None:
-            self._metrics.requests.inc(len(members))
-            self._metrics.batches.inc()
-            self._metrics.batched_requests.inc(len(members))
-            self._metrics.executing.inc()
-        self._executing += 1
-        generation = self._generation
-        self._trace(
-            "batch_started",
-            problem=problem,
-            size=len(members),
-            flops=total_flops,
-        )
-        inputs_list = [m[4] for m in members]
-
-        def run():
-            return self.registry.execute_batch(problem, inputs_list)
-
-        def done(result, elapsed: float) -> None:
-            if generation != self._generation:
-                # a restart forgot the whole batch: every member is stale
-                self.stale_completions += len(members)
-                if self._metrics is not None:
-                    self._metrics.stale_drops.inc(len(members))
-                self._trace(
-                    "stale_completion_dropped",
-                    problem=problem,
-                    batch=len(members),
-                )
-                return
-            self._executing -= 1
-            if self._metrics is not None:
-                self._metrics.executing.dec()
-                self._metrics.compute_seconds.observe(elapsed)
-            if isinstance(result, BaseException):
-                # execute_batch itself blew up before its per-item
-                # fallback could run: every member shares the error
-                items = [result] * len(members)
-            else:
-                items = list(result)
-            for (m_src, m_msg, _flops, m_digest, _in), item in zip(members, items):
-                reply_to = m_msg.reply_to or m_src
-                if isinstance(item, BaseException):
-                    detail = f"{type(item).__name__}: {item}"
-                    self.requests_failed += 1
-                    if self._metrics is not None:
-                        self._metrics.errors.inc()
-                    self._trace(
-                        "request_error",
-                        request_id=m_msg.request_id,
-                        detail=str(item),
-                    )
-                    self._dispatch_reply(
-                        reply_to,
-                        SolveReply(
-                            request_id=m_msg.request_id,
-                            ok=False,
-                            detail=detail,
-                            compute_seconds=elapsed,
-                        ),
-                    )
-                    self._record_failure(
-                        reply_to, m_msg.request_id, problem, m_digest,
-                        detail, elapsed,
-                    )
-                else:
-                    outputs = tuple(item)
-                    self.requests_served += 1
-                    if self._metrics is not None:
-                        self._metrics.ok.inc()
-                    self._trace(
-                        "request_done",
-                        request_id=m_msg.request_id,
-                        compute_seconds=elapsed,
-                    )
-                    self._dispatch_reply(
-                        reply_to,
-                        SolveReply(
-                            request_id=m_msg.request_id,
-                            ok=True,
-                            outputs=outputs,
-                            compute_seconds=elapsed,
-                        ),
-                    )
-                    self._record_result(
-                        reply_to, m_msg.request_id, problem, m_digest,
-                        outputs, elapsed,
-                    )
-            self._drain()
-
-        self.node.compute(total_flops, run, done)
+            self._metrics.queue_depth.dec()
+            self._metrics.queue_wait_seconds.observe(
+                self.node.now() - job.t_queued
+            )
 
     def _drain(self) -> None:
+        """Start queued jobs while a slot is free.  The only loop:
+        ``_start`` and ``_settle`` return here rather than re-enter, so
+        a deep queue of cached or invalid requests costs iterations, not
+        stack frames."""
         while self._queue and self._executing < self.cfg.max_concurrent:
-            _deadline, _seq, src, msg, t_queued = heapq.heappop(self._queue)
-            self._queued_by_class[qos_index(msg.qos)] -= 1
-            if self._metrics is not None:
-                self._metrics.queue_depth.dec()
-                self._metrics.queue_wait_seconds.observe(
-                    self.node.now() - t_queued
-                )
-            batch = self._gather_batch(src, msg)
-            if batch is None:
-                self._start(src, msg)
-            else:
-                self._start_batch(batch)
+            job = heapq.heappop(self._queue)[2]
+            self._dequeued(job)
+            self._start(job)
 
     # ------------------------------------------------------------------
     # request DAGs
@@ -1612,7 +1455,7 @@ class ComputationalServer(DispatchComponent):
             if run.token not in self._dag_runs:
                 return  # a synchronous completion already ended the run
 
-    def _on_dag_internal_reply(self, reply_to: str, reply) -> None:
+    def _on_dag_internal_reply(self, reply_to: str, reply: SolveReply) -> None:
         try:
             _tag, token_text, node_id = reply_to.split("/", 2)
             token = int(token_text)
@@ -1623,17 +1466,15 @@ class ComputationalServer(DispatchComponent):
             # the run failed or was abandoned (restart/shutdown); this
             # is a sibling's late completion — nothing owes a reply
             return
-        if isinstance(reply, SolveReply) and reply.ok:
+        if reply.ok:
             self._dag_node_done(run, node_id, reply)
-        elif isinstance(reply, SolveReply):
+        else:
             self._dag_fail(
                 run, node_id,
                 detail=reply.detail,
                 error_kind=reply.error_kind,
                 missing=reply.missing,
             )
-        else:  # pragma: no cover - internal requests bypass the shed
-            self._dag_fail(run, node_id, detail="internal request refused")
 
     def _dag_node_done(self, run: _DagRun, node_id: str, reply) -> None:
         run.unfinished.discard(node_id)

@@ -1,7 +1,7 @@
 """Degenerate inputs to the batched kernels.
 
 The server's batching lane never *should* build an empty or mixed-shape
-batch — ``_gather_batch`` filters by signature — but the kernels are
+batch — ``_mates`` filters by signature — but the kernels are
 public API and must fail loudly (typed errors, no silent wrong answers)
 rather than trusting their one internal caller.  The batch-of-one case
 additionally pins the bit-identity contract at its smallest instance:

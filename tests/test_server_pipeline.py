@@ -1,0 +1,473 @@
+"""Server request pipeline: the ledger closes, whatever the traffic.
+
+One simulated server under the cross product of its pipeline-shaping
+knobs — cache, batching, job store, queue bound, slots — is fed a seeded
+random interleaving of every kind of request it knows (distinct,
+identical, batch-compatible, wrong-arity, unknown-problem, missing-ref,
+resident-ref, ``keep_result``, ``SubmitDag``), with a live restart
+dropped in on some seeds.  At quiescence the books must balance: every
+request answered at most once (exactly once without a restart), the
+served/failed counters equal to the replies that left, every registry
+counter equal to its bare-int twin, nothing left queued, executing,
+in flight or half-run, and one job-store row per settled request.
+
+Beside the ledger sit the regressions for the three drifts the single
+pipeline removed: re-entrant draining (a deep queue of cached or invalid
+requests overflowed the stack), refs resolved twice on a cache-enabled
+server, and replies that never reached the job store.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from repro.config import ServerConfig
+from repro.core.server import ComputationalServer
+from repro.problems.builtin import builtin_registry
+from repro.protocol.messages import (
+    Busy,
+    DagNodeDone,
+    DagReply,
+    FetchResult,
+    NodeOutput,
+    ObjectRef,
+    ResultStatus,
+    SolveReply,
+    SolveRequest,
+    StoreObject,
+    SubmitDag,
+)
+from repro.protocol.transport import Component, SimTransport
+from repro.simnet.kernel import EventKernel
+from repro.simnet.network import Topology
+from repro.simnet.rng import RngStreams
+from repro.store import JobStore
+from repro.trace.instruments import Observability
+
+SERVER = "server/sv"
+CLIENT = "client-probe"
+
+
+class Probe(Component):
+    def __init__(self):
+        self.inbox = []
+
+    def on_message(self, src, msg):
+        self.inbox.append(msg)
+
+    def of_type(self, cls):
+        return [m for m in self.inbox if isinstance(m, cls)]
+
+
+def make_world(cfg, *, host_mflops=0.25):
+    """One server on a deliberately slow host (solves take virtual
+    milliseconds, so bursts queue), one client probe, one agent probe."""
+    obs = Observability()
+    kernel = EventKernel()
+    topo = Topology(kernel)
+    topo.add_host("sh", host_mflops, cpus=cfg.max_concurrent)
+    topo.add_host("ph", 100.0)
+    topo.connect_all(latency=1e-4, bandwidth=1e9)
+    transport = SimTransport(topo)
+    server = ComputationalServer(
+        server_id="sv",
+        agent_address="agent-probe",
+        registry=builtin_registry().subset(("linsys/dgesv", "blas/ddot")),
+        mflops=host_mflops,
+        host="sh",
+        cfg=cfg,
+        metrics=obs.metrics,
+    )
+    probe = Probe()
+    transport.add_node("agent-probe", "ph", Probe())
+    transport.add_node(CLIENT, "ph", probe)
+    transport.add_node(SERVER, "sh", server)
+    return kernel, transport, server, probe, obs
+
+
+def linsys(rng, n):
+    return rng.standard_normal((n, n)) + n * np.eye(n), rng.standard_normal(n)
+
+
+def solve(rid, inputs, *, problem="linsys/dgesv", **fields):
+    return SolveRequest(
+        request_id=rid, problem=problem, inputs=tuple(inputs),
+        reply_to=CLIENT, **fields,
+    )
+
+
+# ----------------------------------------------------------------------
+# the ledger
+# ----------------------------------------------------------------------
+KNOBS = list(itertools.product(
+    (0, 8),      # cache_entries
+    (1, 8),      # batch_max
+    (False, True),  # store_path set
+    (0, 4),      # max_queue
+    (1, 2),      # max_concurrent
+))
+SEEDS = (11, 12, 13)
+#: seeds on which the server is restarted mid-traffic
+RESTART_SEEDS = (13,)
+N_MESSAGES = 70
+WINDOW = 0.12  # seconds of virtual time the arrivals are spread over
+
+
+def traffic(seed):
+    """``[(time, message)]`` plus the request and DAG ids it contains."""
+    rng = RngStreams(seed).get("pipeline.traffic")
+    shared = linsys(rng, 8)
+    rids = itertools.count(1)
+    dag_ids = (f"dag{i}" for i in itertools.count())
+    qos_of = ("", "", "interactive", "background")
+    sent_rids, sent_dags = [], []
+    # one pinned operand for the resident-ref kind, stored up front
+    resident, rhs = linsys(rng, 8)
+    schedule = [(0.0, StoreObject(key="resident", value=resident))]
+
+    def request(inputs, **fields):
+        rid = next(rids)
+        sent_rids.append(rid)
+        qos = qos_of[rng.integers(len(qos_of))]
+        return solve(rid, inputs, qos=qos, **fields)
+
+    def dag(nodes):
+        dag_id = next(dag_ids)
+        sent_dags.append(dag_id)
+        return SubmitDag(dag_id=dag_id, nodes=tuple(nodes), reply_to=CLIENT)
+
+    def node(nid, inputs, **extra):
+        return {"id": nid, "problem": "linsys/dgesv",
+                "inputs": tuple(inputs), **extra}
+
+    def make(kind):
+        if kind == "distinct":
+            return request(linsys(rng, int(rng.choice((6, 10, 12)))))
+        if kind == "identical":
+            return request((shared[0].copy(), shared[1].copy()))
+        if kind == "batchable":
+            return request(linsys(rng, 8))
+        if kind == "wrong_arity":
+            return request((np.eye(4),))
+        if kind == "unknown_problem":
+            return request(linsys(rng, 4), problem="eigen/symm")
+        if kind == "missing_ref":
+            return request((ObjectRef("ghost"), rhs))
+        if kind == "resident_ref":
+            return request((ObjectRef("resident"), rng.standard_normal(8)))
+        if kind == "keep_result":
+            return request(linsys(rng, 8), keep_result=True)
+        if kind == "singular":
+            return request((np.zeros((8, 8)), np.ones(8)))
+        if kind == "dag_chain":
+            a, b = linsys(rng, 8)
+            return dag([
+                node("x", (a, b), keep=True),
+                node("y", (a, NodeOutput(node="x"))),
+                node("z", (a, NodeOutput(node="y"))),
+            ])
+        if kind == "dag_diamond":
+            a, b = linsys(rng, 8)
+            return dag([
+                node("root", (a, b)),
+                node("left", (a, NodeOutput(node="root"))),
+                node("right", (shared[0], NodeOutput(node="root"))),
+                {"id": "join", "problem": "blas/ddot",
+                 "inputs": (NodeOutput(node="left"),
+                            NodeOutput(node="right"))},
+            ])
+        assert kind == "dag_bad_link"
+        a, b = linsys(rng, 8)
+        return dag([
+            node("ok", (a, b)),
+            node("bad", (np.ones((2, 3)), NodeOutput(node="ok"))),
+            node("never", (a, NodeOutput(node="bad"))),
+        ])
+
+    kinds = (
+        ["distinct"] * 3 + ["identical"] * 5 + ["batchable"] * 5
+        + ["wrong_arity", "unknown_problem", "missing_ref", "resident_ref",
+           "keep_result", "singular", "dag_chain", "dag_diamond",
+           "dag_bad_link"]
+    )
+    t = 0.01
+    for _ in range(N_MESSAGES):
+        # bursts: most arrivals share an instant with their predecessor
+        if rng.random() < 0.3:
+            t += rng.exponential(WINDOW / (0.3 * N_MESSAGES))
+        schedule.append((t, make(kinds[rng.integers(len(kinds))])))
+    return schedule, sent_rids, sent_dags
+
+
+def ledger_breaches(server, probe, obs, sent_rids, sent_dags, *,
+                    restarted, store_path):
+    """Every broken invariant at quiescence, as labelled text."""
+    bad = []
+
+    def check(ok, label):
+        if not ok:
+            bad.append(label)
+
+    solve_replies = probe.of_type(SolveReply)
+    busies = probe.of_type(Busy)
+    dag_replies = probe.of_type(DagReply)
+    node_dones = probe.of_type(DagNodeDone)
+
+    answered = [m.request_id for m in solve_replies + busies]
+    check(len(answered) == len(set(answered)),
+          f"a request id was answered twice: {sorted(answered)}")
+    check(set(answered) <= set(sent_rids), "reply to an id never sent")
+    dags_done = [m.dag_id for m in dag_replies]
+    check(len(dags_done) == len(set(dags_done)), "a dag was answered twice")
+    if not restarted:
+        check(sorted(answered) == sorted(sent_rids),
+              f"unanswered requests: {sorted(set(sent_rids) - set(answered))}")
+        check(sorted(dags_done) == sorted(sent_dags),
+              f"unanswered dags: {sorted(set(sent_dags) - set(dags_done))}")
+
+    # every traffic DAG is shaped so that each internal solve that
+    # settles produces exactly one DagNodeDone (no sibling outlives a
+    # failure), so the progress stream counts DAG-internal completions
+    settled = server.requests_served + server.requests_failed
+    check(settled == len(solve_replies) + len(node_dones),
+          f"served+failed {settled} != {len(solve_replies)} replies + "
+          f"{len(node_dones)} dag nodes")
+    check(len(busies) == server.requests_shed, "Busy replies != requests_shed")
+    check(sum(server.sheds_by_class.values()) == server.requests_shed,
+          "sheds_by_class does not sum to requests_shed")
+
+    check(server.executing == 0, f"executing {server.executing}")
+    check(server.queue_depth == 0, f"queue_depth {server.queue_depth}")
+    check(server._inflight == {}, f"_inflight {server._inflight}")
+    check(server._dag_runs == {}, f"_dag_runs {server._dag_runs}")
+    check(server._queued_by_class == [0, 0, 0],
+          f"_queued_by_class {server._queued_by_class}")
+
+    snap = obs.metrics.snapshot()
+    twins = {
+        "server.ok": server.requests_served,
+        "server.errors": server.requests_failed,
+        "server.sheds": server.requests_shed,
+        "server.batches": server.batches,
+        "server.batched_requests": server.batched_requests,
+        "server.coalesced": server.coalesced_requests,
+        "server.stale_drops": server.stale_completions,
+        "server.dags": server.dags_accepted,
+        "server.dag_nodes": server.dag_nodes_done,
+        "server.missing_objects": server.objects.misses,
+    }
+    for name, twin in twins.items():
+        check(snap["counters"][name] == twin,
+              f"{name} {snap['counters'][name]} != bare int {twin}")
+    check(snap["gauges"]["server.peak_queue"] == server.peak_queue,
+          "server.peak_queue gauge != peak_queue")
+    for name in ("server.queue_depth", "server.executing"):
+        check(snap["gauges"][name] == 0, f"{name} gauge {snap['gauges'][name]}")
+    if not restarted:
+        check(snap["counters"]["server.requests"] == settled,
+              f"server.requests {snap['counters']['server.requests']} != "
+              f"settled {settled}")
+    if server.cfg.max_queue == 0 and not restarted:
+        # a ref is resolved once per request (a digesting server
+        # resolves at admission, so a request it then sheds or loses to
+        # a restart counts a miss without a reply — hence the guard)
+        missing = [r for r in solve_replies if r.error_kind == "missing_object"]
+        check(server.objects.misses == len(missing),
+              f"objects.misses {server.objects.misses} != "
+              f"{len(missing)} missing-object replies")
+
+    if store_path:
+        reader = JobStore(store_path)
+        try:
+            rows = reader.count()
+        finally:
+            reader.close()
+        check(rows == settled, f"job rows {rows} != settled {settled}")
+        check(snap["counters"]["server.store_records"] == settled,
+              "server.store_records != settled")
+    return bad
+
+
+def run_traffic(cfg, seed):
+    """Play ``traffic(seed)`` into a fresh world until quiescence."""
+    kernel, transport, server, probe, obs = make_world(cfg)
+    schedule, sent_rids, sent_dags = traffic(seed)
+    client = transport.node(CLIENT)
+    for when, msg in schedule:
+        kernel.call_at(when, lambda msg=msg: client.send(SERVER, msg))
+    if seed in RESTART_SEEDS:
+        kernel.call_at(0.6 * WINDOW, server.on_restart)
+    kernel.run(until=120.0)
+    return server, probe, obs, sent_rids, sent_dags
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("cache,batch_max,store,max_queue,slots", KNOBS)
+def test_server_ledger_closes(tmp_path, cache, batch_max, store, max_queue,
+                              slots, seed):
+    store_path = str(tmp_path / "jobs.sqlite") if store else ""
+    server, probe, obs, sent_rids, sent_dags = run_traffic(ServerConfig(
+        cache_entries=cache, batch_max=batch_max, store_path=store_path,
+        max_queue=max_queue, max_concurrent=slots,
+        cache_publish_bytes=4096 if cache else 0,
+    ), seed)
+    try:
+        breaches = ledger_breaches(
+            server, probe, obs, sent_rids, sent_dags,
+            restarted=seed in RESTART_SEEDS, store_path=store_path,
+        )
+    finally:
+        server.on_shutdown()  # releases the SQLite handle
+    assert not breaches, "\n".join(breaches)
+
+
+def test_ledger_traffic_reaches_every_lifecycle():
+    """Guard the guard: the corpus must actually exercise sheds,
+    batches, coalescing, cache hits, stale drops, failures, kept
+    results and DAG nodes."""
+    seen = dict.fromkeys(
+        ("shed", "batches", "coalesced", "cache_hits", "stale", "dag_nodes",
+         "failed", "kept"), 0,
+    )
+    for cache, batch_max, max_queue, slots in (
+        (8, 8, 4, 1), (8, 1, 0, 2), (0, 8, 0, 1),
+    ):
+        for seed in SEEDS:
+            server, _probe, obs, _rids, _dags = run_traffic(ServerConfig(
+                cache_entries=cache, batch_max=batch_max,
+                max_queue=max_queue, max_concurrent=slots,
+            ), seed)
+            counters = obs.metrics.snapshot()["counters"]
+            seen["shed"] += server.requests_shed
+            seen["batches"] += server.batches
+            seen["coalesced"] += server.coalesced_requests
+            seen["cache_hits"] += counters["server.cache_hits"]
+            seen["stale"] += server.stale_completions
+            seen["dag_nodes"] += server.dag_nodes_done
+            seen["failed"] += server.requests_failed
+            seen["kept"] += counters["server.kept_results"]
+    assert all(seen.values()), seen
+
+
+# ----------------------------------------------------------------------
+# drift (i): the drain is a loop, not a recursion
+# ----------------------------------------------------------------------
+DEEP = 2000
+
+
+def flood(cfg, messages):
+    """Send ``messages`` at t=0 to a server far too slow to keep up."""
+    kernel, transport, server, probe, _obs = make_world(
+        cfg, host_mflops=0.001
+    )
+    client = transport.node(CLIENT)
+    for msg in messages:
+        client.send(SERVER, msg)
+    kernel.run(until=3600.0)
+    return server, probe
+
+
+def assert_each_answered_once(server, probe, count):
+    replies = probe.of_type(SolveReply)
+    assert sorted(r.request_id for r in replies) == list(range(1, count + 1))
+    assert server.queue_depth == 0 and server.executing == 0
+    return {r.request_id: r for r in replies}
+
+
+def test_deep_queue_of_identical_requests_drains_from_the_cache():
+    """Every queued duplicate settles from the cache the moment the one
+    compute lands.  Re-entrant draining spent two stack frames per
+    queued request here and died of RecursionError around 500."""
+    a, b = linsys(RngStreams(1).get("pipeline.deep"), 8)
+    server, probe = flood(
+        ServerConfig(max_concurrent=1, cache_entries=8, max_queue=0),
+        [solve(rid, (a, b)) for rid in range(1, DEEP + 1)],
+    )
+    replies = assert_each_answered_once(server, probe, DEEP)
+    assert server.peak_queue == DEEP - 1
+    assert all(r.ok for r in replies.values())
+    assert [rid for rid, r in replies.items() if not r.cached] == [1]
+    assert server.requests_served == DEEP
+
+
+def test_deep_queue_of_invalid_requests_drains_flat():
+    a, b = linsys(RngStreams(2).get("pipeline.deep"), 8)
+    server, probe = flood(
+        ServerConfig(max_concurrent=1, max_queue=0),
+        [solve(1, (a, b))]
+        + [solve(rid, (a,)) for rid in range(2, DEEP + 1)],
+    )
+    replies = assert_each_answered_once(server, probe, DEEP)
+    assert replies[1].ok
+    assert not any(replies[rid].ok for rid in range(2, DEEP + 1))
+    assert server.requests_failed == DEEP - 1
+
+
+# ----------------------------------------------------------------------
+# drift (ii): a reference is resolved once, cache stack or not
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("cache_entries", (0, 8))
+def test_missing_ref_is_counted_once(cache_entries):
+    kernel, transport, server, probe, obs = make_world(
+        ServerConfig(cache_entries=cache_entries)
+    )
+    transport.node(CLIENT).send(
+        SERVER, solve(1, (ObjectRef("ghost"), np.ones(8)))
+    )
+    kernel.run(until=5.0)
+    (reply,) = probe.of_type(SolveReply)
+    assert reply.error_kind == "missing_object"
+    assert reply.missing == ("ghost",)
+    assert server.objects.misses == 1
+    counters = obs.metrics.snapshot()["counters"]
+    assert counters["server.missing_objects"] == 1
+
+
+# ----------------------------------------------------------------------
+# drift (iii): every SolveReply has a job-store row; Busy has none
+# ----------------------------------------------------------------------
+def test_every_reply_kind_reaches_the_job_store(tmp_path):
+    kernel, transport, server, probe, _obs = make_world(
+        ServerConfig(
+            cache_entries=8, max_queue=1,
+            store_path=str(tmp_path / "jobs.sqlite"),
+        ),
+        host_mflops=1.0,
+    )
+    client = transport.node(CLIENT)
+    a, b = linsys(RngStreams(3).get("pipeline.store"), 8)
+    client.send(SERVER, solve(1, (a, b)))
+    kernel.run(until=10.0)
+    # 2: served from the cache; 3-5: the three pre-compute failures
+    client.send(SERVER, solve(2, (a.copy(), b.copy())))
+    client.send(SERVER, solve(3, (a,)))
+    client.send(SERVER, solve(4, (a, b), problem="eigen/symm"))
+    client.send(SERVER, solve(5, (ObjectRef("ghost"), b)))
+    kernel.run(until=20.0)
+    # 6 runs, 7 queues, 8 is shed: Busy is not an outcome
+    for rid in (6, 7, 8):
+        client.send(SERVER, solve(rid, linsys(RngStreams(rid).get("x"), 64)))
+    kernel.run(until=60.0)
+    replies = {r.request_id: r for r in probe.of_type(SolveReply)}
+    assert sorted(replies) == [1, 2, 3, 4, 5, 6, 7]
+    assert [m.request_id for m in probe.of_type(Busy)] == [8]
+    assert replies[2].cached and not replies[1].cached
+
+    for rid in range(1, 9):
+        client.send(SERVER, FetchResult(request_id=rid))
+    kernel.run(until=70.0)
+    status = {s.request_id: s for s in probe.of_type(ResultStatus)}
+    try:
+        for rid in (1, 2, 6, 7):
+            assert status[rid].status == "done", (rid, status[rid])
+            assert np.array_equal(
+                status[rid].outputs[0], replies[rid].outputs[0]
+            )
+        assert status[2].compute_seconds == 0.0 < status[1].compute_seconds
+        for rid in (3, 4, 5):
+            assert status[rid].status == "failed", (rid, status[rid])
+            assert status[rid].detail == replies[rid].detail
+        assert status[8].status == "unknown"
+    finally:
+        server.on_shutdown()
