@@ -55,7 +55,7 @@ from ..runtime import (
 )
 from ..store import ResultCache
 from ..trace.events import EventLog
-from ..trace.instruments import MetricsRegistry
+from ..trace.instruments import Metric, MetricsRegistry, track
 from .fleet import HashRing, entry_fingerprint
 from .qos import QOS_CLASSES, qos_index
 from .predictor import (
@@ -74,73 +74,6 @@ from .scheduler import (
 )
 
 __all__ = ["Agent"]
-
-
-class _AgentMetrics:
-    """Pre-resolved instrument bundle — hooks stay a None check + inc,
-    so the PR-2 query fast path pays nothing measurable."""
-
-    __slots__ = (
-        "queries", "query_rejects", "registrations", "register_rejects",
-        "workload_reports", "failure_reports", "busy_reports",
-        "transfer_reports", "describes", "lists", "mirror_forwards",
-        "mirror_drops", "mirror_register_rejects", "query_forwards",
-        "sync_digests", "sync_repairs",
-        "servers_alive", "servers_total", "predicted_head_seconds",
-        "cache_hits", "cache_misses", "cache_inserts", "cache_insert_rejects",
-        "cache_evictions",
-    )
-
-    def __init__(self, m: MetricsRegistry):
-        c, g, h = m.counter, m.gauge, m.histogram
-        self.queries = c("agent.queries", "QueryRequests handled")
-        self.query_rejects = c("agent.query_rejects",
-                               "queries answered with no candidates")
-        self.registrations = c("agent.registrations",
-                               "server registrations accepted")
-        self.register_rejects = c("agent.register_rejects",
-                                  "server registrations refused")
-        self.workload_reports = c("agent.workload_reports",
-                                  "workload reports folded in")
-        self.failure_reports = c("agent.failure_reports",
-                                 "client failure reports received")
-        self.busy_reports = c("agent.busy_reports",
-                              "busy reports turned into workload penalties")
-        self.transfer_reports = c("agent.transfer_reports",
-                                  "transfer observations received")
-        self.describes = c("agent.describes", "DescribeProblems answered")
-        self.lists = c("agent.lists", "ListProblems answered")
-        self.mirror_forwards = c("agent.mirror_forwards",
-                                 "ground-truth messages mirrored to peers")
-        self.mirror_drops = c("agent.mirror_drops",
-                              "reports dropped for servers this agent "
-                              "does not know (federation divergence)")
-        self.mirror_register_rejects = c(
-            "agent.mirror_register_rejects",
-            "forwarded registrations rejected (registry divergence)")
-        self.query_forwards = c("agent.query_forwards",
-                                "queries hopped to their shard owner")
-        self.sync_digests = c("agent.sync_digests",
-                              "anti-entropy digests sent to peers")
-        self.sync_repairs = c("agent.sync_repairs",
-                              "registry entries healed by anti-entropy")
-        self.servers_alive = g("agent.servers_alive",
-                               "registered servers not under suspicion")
-        self.servers_total = g("agent.servers_total", "registered servers")
-        self.predicted_head_seconds = h(
-            "agent.predicted_head_seconds",
-            help="MCT prediction shipped for each query's head candidate",
-        )
-        self.cache_hits = c("agent.cache_hits",
-                            "queries answered from the hot result cache")
-        self.cache_misses = c("agent.cache_misses",
-                              "digested queries not found in the hot cache")
-        self.cache_inserts = c("agent.cache_inserts",
-                               "server result publications accepted")
-        self.cache_insert_rejects = c("agent.cache_insert_rejects",
-                                      "publications refused (size/disabled)")
-        self.cache_evictions = c("agent.cache_evictions",
-                                 "hot-cache LRU evictions")
 
 
 class Agent(DispatchComponent):
@@ -167,6 +100,57 @@ class Agent(DispatchComponent):
         federation.
     """
 
+    METRICS = (
+        Metric("agent.queries", "queries_served", "QueryRequests handled"),
+        Metric("agent.query_rejects", "query_rejects",
+               "queries answered with no candidates"),
+        Metric("agent.registrations", "registrations",
+               "server registrations accepted"),
+        Metric("agent.register_rejects", "register_rejects",
+               "server registrations refused"),
+        Metric("agent.workload_reports", "reports_received",
+               "workload reports folded in"),
+        Metric("agent.failure_reports", "failure_reports",
+               "client failure reports received"),
+        Metric("agent.busy_reports", "busy_reports_received",
+               "busy reports turned into workload penalties"),
+        Metric("agent.transfer_reports", "transfer_reports",
+               "transfer observations received"),
+        Metric("agent.describes", "describes_answered",
+               "DescribeProblems answered"),
+        Metric("agent.lists", "lists_answered", "ListProblems answered"),
+        Metric("agent.mirror_forwards", "forwards_sent",
+               "ground-truth messages mirrored to peers"),
+        Metric("agent.mirror_drops", "mirror_drops",
+               "reports dropped for servers this agent does not know "
+               "(federation divergence)"),
+        Metric("agent.mirror_register_rejects", "forwarded_register_rejects",
+               "forwarded registrations rejected (registry divergence)"),
+        Metric("agent.query_forwards", "queries_forwarded",
+               "queries hopped to their shard owner"),
+        Metric("agent.sync_digests", "sync_digests_sent",
+               "anti-entropy digests sent to peers"),
+        Metric("agent.sync_repairs", "sync_repairs",
+               "registry entries healed by anti-entropy"),
+        Metric("agent.servers_alive", "servers_alive",
+               "registered servers not under suspicion", "gauge", max),
+        Metric("agent.servers_total", "servers_total",
+               "registered servers", "gauge", max),
+        Metric("agent.predicted_head_seconds", "_predicted_head_seconds",
+               "MCT prediction shipped for each query's head candidate",
+               "histogram"),
+        Metric("agent.cache_hits", "result_cache.hits",
+               "queries answered from the hot result cache"),
+        Metric("agent.cache_misses", "result_cache.misses",
+               "digested queries not found in the hot cache"),
+        Metric("agent.cache_inserts", "cache_inserts",
+               "server result publications accepted"),
+        Metric("agent.cache_insert_rejects", "cache_insert_rejects",
+               "publications refused (size/disabled)"),
+        Metric("agent.cache_evictions", "result_cache.evictions",
+               "hot-cache LRU evictions"),
+    )
+
     def __init__(
         self,
         *,
@@ -181,7 +165,7 @@ class Agent(DispatchComponent):
     ):
         self.cfg = cfg
         self.network = network
-        self._metrics = _AgentMetrics(metrics) if metrics is not None else None
+        track(self, metrics)
         #: sibling agents; registrations, workload and failure reports
         #: mirror to them so any agent can broker any request
         self.peers = tuple(peers)
@@ -191,27 +175,9 @@ class Agent(DispatchComponent):
         self.trace = trace
         self.use_workload = use_workload
         self.assignment_feedback = assignment_feedback
-        self.queries_served = 0
         #: per-QoS-class query audit (class name -> count); the agent
         #: brokers all classes alike, but the mix is operational signal
         self.queries_by_class = {name: 0 for name in QOS_CLASSES}
-        self.registrations = 0
-        self.reports_received = 0
-        self.failures_reported = 0
-        self.busy_reports_received = 0
-        self.forwards_sent = 0
-        #: mirrored/stray reports dropped for servers this agent does not
-        #: know — the observable face of federation divergence
-        self.mirror_drops = 0
-        #: forwarded registrations this agent refused (PDL conflict etc.)
-        #: — the *silent* divergence case: no NACK can reach the server
-        self.forwarded_register_rejects = 0
-        #: queries hopped to their shard owner (sharded fleets only)
-        self.queries_forwarded = 0
-        self.sync_digests_sent = 0
-        #: registry entries healed by an anti-entropy pull (kept separate
-        #: from ``registrations``: a repair is not a registration event)
-        self.sync_repairs = 0
         #: registration-shaped record per known server, fingerprinted for
         #: anti-entropy comparison (direct + mirrored + sync-applied)
         self._records: dict[str, dict] = {}
@@ -285,8 +251,6 @@ class Agent(DispatchComponent):
         )
         for server_id in died:
             self._trace("server_presumed_dead", server_id=server_id)
-        if died:
-            self._update_server_gauges()
 
     def _probe_suspects(self) -> None:
         for entry in self.table.entries():
@@ -298,29 +262,28 @@ class Agent(DispatchComponent):
         revived = self.table.revive_address(src, self.node.now())
         for server_id in revived:
             self._trace("server_revived_by_probe", server_id=server_id)
-        if revived:
-            self._update_server_gauges()
 
     def _trace(self, kind: str, **fields) -> None:
         if self.trace is not None:
             self.trace.log(self.node.now(), self.node.address, kind, **fields)
 
-    def _update_server_gauges(self) -> None:
-        """Recount alive/total servers; called only on rare table-shape
-        events (register, failure, sweep, probe revival) — never per
-        query."""
-        m = self._metrics
-        if m is None:
-            return
-        entries = self.table.entries()
-        m.servers_total.set(len(entries))
-        m.servers_alive.set(sum(1 for e in entries if e.alive))
+    @property
+    def servers_total(self) -> int:
+        return len(self.table)
+
+    @property
+    def servers_alive(self) -> int:
+        return len(self.table.alive_entries())
+
+    @property
+    def failures_reported(self) -> int:
+        """Every ``FailureReport`` received: real failures and busy ones."""
+        return self.failure_reports + self.busy_reports_received
 
     # ------------------------------------------------------------------
     @handles(ListProblems)
     def _handle_list(self, src: str, msg: ListProblems) -> None:
-        if self._metrics is not None:
-            self._metrics.lists.inc()
+        self.lists_answered += 1
         self.node.send(
             src,
             ProblemList(
@@ -342,8 +305,6 @@ class Agent(DispatchComponent):
         for peer in self.peers:
             self.node.send(peer, msg)
             self.forwards_sent += 1
-            if self._metrics is not None:
-                self._metrics.mirror_forwards.inc()
 
     def _register_rejected(
         self, src: str, msg: RegisterServer, detail: str
@@ -355,12 +316,9 @@ class Agent(DispatchComponent):
         so the refusal is counted and traced distinctly: this is exactly
         the registry-divergence event anti-entropy exists to repair.
         """
-        if self._metrics is not None:
-            self._metrics.register_rejects.inc()
+        self.register_rejects += 1
         if msg.forwarded:
             self.forwarded_register_rejects += 1
-            if self._metrics is not None:
-                self._metrics.mirror_register_rejects.inc()
             self._trace(
                 "mirror_register_rejected",
                 server_id=msg.server_id,
@@ -431,9 +389,6 @@ class Agent(DispatchComponent):
         else:
             self._home.add(msg.server_id)
         self.registrations += 1
-        if self._metrics is not None:
-            self._metrics.registrations.inc()
-            self._update_server_gauges()
         self._trace(
             "server_registered",
             server_id=msg.server_id,
@@ -461,8 +416,6 @@ class Agent(DispatchComponent):
             # lost or rejected), so count and trace it instead of
             # vanishing — anti-entropy pulls the registration itself
             self.mirror_drops += 1
-            if self._metrics is not None:
-                self._metrics.mirror_drops.inc()
             self._trace(
                 "mirror_drop",
                 server_id=msg.server_id,
@@ -474,8 +427,6 @@ class Agent(DispatchComponent):
             inflight=msg.inflight,
         )
         self.reports_received += 1
-        if self._metrics is not None:
-            self._metrics.workload_reports.inc()
         self._trace(
             "workload_report", server_id=msg.server_id, workload=msg.workload
         )
@@ -486,7 +437,6 @@ class Agent(DispatchComponent):
     def _handle_failure(self, src: str, msg: FailureReport) -> None:
         if msg.forwarded:
             self._note_peer(src)
-        self.failures_reported += 1
         if msg.kind == "busy":
             # the server answered — with an admission refusal — so it is
             # saturated, not dead: penalise its ranking for a while and
@@ -498,8 +448,6 @@ class Agent(DispatchComponent):
                 workload=self.cfg.busy_penalty_workload,
                 hold_for=self.cfg.busy_penalty_seconds,
             )
-            if self._metrics is not None:
-                self._metrics.busy_reports.inc()
             self._trace(
                 "busy_report",
                 server_id=msg.server_id,
@@ -507,10 +455,8 @@ class Agent(DispatchComponent):
                 detail=msg.detail,
             )
         else:
+            self.failure_reports += 1
             self.table.mark_failed(msg.server_id)
-            if self._metrics is not None:
-                self._metrics.failure_reports.inc()
-                self._update_server_gauges()
             self._trace(
                 "failure_report",
                 server_id=msg.server_id,
@@ -524,8 +470,7 @@ class Agent(DispatchComponent):
     def _handle_transfer_report(self, src: str, msg: TransferReport) -> None:
         if msg.forwarded:
             self._note_peer(src)
-        if self._metrics is not None:
-            self._metrics.transfer_reports.inc()
+        self.transfer_reports += 1
         observe = getattr(self.network, "observe", None)
         if observe is None:
             return  # static table: measurements are not folded in
@@ -581,8 +526,6 @@ class Agent(DispatchComponent):
             # stays a pure ground-truth-fan-out counter
             self.node.send(peer, msg)
             self.sync_digests_sent += 1
-            if self._metrics is not None:
-                self._metrics.sync_digests.inc()
 
     @handles(SyncDigest)
     def _handle_sync_digest(self, src: str, msg: SyncDigest) -> None:
@@ -668,8 +611,6 @@ class Agent(DispatchComponent):
                 # same divergence class as a rejected forwarded
                 # registration, counted under the same metric
                 self.forwarded_register_rejects += 1
-                if self._metrics is not None:
-                    self._metrics.mirror_register_rejects.inc()
                 self._trace(
                     "mirror_register_rejected",
                     server_id=sid,
@@ -704,9 +645,6 @@ class Agent(DispatchComponent):
         # a repair is not a registration event: ``registrations`` stays
         # a direct+mirror arrival counter, repairs get their own ledger
         self.sync_repairs += 1
-        if self._metrics is not None:
-            self._metrics.sync_repairs.inc()
-            self._update_server_gauges()
         self._trace("sync_repair", server_id=sid, alive=bool(alive))
 
     # ------------------------------------------------------------------
@@ -869,16 +807,10 @@ class Agent(DispatchComponent):
             or msg.nbytes <= 0
             or msg.nbytes > self.cfg.cache_entry_bytes
         ):
-            if self._metrics is not None:
-                self._metrics.cache_insert_rejects.inc()
+            self.cache_insert_rejects += 1
             return
-        evictions_before = self.result_cache.evictions
         self.result_cache.put(msg.digest, (tuple(msg.outputs), msg.nbytes))
-        if self._metrics is not None:
-            self._metrics.cache_inserts.inc()
-            delta = self.result_cache.evictions - evictions_before
-            if delta:
-                self._metrics.cache_evictions.inc(delta)
+        self.cache_inserts += 1
         self._trace(
             "cache_insert",
             digest=msg.digest,
@@ -904,8 +836,6 @@ class Agent(DispatchComponent):
                 # to: the registry is fully replicated, so this agent
                 # can broker the query itself
                 self.queries_forwarded += 1
-                if self._metrics is not None:
-                    self._metrics.query_forwards.inc()
                 self._trace(
                     "query_forwarded",
                     problem=msg.problem,
@@ -921,16 +851,12 @@ class Agent(DispatchComponent):
                 return
         self.queries_served += 1
         self.queries_by_class[QOS_CLASSES[qos_index(msg.qos)]] += 1
-        if self._metrics is not None:
-            self._metrics.queries.inc()
         if msg.digest and self.result_cache.enabled:
             entry = self.result_cache.get(msg.digest)
             if entry is not None:
                 # answer the solve itself, in this one round trip: no
                 # candidate ranking, no assignment hint, no server
                 outputs, nbytes = entry
-                if self._metrics is not None:
-                    self._metrics.cache_hits.inc()
                 self._trace(
                     "cache_answer",
                     problem=msg.problem,
@@ -944,12 +870,9 @@ class Agent(DispatchComponent):
                     ),
                 )
                 return
-            if self._metrics is not None:
-                self._metrics.cache_misses.inc()
         spec = self.specs.get(msg.problem)
         if spec is None:
-            if self._metrics is not None:
-                self._metrics.query_rejects.inc()
+            self.query_rejects += 1
             self.node.send(
                 reply_to,
                 QueryReply(ok=False, detail=f"unknown problem {msg.problem!r}", tag=msg.tag),
@@ -957,8 +880,7 @@ class Agent(DispatchComponent):
             return
         entries = self.table.candidates_for(msg.problem, exclude=msg.exclude)
         if not entries:
-            if self._metrics is not None:
-                self._metrics.query_rejects.inc()
+            self.query_rejects += 1
             self.node.send(
                 reply_to,
                 QueryReply(
@@ -1028,8 +950,7 @@ class Agent(DispatchComponent):
             # hint for roughly that request's predicted lifetime
             hold = min(600.0, max(1.0, predicted[0] * 1.5))
             self.table.note_assignment(top[0].server_id, now, hold_for=hold)
-            if self._metrics is not None:
-                self._metrics.predicted_head_seconds.observe(predicted[0])
+            self._predicted_head_seconds.observe(predicted[0])
         candidates = [
             Candidate(
                 server_id=e.server_id,
@@ -1053,8 +974,7 @@ class Agent(DispatchComponent):
 
     @handles(DescribeProblem)
     def _handle_describe(self, src: str, msg: DescribeProblem) -> None:
-        if self._metrics is not None:
-            self._metrics.describes.inc()
+        self.describes_answered += 1
         spec = self.specs.get(msg.problem)
         if spec is None:
             self.node.send(

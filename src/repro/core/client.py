@@ -15,10 +15,10 @@ non-blocking submit/probe/wait triple (``netslnb``/``netslpr``/
 
 Every request keeps a full :class:`~repro.core.request.RequestRecord`
 timeline, which is where the breakdown/fault experiments read from.
-With a :class:`~repro.trace.instruments.MetricsRegistry` and/or
-:class:`~repro.trace.spans.SpanLog` attached, the same lifecycle also
-feeds live counters/histograms and per-request span timelines; without
-them every hook is a single ``is not None`` check.
+The same lifecycle is counted on the client itself (``METRICS``; an
+attached :class:`~repro.trace.instruments.MetricsRegistry` collects the
+counts) and, with a :class:`~repro.trace.spans.SpanLog` attached, feeds
+per-request span timelines.
 """
 
 from __future__ import annotations
@@ -69,84 +69,15 @@ from ..store import solve_digest
 from ..trace.events import EventLog
 from ..trace.instruments import (
     ERROR_SECONDS_BUCKETS,
+    Metric,
     MetricsRegistry,
+    track,
 )
 from ..trace.spans import SpanLog
 from .qos import QOS_DEFAULT, normalize_qos
 from .request import AttemptRecord, RequestRecord, RequestStatus
 
 __all__ = ["NetSolveClient", "RequestHandle"]
-
-
-class _ClientMetrics:
-    """Pre-resolved instrument bundle (one attribute load per hook)."""
-
-    __slots__ = (
-        "submits", "pinned_submits", "describe_sends", "describe_retries",
-        "queries", "query_retries", "query_backoffs", "attempts",
-        "attempt_ok", "attempt_errors", "attempt_timeouts", "failovers",
-        "agent_failovers", "busy_failovers", "requests_done", "requests_failed",
-        "cached_replies", "store_ops", "store_timeouts", "fetches",
-        "object_fetches", "dag_submits", "payload_resubmits",
-        "active", "request_seconds", "negotiation_seconds",
-        "attempt_seconds", "prediction_error_seconds",
-    )
-
-    def __init__(self, m: MetricsRegistry):
-        c, g, h = m.counter, m.gauge, m.histogram
-        self.submits = c("client.submits", "brokered requests accepted")
-        self.pinned_submits = c("client.pinned_submits",
-                                "pinned (sequenced) requests accepted")
-        self.describe_sends = c("client.describe_sends",
-                                "DescribeProblem messages sent")
-        self.describe_retries = c("client.describe_retries",
-                                  "DescribeProblem re-sends on silence")
-        self.queries = c("client.queries", "QueryRequest messages sent")
-        self.query_retries = c("client.query_retries",
-                               "agent query re-sends on silence")
-        self.query_backoffs = c("client.query_backoffs",
-                                "empty-pool backoffs before re-query")
-        self.attempts = c("client.attempts", "SolveRequests sent to servers")
-        self.attempt_ok = c("client.attempt_ok", "attempts answered ok")
-        self.attempt_errors = c("client.attempt_errors",
-                                "attempts answered with an error")
-        self.attempt_timeouts = c("client.attempt_timeouts",
-                                  "attempts abandoned on timeout")
-        self.failovers = c("client.failovers",
-                           "failures reported to the agent before retry")
-        self.agent_failovers = c("client.agent_failovers",
-                                 "agent silences answered by rotating to "
-                                 "the next agent in the list")
-        self.busy_failovers = c("client.busy_failovers",
-                                "attempts refused with Busy and retried")
-        self.requests_done = c("client.requests_done", "requests resolved")
-        self.requests_failed = c("client.requests_failed",
-                                 "requests rejected")
-        self.cached_replies = c("client.cached_replies",
-                                "requests answered from a result cache")
-        self.store_ops = c("client.store_ops",
-                           "store/delete operations started")
-        self.store_timeouts = c("client.store_timeouts",
-                                "store/delete batches timed out")
-        self.fetches = c("client.fetches", "FetchResult lookups started")
-        self.object_fetches = c("client.object_fetches",
-                                "FetchObject pulls started")
-        self.dag_submits = c("client.dag_submits", "SubmitDag graphs sent")
-        self.payload_resubmits = c(
-            "client.payload_resubmits",
-            "missing-object errors answered by re-sending with payloads",
-        )
-        self.active = g("client.active_requests", "requests in flight")
-        self.request_seconds = h("client.request_seconds",
-                                 help="submit -> settle wall-clock")
-        self.negotiation_seconds = h("client.negotiation_seconds",
-                                     help="query -> candidate list")
-        self.attempt_seconds = h("client.attempt_seconds",
-                                 help="SolveRequest -> SolveReply")
-        self.prediction_error_seconds = h(
-            "client.prediction_error_seconds", ERROR_SECONDS_BUCKETS,
-            help="attempt elapsed minus agent prediction (signed)",
-        )
 
 
 class RequestHandle:
@@ -244,6 +175,59 @@ class _DagState:
 class NetSolveClient(DispatchComponent):
     """One client application's NetSolve endpoint."""
 
+    METRICS = (
+        Metric("client.submits", "submits", "brokered requests accepted"),
+        Metric("client.pinned_submits", "pinned_submits",
+               "pinned (sequenced) requests accepted"),
+        Metric("client.describe_sends", "describe_sends",
+               "DescribeProblem messages sent"),
+        Metric("client.describe_retries", "describe_retries",
+               "DescribeProblem re-sends on silence"),
+        Metric("client.queries", "queries", "QueryRequest messages sent"),
+        Metric("client.query_retries", "query_retries",
+               "agent query re-sends on silence"),
+        Metric("client.query_backoffs", "query_backoffs",
+               "empty-pool backoffs before re-query"),
+        Metric("client.attempts", "attempts", "SolveRequests sent to servers"),
+        Metric("client.attempt_ok", "attempt_ok", "attempts answered ok"),
+        Metric("client.attempt_errors", "attempt_errors",
+               "attempts answered with an error"),
+        Metric("client.attempt_timeouts", "attempt_timeouts",
+               "attempts abandoned on timeout"),
+        Metric("client.failovers", "failovers",
+               "failures reported to the agent before retry"),
+        Metric("client.agent_failovers", "agent_failovers",
+               "agent silences answered by rotating to the next agent in "
+               "the list"),
+        Metric("client.busy_failovers", "busy_failovers",
+               "attempts refused with Busy and retried"),
+        Metric("client.requests_done", "requests_done", "requests resolved"),
+        Metric("client.requests_failed", "requests_failed", "requests rejected"),
+        Metric("client.cached_replies", "cached_replies",
+               "requests answered from a result cache"),
+        Metric("client.store_ops", "store_ops",
+               "store/delete operations started"),
+        Metric("client.store_timeouts", "store_timeouts",
+               "store/delete batches timed out"),
+        Metric("client.fetches", "fetches", "FetchResult lookups started"),
+        Metric("client.object_fetches", "object_fetches",
+               "FetchObject pulls started"),
+        Metric("client.dag_submits", "dag_submits", "SubmitDag graphs sent"),
+        Metric("client.payload_resubmits", "payload_resubmits",
+               "missing-object errors answered by re-sending with payloads"),
+        Metric("client.active_requests", "active_requests",
+               "requests in flight", "gauge"),
+        Metric("client.request_seconds", "_request_seconds",
+               "submit -> settle wall-clock", "histogram"),
+        Metric("client.negotiation_seconds", "_negotiation_seconds",
+               "query -> candidate list", "histogram"),
+        Metric("client.attempt_seconds", "_attempt_seconds",
+               "SolveRequest -> SolveReply", "histogram"),
+        Metric("client.prediction_error_seconds", "_prediction_error_seconds",
+               "attempt elapsed minus agent prediction (signed)",
+               "histogram", bounds=ERROR_SECONDS_BUCKETS),
+    )
+
     def __init__(
         self,
         *,
@@ -258,11 +242,9 @@ class NetSolveClient(DispatchComponent):
         #: ordered agent rotation (head = current); a single string is
         #: accepted everywhere for the common one-agent deployment
         self.agent_address = agent_address
-        #: times an agent silence was answered by rotating the list
-        self.agent_failovers = 0
         self.cfg = cfg
         self.trace = trace
-        self._metrics = _ClientMetrics(metrics) if metrics is not None else None
+        track(self, metrics)
         self.spans = spans
         self._rids = itertools.count(1)
         self._specs: dict[str, ProblemSpec] = {}
@@ -318,8 +300,6 @@ class NetSolveClient(DispatchComponent):
         failed = self._agents.pop(0)
         self._agents.append(failed)
         self.agent_failovers += 1
-        if self._metrics is not None:
-            self._metrics.agent_failovers.inc()
         self._trace(
             "agent_failover",
             context=context,
@@ -381,9 +361,7 @@ class NetSolveClient(DispatchComponent):
         req.qos = qos
         self._active[rid] = req
         self._trace("submit", request_id=rid, problem=problem)
-        if self._metrics is not None:
-            self._metrics.submits.inc()
-            self._metrics.active.inc()
+        self.submits += 1
         if self.spans is not None:
             req.span = self.spans.begin(
                 rid, problem, self.client_id, record.t_submit
@@ -452,8 +430,7 @@ class NetSolveClient(DispatchComponent):
         waiting = self._storing.setdefault((server_address, key), [])
         waiting.append((promise, want_handle))
         if len(waiting) == 1:
-            if self._metrics is not None:
-                self._metrics.store_ops.inc()
+            self.store_ops += 1
             self.node.send(server_address, msg)
             self._arm_store_timeout(server_address, key)
         return promise
@@ -465,8 +442,7 @@ class NetSolveClient(DispatchComponent):
         # structurally impossible
         def fire() -> None:
             batch = self._storing.pop((server_address, key), [])
-            if self._metrics is not None:
-                self._metrics.store_timeouts.inc()
+            self.store_timeouts += 1
             for p, _ in batch:
                 if not p.done:
                     p.reject(
@@ -514,8 +490,7 @@ class NetSolveClient(DispatchComponent):
         waiting = self._object_fetches.setdefault((target, key), [])
         waiting.append(promise)
         if len(waiting) == 1:
-            if self._metrics is not None:
-                self._metrics.object_fetches.inc()
+            self.object_fetches += 1
 
             def send_fetch(attempt: int) -> None:
                 self._trace("object_fetch_sent", key=key, server=target)
@@ -619,8 +594,7 @@ class NetSolveClient(DispatchComponent):
         self._dags[dag_id] = _DagState(promise, on_node, interval, target)
         self._trace("dag_submitted", dag_id=dag_id, server=target,
                     nodes=len(nodes))
-        if self._metrics is not None:
-            self._metrics.dag_submits.inc()
+        self.dag_submits += 1
         self.node.send(
             target,
             SubmitDag(
@@ -712,8 +686,7 @@ class NetSolveClient(DispatchComponent):
         waiting = self._fetching.setdefault((server_address, request_id), [])
         waiting.append(promise)
         if len(waiting) == 1:
-            if self._metrics is not None:
-                self._metrics.fetches.inc()
+            self.fetches += 1
 
             def send_fetch(attempt: int) -> None:
                 self._trace(
@@ -799,9 +772,7 @@ class NetSolveClient(DispatchComponent):
             "submit_pinned", request_id=rid, problem=problem,
             server=server_address,
         )
-        if self._metrics is not None:
-            self._metrics.pinned_submits.inc()
-            self._metrics.active.inc()
+        self.pinned_submits += 1
         if self.spans is not None:
             req.span = self.spans.begin(
                 rid, problem, self.client_id, record.t_submit
@@ -940,6 +911,10 @@ class NetSolveClient(DispatchComponent):
                 promise.resolve(tuple(msg.names))
 
     # ------------------------------------------------------------------
+    @property
+    def active_requests(self) -> int:
+        return len(self._active)
+
     def _trace(self, kind: str, **fields) -> None:
         if self.trace is not None:
             self.trace.log(self.node.now(), self.node.address, kind, **fields)
@@ -953,10 +928,8 @@ class NetSolveClient(DispatchComponent):
         if error is None:
             req.record.status = RequestStatus.DONE
             self._trace("request_done", request_id=rid)
-            if self._metrics is not None:
-                self._metrics.active.dec()
-                self._metrics.requests_done.inc()
-                self._metrics.request_seconds.observe(now - req.record.t_submit)
+            self.requests_done += 1
+            self._request_seconds.observe(now - req.record.t_submit)
             if req.span is not None:
                 req.span.finish(now, RequestStatus.DONE.value)
             req.handle.promise.resolve(value)
@@ -964,9 +937,7 @@ class NetSolveClient(DispatchComponent):
             req.record.status = RequestStatus.FAILED
             req.record.error = str(error)
             self._trace("request_failed", request_id=rid, error=str(error))
-            if self._metrics is not None:
-                self._metrics.active.dec()
-                self._metrics.requests_failed.inc()
+            self.requests_failed += 1
             if req.span is not None:
                 req.span.finish(
                     now, RequestStatus.FAILED.value, error=str(error)
@@ -992,15 +963,13 @@ class NetSolveClient(DispatchComponent):
         ).start()
 
     def _send_describe(self, problem: str) -> None:
-        if self._metrics is not None:
-            self._metrics.describe_sends.inc()
+        self.describe_sends += 1
         self.node.send(self.agent_address, DescribeProblem(problem=problem))
 
     def _describe_retry(self, problem: str, attempt: int) -> None:
         self._rotate_agent("describe")
         self._trace("describe_retry", problem=problem, attempt=attempt)
-        if self._metrics is not None:
-            self._metrics.describe_retries.inc()
+        self.describe_retries += 1
 
     def _describe_exhausted(self, problem: str) -> None:
         waiting = self._describing.pop(problem, [])
@@ -1088,8 +1057,7 @@ class NetSolveClient(DispatchComponent):
         self._trace(
             "query_sent", request_id=rid, exclude=list(req.tried)
         )
-        if self._metrics is not None:
-            self._metrics.queries.inc()
+        self.queries += 1
         if req.span is not None:
             req.span.begin_phase(
                 "query", now, number=req.record.queries,
@@ -1136,8 +1104,7 @@ class NetSolveClient(DispatchComponent):
             self._trace(
                 "query_retry", request_id=rid, attempt=req.query_silences
             )
-            if self._metrics is not None:
-                self._metrics.query_retries.inc()
+            self.query_retries += 1
             self._query(req)
             return
         self._finish(req, RequestFailed(rid, "agent did not answer query"))
@@ -1152,18 +1119,15 @@ class NetSolveClient(DispatchComponent):
         self._deadlines.cancel(msg.tag)
         now = self.node.now()
         req.record.t_candidates = now
-        if self._metrics is not None and req.record.t_query_sent is not None:
-            self._metrics.negotiation_seconds.observe(
-                now - req.record.t_query_sent
-            )
+        if req.record.t_query_sent is not None:
+            self._negotiation_seconds.observe(now - req.record.t_query_sent)
         if msg.ok and msg.cached:
             # the agent answered the solve itself from its hot cache:
             # one RTT, no server ever touched — the request is done
             self._trace(
                 "cached_answer", request_id=req.record.request_id
             )
-            if self._metrics is not None:
-                self._metrics.cached_replies.inc()
+            self.cached_replies += 1
             if req.span is not None:
                 req.span.end_phase(now, outcome="cached")
             self._finish(req, None, tuple(msg.outputs))
@@ -1181,8 +1145,7 @@ class NetSolveClient(DispatchComponent):
                     request_id=req.record.request_id,
                     attempt=req.query_silences,
                 )
-                if self._metrics is not None:
-                    self._metrics.query_backoffs.inc()
+                self.query_backoffs += 1
                 if req.span is not None:
                     req.span.begin_phase(
                         "backoff", now, attempt=req.query_silences
@@ -1208,8 +1171,7 @@ class NetSolveClient(DispatchComponent):
                     request_id=req.record.request_id,
                     attempt=req.query_silences,
                 )
-                if self._metrics is not None:
-                    self._metrics.query_backoffs.inc()
+                self.query_backoffs += 1
                 if req.span is not None:
                     req.span.begin_phase(
                         "backoff", now, attempt=req.query_silences
@@ -1280,8 +1242,7 @@ class NetSolveClient(DispatchComponent):
             server_id=cand.server_id,
             predicted=cand.predicted_seconds,
         )
-        if self._metrics is not None:
-            self._metrics.attempts.inc()
+        self.attempts += 1
         if req.span is not None:
             req.span.begin_phase(
                 "attempt", attempt.t_sent, server=cand.server_id,
@@ -1328,8 +1289,7 @@ class NetSolveClient(DispatchComponent):
         req.attempt.t_end = now
         req.attempt.outcome = "timeout"
         self._trace("attempt_timeout", request_id=rid, server_id=server_id)
-        if self._metrics is not None:
-            self._metrics.attempt_timeouts.inc()
+        self.attempt_timeouts += 1
         if req.span is not None:
             req.span.end_phase(now, outcome="timeout")
         self._report_failure(req, "timeout")
@@ -1345,8 +1305,7 @@ class NetSolveClient(DispatchComponent):
             # failures must bypass it on the way out: reporting one would
             # penalise the server's suspicion state for a request the
             # agent never scheduled (the attempt record still stands)
-            if self._metrics is not None:
-                self._metrics.failovers.inc()
+            self.failovers += 1
             self.node.send(
                 self.agent_address,
                 FailureReport(
@@ -1403,20 +1362,18 @@ class NetSolveClient(DispatchComponent):
         now = self.node.now()
         req.attempt.t_end = now
         req.attempt.compute_seconds = msg.compute_seconds
-        if self._metrics is not None:
-            elapsed = now - req.attempt.t_sent
-            self._metrics.attempt_seconds.observe(elapsed)
-            if req.attempt.predicted_seconds > 0:
-                self._metrics.prediction_error_seconds.observe(
-                    elapsed - req.attempt.predicted_seconds
-                )
+        elapsed = now - req.attempt.t_sent
+        self._attempt_seconds.observe(elapsed)
+        if req.attempt.predicted_seconds > 0:
+            self._prediction_error_seconds.observe(
+                elapsed - req.attempt.predicted_seconds
+            )
         if msg.ok:
             req.attempt.outcome = "ok"
             req.attempt.cached = msg.cached
-            if self._metrics is not None:
-                self._metrics.attempt_ok.inc()
-                if msg.cached:
-                    self._metrics.cached_replies.inc()
+            self.attempt_ok += 1
+            if msg.cached:
+                self.cached_replies += 1
             if req.span is not None:
                 req.span.end_phase(now, outcome="ok")
             if self.cfg.report_transfers:
@@ -1453,8 +1410,7 @@ class NetSolveClient(DispatchComponent):
                     server_id=req.current.server_id,
                     missing=list(msg.missing),
                 )
-                if self._metrics is not None:
-                    self._metrics.payload_resubmits.inc()
+                self.payload_resubmits += 1
                 req.candidates.appendleft(req.current)
                 req.current = None
                 req.attempt = None
@@ -1466,8 +1422,7 @@ class NetSolveClient(DispatchComponent):
                 server_id=req.current.server_id,
                 missing=list(msg.missing),
             )
-            if self._metrics is not None:
-                self._metrics.attempt_errors.inc()
+            self.attempt_errors += 1
             # without payloads in hand the best move is the next
             # candidate; the server is healthy, so it is not suspected
             self._report_failure(req, msg.detail, suspect=False)
@@ -1481,8 +1436,7 @@ class NetSolveClient(DispatchComponent):
                 server_id=req.current.server_id,
                 detail=msg.detail,
             )
-            if self._metrics is not None:
-                self._metrics.attempt_errors.inc()
+            self.attempt_errors += 1
             if req.span is not None:
                 req.span.end_phase(now, outcome="error")
             self._report_failure(req, msg.detail)
@@ -1517,8 +1471,7 @@ class NetSolveClient(DispatchComponent):
             server_id=req.current.server_id,
             queue_depth=msg.queue_depth,
         )
-        if self._metrics is not None:
-            self._metrics.busy_failovers.inc()
+        self.busy_failovers += 1
         if req.span is not None:
             req.span.end_phase(now, outcome="busy")
         self._report_failure(req, msg.detail or "busy", kind="busy")

@@ -100,98 +100,12 @@ from ..protocol.messages import (
 from ..runtime import DeadlineTable, DispatchComponent, Periodic, handles
 from ..store import HandleStore, JobStore, ResultCache, solve_digest
 from ..trace.events import EventLog
-from ..trace.instruments import MetricsRegistry
+from ..trace.instruments import Metric, MetricsRegistry, track
 from .executors import ProcessPool
 from .qos import QOS_CLASSES, qos_index
 from .workload import WorkloadReporter
 
 __all__ = ["ComputationalServer"]
-
-
-class _ServerMetrics:
-    """Pre-resolved instrument bundle; one ``is not None`` check per hook.
-
-    Instruments are shared registry-wide, so a farm of servers reporting
-    into one registry aggregates (queue-depth gauges sum via inc/dec).
-    """
-
-    __slots__ = (
-        "requests", "ok", "errors", "queued", "sheds", "stale_drops",
-        "stores", "store_rejects", "deletes", "queue_depth", "executing",
-        "compute_seconds", "queue_wait_seconds", "batches",
-        "batched_requests", "peak_queue", "cache_hits", "cache_misses",
-        "cache_evictions", "cache_bytes_saved", "coalesced",
-        "store_records", "store_hits", "fetches", "agent_failovers",
-        "kept_results", "object_fetches", "missing_objects",
-        "dags", "dag_nodes",
-    )
-
-    def __init__(self, registry: MetricsRegistry):
-        self.requests = registry.counter(
-            "server.requests", "solve requests accepted")
-        self.ok = registry.counter("server.ok", "successful solve replies")
-        self.errors = registry.counter("server.errors", "failed solve replies")
-        self.queued = registry.counter(
-            "server.queued", "requests held in the FIFO queue")
-        self.sheds = registry.counter(
-            "server.sheds", "requests refused with Busy (queue at max_queue)")
-        self.stale_drops = registry.counter(
-            "server.stale_drops",
-            "compute completions from a previous incarnation dropped")
-        self.stores = registry.counter(
-            "server.stores", "objects stored in the sequencing cache")
-        self.store_rejects = registry.counter(
-            "server.store_rejects", "stores rejected (cache full / codec)")
-        self.deletes = registry.counter(
-            "server.deletes", "stored-object deletions")
-        self.queue_depth = registry.gauge(
-            "server.queue_depth", "requests waiting, all servers")
-        self.executing = registry.gauge(
-            "server.executing", "requests executing, all servers")
-        self.compute_seconds = registry.histogram(
-            "server.compute_seconds", help="per-request execution time")
-        self.queue_wait_seconds = registry.histogram(
-            "server.queue_wait_seconds", help="time spent queued before start")
-        self.batches = registry.counter(
-            "server.batches", "stacked same-problem kernel calls")
-        self.batched_requests = registry.counter(
-            "server.batched_requests", "requests served through a batch")
-        self.peak_queue = registry.gauge(
-            "server.peak_queue", "deepest any server's FIFO queue got")
-        self.cache_hits = registry.counter(
-            "server.cache_hits", "solves answered from the result cache")
-        self.cache_misses = registry.counter(
-            "server.cache_misses", "digested requests not found in cache")
-        self.cache_evictions = registry.counter(
-            "server.cache_evictions", "result-cache LRU evictions")
-        self.cache_bytes_saved = registry.counter(
-            "server.cache_bytes_saved",
-            "encoded output bytes answered without recomputation")
-        self.coalesced = registry.counter(
-            "server.coalesced",
-            "requests joined to an identical in-flight compute")
-        self.store_records = registry.counter(
-            "server.store_records", "job outcomes persisted to the store")
-        self.store_hits = registry.counter(
-            "server.store_hits",
-            "cache misses answered from the persistent store")
-        self.fetches = registry.counter(
-            "server.fetches", "FetchResult lookups served")
-        self.agent_failovers = registry.counter(
-            "server.agent_failovers",
-            "registrations rotated to the next agent on ack silence")
-        self.kept_results = registry.counter(
-            "server.kept_results",
-            "outputs left resident and answered with DataHandles")
-        self.object_fetches = registry.counter(
-            "server.object_fetches", "FetchObject payload pulls served")
-        self.missing_objects = registry.counter(
-            "server.missing_objects",
-            "referenced keys that were not resident (typed retryable error)")
-        self.dags = registry.counter(
-            "server.dags", "SubmitDag graphs accepted")
-        self.dag_nodes = registry.counter(
-            "server.dag_nodes", "DAG nodes executed to completion")
 
 
 def _batch_signature(values) -> tuple:
@@ -324,6 +238,64 @@ class _DagRun:
 class ComputationalServer(DispatchComponent):
     """One NetSolve computational resource."""
 
+    #: every count is a plain int on this object (or on the part the
+    #: dotted path names); a registry reads them, nothing mirrors them
+    METRICS = (
+        Metric("server.requests", "requests_accepted", "solve requests accepted"),
+        Metric("server.ok", "requests_served", "successful solve replies"),
+        Metric("server.errors", "requests_failed", "failed solve replies"),
+        Metric("server.queued", "requests_queued",
+               "requests held in the FIFO queue"),
+        Metric("server.sheds", "requests_shed",
+               "requests refused with Busy (queue at max_queue)"),
+        Metric("server.stale_drops", "stale_completions",
+               "compute completions from a previous incarnation dropped"),
+        Metric("server.stores", "objects_stored",
+               "objects stored in the sequencing cache"),
+        Metric("server.store_rejects", "store_rejects",
+               "stores rejected (cache full / codec)"),
+        Metric("server.deletes", "object_deletes", "stored-object deletions"),
+        Metric("server.queue_depth", "queue_depth",
+               "requests waiting, all servers", "gauge"),
+        Metric("server.executing", "executing",
+               "requests executing, all servers", "gauge"),
+        Metric("server.compute_seconds", "_compute_seconds",
+               "per-request execution time", "histogram"),
+        Metric("server.queue_wait_seconds", "_queue_wait_seconds",
+               "time spent queued before start", "histogram"),
+        Metric("server.batches", "batches", "stacked same-problem kernel calls"),
+        Metric("server.batched_requests", "batched_requests",
+               "requests served through a batch"),
+        Metric("server.peak_queue", "peak_queue",
+               "deepest any server's FIFO queue got", "gauge", max),
+        Metric("server.cache_hits", "cache_hits",
+               "solves answered from the result cache"),
+        Metric("server.cache_misses", "cache_misses",
+               "digested requests not found in cache"),
+        Metric("server.cache_evictions", "result_cache.evictions",
+               "result-cache LRU evictions"),
+        Metric("server.cache_bytes_saved", "cache_bytes_saved",
+               "encoded output bytes answered without recomputation"),
+        Metric("server.coalesced", "coalesced_requests",
+               "requests joined to an identical in-flight compute"),
+        Metric("server.store_records", "store_records",
+               "job outcomes persisted to the store"),
+        Metric("server.store_hits", "store_hits",
+               "cache misses answered from the persistent store"),
+        Metric("server.fetches", "result_fetches", "FetchResult lookups served"),
+        Metric("server.agent_failovers", "agent_failovers",
+               "registrations rotated to the next agent on ack silence"),
+        Metric("server.kept_results", "kept_results",
+               "outputs left resident and answered with DataHandles"),
+        Metric("server.object_fetches", "object_fetches",
+               "FetchObject payload pulls served"),
+        Metric("server.missing_objects", "objects.misses",
+               "referenced keys that were not resident (typed retryable error)"),
+        Metric("server.dags", "dags_accepted", "SubmitDag graphs accepted"),
+        Metric("server.dag_nodes", "dag_nodes_done",
+               "DAG nodes executed to completion"),
+    )
+
     def __init__(
         self,
         *,
@@ -344,14 +316,12 @@ class ComputationalServer(DispatchComponent):
         #: ordered agent rotation (head = current); a plain string keeps
         #: the common single-agent deployment unchanged
         self.agent_address = agent_address
-        #: registrations rotated to the next agent on ack silence
-        self.agent_failovers = 0
         self.registry = registry
         self.mflops = float(mflops)
         self.host = host
         self.cfg = cfg
         self.trace = trace
-        self._metrics = _ServerMetrics(metrics) if metrics is not None else None
+        track(self, metrics)
         self.reporter: Optional[WorkloadReporter] = None
         self.registered = False
         self._executing = 0
@@ -369,19 +339,8 @@ class ComputationalServer(DispatchComponent):
         #: waiting entries per QoS class (indexed like QOS_CLASSES),
         #: driving the per-class shed shares
         self._queued_by_class = [0, 0, 0]
-        self.requests_served = 0
-        self.requests_failed = 0
-        #: requests refused with Busy because the queue was at max_queue
-        self.requests_shed = 0
         #: shed audit per QoS class (class name -> count)
         self.sheds_by_class = {name: 0 for name in QOS_CLASSES}
-        #: stale completions (previous incarnation) dropped by the guard
-        self.stale_completions = 0
-        #: deepest the FIFO queue ever got (admission-cap audit)
-        self.peak_queue = 0
-        #: stacked kernel calls and the requests they carried
-        self.batches = 0
-        self.batched_requests = 0
         #: opt-in process executor, created on first use (thread lanes
         #: belong to the transport node, not the server)
         self._process_pool: Optional[ProcessPool] = None
@@ -400,8 +359,6 @@ class ComputationalServer(DispatchComponent):
         self._dag_tokens = itertools.count(1)
         #: request ids for DAG-internal solves (never seen by clients)
         self._dag_rids = itertools.count(1)
-        self.dags_accepted = 0
-        self.dag_nodes_done = 0
         #: content-addressed result cache: digest -> (outputs, nbytes).
         #: Clocked by the node so TTLs work under virtual time; the
         #: lambda is only called once the component is bound.
@@ -417,8 +374,6 @@ class ComputationalServer(DispatchComponent):
         #: persistent job store, opened lazily so a shut-down incarnation
         #: can reopen it on revival
         self._store: Optional[JobStore] = None
-        #: requests answered by joining an in-flight identical compute
-        self.coalesced_requests = 0
         self._ticker = Periodic(
             self, cfg.workload.time_step, self._workload_tick,
             name="workload_tick",
@@ -473,9 +428,6 @@ class ComputationalServer(DispatchComponent):
         on the live-restart path their ``done`` closures may still fire,
         and without the stamp they would drive ``_executing`` negative
         and emit replies for requests this incarnation never accepted."""
-        if self._metrics is not None:
-            self._metrics.queue_depth.dec(len(self._queue))
-            self._metrics.executing.dec(self._executing)
         self._queue.clear()
         self._queued_by_class = [0, 0, 0]
         self._executing = 0
@@ -568,8 +520,6 @@ class ComputationalServer(DispatchComponent):
         failed = self._agents.pop(0)
         self._agents.append(failed)
         self.agent_failovers += 1
-        if self._metrics is not None:
-            self._metrics.agent_failovers.inc()
         self._trace(
             "agent_failover", from_agent=failed, to_agent=self._agents[0]
         )
@@ -607,13 +557,11 @@ class ComputationalServer(DispatchComponent):
             # eviction until an explicit delete (the sequencing contract)
             obj = self.objects.put(msg.key, msg.value, pin=True)
         except NetSolveError as exc:
-            if self._metrics is not None:
-                self._metrics.store_rejects.inc()
+            self.store_rejects += 1
             self._trace("store_rejected", key=msg.key, detail=str(exc))
             self.node.send(src, StoreAck(key=msg.key, ok=False, detail=str(exc)))
             return
-        if self._metrics is not None:
-            self._metrics.stores.inc()
+        self.objects_stored += 1
         self._trace("object_stored", key=msg.key, nbytes=obj.nbytes)
         self.node.send(
             src,
@@ -626,8 +574,7 @@ class ComputationalServer(DispatchComponent):
     @handles(DeleteObject)
     def _delete_object(self, src: str, msg: DeleteObject) -> None:
         # idempotent: deleting an absent key still acks ok (nbytes=0)
-        if self._metrics is not None:
-            self._metrics.deletes.inc()
+        self.object_deletes += 1
         freed = self.objects.delete(msg.key)
         self.node.send(
             src,
@@ -647,8 +594,6 @@ class ComputationalServer(DispatchComponent):
         obj = self.objects.entry(msg.key)
         if obj is None:
             self.objects.misses += 1
-            if self._metrics is not None:
-                self._metrics.missing_objects.inc()
             self._trace("object_fetch_missed", key=msg.key)
             self.node.send(
                 reply_to,
@@ -660,8 +605,7 @@ class ComputationalServer(DispatchComponent):
                 ),
             )
             return
-        if self._metrics is not None:
-            self._metrics.object_fetches.inc()
+        self.object_fetches += 1
         self._trace("object_fetched", key=msg.key, nbytes=obj.nbytes)
         self.node.send(
             reply_to, ObjectPayload(key=msg.key, ok=True, value=obj.value)
@@ -687,8 +631,6 @@ class ComputationalServer(DispatchComponent):
                 resolved.append(value)
         if missing:
             self.objects.misses += len(missing)
-            if self._metrics is not None:
-                self._metrics.missing_objects.inc(len(missing))
             raise MissingObjectError(*missing)
         return resolved
 
@@ -753,8 +695,7 @@ class ComputationalServer(DispatchComponent):
                 kept.append(value)
                 continue
             kept.append(self._handle_for(obj))
-            if self._metrics is not None:
-                self._metrics.kept_results.inc()
+            self.kept_results += 1
         self._trace(
             "result_kept", request_id=request_id, outputs=len(outputs)
         )
@@ -783,10 +724,9 @@ class ComputationalServer(DispatchComponent):
                 pass
             else:
                 self.result_cache.put(digest, entry)
-                if self._metrics is not None:
-                    self._metrics.store_hits.inc()
-        if entry is None and self._metrics is not None:
-            self._metrics.cache_misses.inc()
+                self.store_hits += 1
+        if entry is None:
+            self.cache_misses += 1
         return entry
 
     def _record(
@@ -825,12 +765,7 @@ class ComputationalServer(DispatchComponent):
                 return
         if publish:
             if self.result_cache.enabled:
-                evictions_before = self.result_cache.evictions
                 self.result_cache.put(digest, (outputs, nbytes))
-                if self._metrics is not None:
-                    delta = self.result_cache.evictions - evictions_before
-                    if delta:
-                        self._metrics.cache_evictions.inc(delta)
             if 0 < nbytes <= self.cfg.cache_publish_bytes:
                 self.node.send(
                     self.agent_address,
@@ -853,14 +788,12 @@ class ComputationalServer(DispatchComponent):
                 compute_seconds=elapsed,
                 created=self.node.now(),
             )
-            if self._metrics is not None:
-                self._metrics.store_records.inc()
+            self.store_records += 1
 
     @handles(FetchResult)
     def _fetch_result(self, src: str, msg: FetchResult) -> None:
         """Recover a finished result from the job store by request id."""
-        if self._metrics is not None:
-            self._metrics.fetches.inc()
+        self.result_fetches += 1
         store = self._job_store()
         if store is None:
             self.node.send(
@@ -927,8 +860,7 @@ class ComputationalServer(DispatchComponent):
             job = _Job(src, msg)
             entry = self._probe(job)
             if entry is not None:
-                if self._metrics is not None:
-                    self._metrics.requests.inc()
+                self.requests_accepted += 1
                 self._settle(job, entry[0], 0.0, cached=True, saved=entry[1])
                 return
         if self._executing >= self.cfg.max_concurrent:
@@ -955,8 +887,6 @@ class ComputationalServer(DispatchComponent):
                 if detail is not None:
                     self.requests_shed += 1
                     self.sheds_by_class[QOS_CLASSES[ci]] += 1
-                    if self._metrics is not None:
-                        self._metrics.sheds.inc()
                     self._trace(
                         "request_shed",
                         request_id=msg.request_id,
@@ -981,14 +911,7 @@ class ComputationalServer(DispatchComponent):
             self._queued_by_class[ci] += 1
             if len(self._queue) > self.peak_queue:
                 self.peak_queue = len(self._queue)
-                if self._metrics is not None and (
-                    self.peak_queue > self._metrics.peak_queue.value
-                ):
-                    # registry-wide max: never lowered by a quieter server
-                    self._metrics.peak_queue.set(self.peak_queue)
-            if self._metrics is not None:
-                self._metrics.queued.inc()
-                self._metrics.queue_depth.inc()
+            self.requests_queued += 1
             self._trace(
                 "request_queued", request_id=msg.request_id, depth=len(self._queue)
             )
@@ -1026,8 +949,7 @@ class ComputationalServer(DispatchComponent):
         (pre-compute failure, or a result that landed in the cache while
         it queued), join it to an identical running compute, or run it —
         with whatever queued mates can share its kernel call."""
-        if self._metrics is not None:
-            self._metrics.requests.inc()
+        self.requests_accepted += 1
         self._prepare(job)
         if job.error is not None:
             self._settle(job, job.error, 0.0)
@@ -1046,8 +968,6 @@ class ComputationalServer(DispatchComponent):
                 # instead of burning a slot on the same answer
                 waiters.append(job)
                 self.coalesced_requests += 1
-                if self._metrics is not None:
-                    self._metrics.coalesced.inc()
                 self._trace(
                     "request_coalesced",
                     request_id=job.msg.request_id,
@@ -1068,8 +988,6 @@ class ComputationalServer(DispatchComponent):
         problem = head.msg.problem
         self._executing += 1
         generation = self._generation
-        if self._metrics is not None:
-            self._metrics.executing.inc()
         if len(jobs) == 1:
             rid = head.msg.request_id
             stale_fields = {"request_id": rid}
@@ -1086,11 +1004,8 @@ class ComputationalServer(DispatchComponent):
             flops = sum(job.flops for job in jobs)
             self.batches += 1
             self.batched_requests += len(jobs)
-            if self._metrics is not None:
-                # the head was counted by _start, its mates never got there
-                self._metrics.requests.inc(len(jobs) - 1)
-                self._metrics.batches.inc()
-                self._metrics.batched_requests.inc(len(jobs))
+            # the head was counted by _start, its mates never got there
+            self.requests_accepted += len(jobs) - 1
             self._trace(
                 "batch_started", problem=problem, size=len(jobs), flops=flops
             )
@@ -1104,14 +1019,10 @@ class ComputationalServer(DispatchComponent):
                 # completion of work a restart already forgot: the new
                 # incarnation zeroed _executing and owes no reply
                 self.stale_completions += len(jobs)
-                if self._metrics is not None:
-                    self._metrics.stale_drops.inc(len(jobs))
                 self._trace("stale_completion_dropped", **stale_fields)
                 return
             self._executing -= 1
-            if self._metrics is not None:
-                self._metrics.executing.dec()
-                self._metrics.compute_seconds.observe(elapsed)
+            self._compute_seconds.observe(elapsed)
             if len(jobs) == 1:
                 items = [result]
             elif isinstance(result, BaseException):
@@ -1161,8 +1072,6 @@ class ComputationalServer(DispatchComponent):
         missing: tuple = ()
         if isinstance(outcome, BaseException):
             self.requests_failed += 1
-            if self._metrics is not None:
-                self._metrics.errors.inc()
             if outcome is not job.error:
                 detail = f"{type(outcome).__name__}: {outcome}"
                 self._trace(
@@ -1189,16 +1098,13 @@ class ComputationalServer(DispatchComponent):
                 # (elapsed - compute < 0)
                 elapsed = 0.0
             self.requests_served += 1
-            if self._metrics is not None:
-                self._metrics.ok.inc()
             if saved is None:
                 self._trace(
                     "request_done", request_id=rid, compute_seconds=elapsed
                 )
             else:
-                if self._metrics is not None:
-                    self._metrics.cache_hits.inc()
-                    self._metrics.cache_bytes_saved.inc(saved)
+                self.cache_hits += 1
+                self.cache_bytes_saved += saved
                 self._trace("cache_hit", request_id=rid, nbytes=saved)
             if job.msg.keep_result:
                 sent = self._keep_outputs(job.reply_to, rid, outputs)
@@ -1307,11 +1213,7 @@ class ComputationalServer(DispatchComponent):
 
     def _dequeued(self, job: _Job) -> None:
         self._queued_by_class[qos_index(job.msg.qos)] -= 1
-        if self._metrics is not None:
-            self._metrics.queue_depth.dec()
-            self._metrics.queue_wait_seconds.observe(
-                self.node.now() - job.t_queued
-            )
+        self._queue_wait_seconds.observe(self.node.now() - job.t_queued)
 
     def _drain(self) -> None:
         """Start queued jobs while a slot is free.  The only loop:
@@ -1417,8 +1319,6 @@ class ComputationalServer(DispatchComponent):
         run = _DagRun(token, msg.dag_id, reply_to, nodes, order, deps, succs)
         self._dag_runs[token] = run
         self.dags_accepted += 1
-        if self._metrics is not None:
-            self._metrics.dags.inc()
         self._trace("dag_accepted", dag_id=msg.dag_id, nodes=len(order))
         self._dag_schedule(run)
 
@@ -1490,8 +1390,6 @@ class ComputationalServer(DispatchComponent):
                 else:
                     run.retained.append(value.key)
         self.dag_nodes_done += 1
-        if self._metrics is not None:
-            self._metrics.dag_nodes.inc()
         self._trace("dag_node_done", dag_id=run.dag_id, node=node_id)
         self.node.send(
             run.reply_to,

@@ -31,10 +31,10 @@ from typing import Any, Callable, Optional
 
 from ..core.executors import WorkerPool
 from ..errors import TransportClosed, TransportError
-from ..trace.instruments import MetricsRegistry
+from ..trace.instruments import Metric, MetricsRegistry, track
 from .codec import HEADER, MAX_BODY, decode_message, encode_message_iov
 from .messages import Message
-from .transport import Component, Node, Promise, _WireMetrics
+from .transport import WIRE_METRICS, Component, Node, Promise, _node_total
 
 __all__ = ["TcpNode", "TcpTransport", "ThreadPromise", "TcpSession"]
 
@@ -88,12 +88,15 @@ def _read_exact(conn: socket.socket, n: int) -> bytearray:
     return buf
 
 
-def _sendmsg_all(conn: socket.socket, parts: list) -> None:
-    """Drain a buffer list through ``sendmsg``, handling short writes."""
+def _sendmsg_all(conn: socket.socket, parts: list) -> int:
+    """Drain a buffer list through ``sendmsg``, handling short writes;
+    returns the bytes written."""
     buffers = [memoryview(p).cast("B") if not isinstance(p, memoryview) else p
                for p in parts]
+    total = 0
     while buffers:
         sent = conn.sendmsg(buffers[:_SENDMSG_MAX_BUFFERS])
+        total += sent
         while sent:
             head = buffers[0]
             if head.nbytes <= sent:
@@ -102,6 +105,7 @@ def _sendmsg_all(conn: socket.socket, parts: list) -> None:
             else:
                 buffers[0] = head[sent:]
                 sent = 0
+    return total
 
 
 class _ConnPool:
@@ -195,9 +199,17 @@ class TcpNode(Node):
         self.alive = True
         self.lock = threading.RLock()
         self.compute_workers = max(1, int(compute_workers))
-        #: bounded compute pool, created on first compute() — most nodes
-        #: (clients, agents) never run one
-        self._compute_pool: WorkerPool | None = None
+        #: bounded compute pool; its threads start with the first
+        #: compute(), so nodes that never run one (clients, agents) pay
+        #: for an empty queue only
+        self._compute_pool = WorkerPool(
+            self.compute_workers, name=f"compute-{address}"
+        )
+        self.messages_sent = 0
+        self.bytes_sent = 0
+        #: counted under ``lock``, like the dispatch it precedes
+        self.messages_delivered = 0
+        self.messages_dropped = 0
         self._timers: list[threading.Timer] = []
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -238,34 +250,29 @@ class TcpNode(Node):
         conn = self._pool.acquire(key)
         if conn is not None:
             try:
-                _sendmsg_all(conn, parts)
+                nbytes = _sendmsg_all(conn, parts)
             except OSError:
                 _close_quietly(conn)  # stale peer: redial below
             else:
                 self._pool.release(key, conn)
-                self._count_sent(parts)
+                self._count_sent(nbytes)
                 return
         try:
             conn = socket.create_connection(key, timeout=_CONNECT_TIMEOUT)
             self._pool.dials += 1
-            _sendmsg_all(conn, parts)
+            nbytes = _sendmsg_all(conn, parts)
         except OSError:
             if conn is not None:
                 _close_quietly(conn)
-            if self.transport._metrics is not None:
-                self.transport._metrics.dropped.inc()
+            self.messages_dropped += 1
             return  # unreachable peer == dropped message
         self._pool.release(key, conn)
-        self._count_sent(parts)
+        self._count_sent(nbytes)
 
-    def _count_sent(self, parts: list) -> None:
-        metrics = self.transport._metrics
-        if metrics is None:
-            return  # the byte-sizing walk only happens when observed
-        nbytes = sum(len(p) for p in parts)
-        metrics.messages.inc()
-        metrics.bytes.inc(nbytes)
-        metrics.frame_bytes.observe(nbytes)
+    def _count_sent(self, nbytes: int) -> None:
+        self.messages_sent += 1
+        self.bytes_sent += nbytes
+        self.transport._frame_bytes.observe(nbytes)
 
     def call_after(self, delay: float, fn: Callable[[], None]):
         if not self.alive:
@@ -295,7 +302,7 @@ class TcpNode(Node):
         Replaces the old thread-per-request spawn: a burst now queues on
         ``compute_workers`` pool threads instead of forking an unbounded
         number of OS threads, and a submission that finds every worker
-        busy ticks ``server.pool_saturated`` so the pressure is visible.
+        busy shows in ``server.pool_saturated`` (the pool's own count).
         """
         if not self.alive:
             raise TransportClosed(f"node {self.address!r} is down")
@@ -311,15 +318,7 @@ class TcpNode(Node):
                 if self.alive:
                     done(result, elapsed)
 
-        pool = self._compute_pool
-        if pool is None:
-            pool = WorkerPool(
-                self.compute_workers,
-                name=f"compute-{self.address}",
-                on_saturated=self.transport._on_pool_saturated,
-            )
-            self._compute_pool = pool
-        pool.submit(run)
+        self._compute_pool.submit(run)
 
     def post(self, fn: Callable[[], None]) -> None:
         """Run ``fn`` under the node lock (foreign-thread completions)."""
@@ -422,8 +421,7 @@ class TcpNode(Node):
                     with self.lock:
                         if not self.alive or self.component is None:
                             return
-                        if self.transport._metrics is not None:
-                            self.transport._metrics.delivered.inc()
+                        self.messages_delivered += 1
                         self.component.on_message(src, msg)
         finally:
             with self._inbound_lock:
@@ -474,8 +472,7 @@ class TcpNode(Node):
             # release component-owned resources (executor pools, stores)
             # before the transport's own; on_shutdown is idempotent
             self.component.on_shutdown()
-        if self._compute_pool is not None:
-            self._compute_pool.shutdown()
+        self._compute_pool.shutdown()
         self._pool.close()
         try:
             # wake the blocked accept() so the close isn't deferred by
@@ -522,6 +519,19 @@ class _TimerHandle:
 class TcpTransport:
     """A directory of TCP nodes on this machine."""
 
+    METRICS = WIRE_METRICS + (
+        Metric("server.pool_saturated", "pool_saturated",
+               "compute submissions that found every pool worker busy"),
+    )
+    messages_sent = _node_total("messages_sent")
+    bytes_sent = _node_total("bytes_sent")
+    messages_delivered = _node_total("messages_delivered")
+    messages_dropped = _node_total("messages_dropped")
+    #: real sockets lose nothing by injection
+    messages_lost = 0
+
+    pool_saturated = _node_total("_compute_pool.saturated")
+
     def __init__(
         self,
         *,
@@ -533,15 +543,7 @@ class TcpTransport:
         metrics: Optional[MetricsRegistry] = None,
     ):
         self.bind_ip = bind_ip
-        self._metrics = _WireMetrics(metrics) if metrics is not None else None
-        self._pool_saturated = (
-            metrics.counter(
-                "server.pool_saturated",
-                "compute submissions that found every pool worker busy",
-            )
-            if metrics is not None
-            else None
-        )
+        track(self, metrics)
         #: the IP peers should dial back; defaults to the bind address
         self.advertise_ip = advertise_ip or bind_ip
         self.host_name = host_name or socket.gethostname()
@@ -555,19 +557,12 @@ class TcpTransport:
         self.nodes: dict[str, TcpNode] = {}
         self._directory: dict[str, tuple[str, int]] = {}
         self._lock = threading.Lock()
-        #: inbound frames dropped as undecodable (hostile length, bad
-        #: envelope, decode failure) — the connection dies, the node stays
-        self.messages_malformed = 0
 
     def _count_malformed(self) -> None:
+        # an inbound frame dropped as undecodable (hostile length, bad
+        # envelope, decode failure): the connection dies, the node stays
         with self._lock:
             self.messages_malformed += 1
-        if self._metrics is not None:
-            self._metrics.malformed.inc()
-
-    def _on_pool_saturated(self) -> None:
-        if self._pool_saturated is not None:
-            self._pool_saturated.inc()
 
     # ------------------------------------------------------------------
     def add_node(

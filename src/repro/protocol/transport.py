@@ -21,12 +21,13 @@ the same payload objects; virtual timing is unchanged).
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Any, Callable, Optional
 
 from ..errors import NetSolveError, SimulationError, TransportClosed, TransportError
 from ..simnet.kernel import EventKernel, Timer
 from ..simnet.network import Topology
-from ..trace.instruments import BYTES_BUCKETS, MetricsRegistry
+from ..trace.instruments import BYTES_BUCKETS, Metric, MetricsRegistry, track
 from .codec import decode_message, encode_message_iov, frame_size
 from .messages import Message
 
@@ -40,25 +41,30 @@ __all__ = [
 ]
 
 
-class _WireMetrics:
-    """Pre-resolved wire instruments shared by both transports."""
+def _node_total(attr: str) -> property:
+    """A transport-level count that is the sum of its nodes' own."""
+    read = attrgetter(attr)
+    return property(
+        lambda self: sum(read(node) for node in list(self.nodes.values()))
+    )
 
-    __slots__ = ("messages", "bytes", "delivered", "dropped", "lost",
-                 "malformed", "frame_bytes")
 
-    def __init__(self, registry: MetricsRegistry):
-        self.messages = registry.counter("wire.messages", "frames sent")
-        self.bytes = registry.counter("wire.bytes", "payload bytes sent")
-        self.delivered = registry.counter(
-            "wire.delivered", "frames handed to a live component")
-        self.dropped = registry.counter(
-            "wire.dropped", "frames to dead or unknown nodes")
-        self.lost = registry.counter(
-            "wire.lost", "frames dropped by injected message loss")
-        self.malformed = registry.counter(
-            "wire.malformed", "inbound frames dropped as undecodable")
-        self.frame_bytes = registry.histogram(
-            "wire.frame_bytes", BYTES_BUCKETS, help="frame size distribution")
+#: the wire instruments, the same on both transports (each holds at zero
+#: the one it cannot produce, so dumps from either carry the same names)
+WIRE_METRICS = (
+    Metric("wire.messages", "messages_sent", "frames sent"),
+    Metric("wire.bytes", "bytes_sent", "payload bytes sent"),
+    Metric("wire.delivered", "messages_delivered",
+           "frames handed to a live component"),
+    Metric("wire.dropped", "messages_dropped",
+           "frames to dead or unknown nodes"),
+    Metric("wire.lost", "messages_lost",
+           "frames dropped by injected message loss"),
+    Metric("wire.malformed", "messages_malformed",
+           "inbound frames dropped as undecodable"),
+    Metric("wire.frame_bytes", "_frame_bytes", "frame size distribution",
+           "histogram", bounds=BYTES_BUCKETS),
+)
 
 
 class Component:
@@ -341,6 +347,12 @@ class SimTransport:
     """Routes encoded messages between :class:`SimNode`\\ s over a
     :class:`~repro.simnet.network.Topology`."""
 
+    METRICS = WIRE_METRICS
+    messages_sent = _node_total("messages_sent")
+    bytes_sent = _node_total("bytes_sent")
+    #: frames are handed over as objects or our own bytes: never malformed
+    messages_malformed = 0
+
     def __init__(
         self,
         topology: Topology,
@@ -354,11 +366,8 @@ class SimTransport:
         #: False skips materialization and hands the receiver the
         #: sender's message object — timing identical, payloads shared
         self.codec_roundtrip = codec_roundtrip
-        self._metrics = _WireMetrics(metrics) if metrics is not None else None
+        track(self, metrics)
         self.nodes: dict[str, SimNode] = {}
-        self.messages_delivered = 0
-        self.messages_dropped = 0
-        self.messages_lost = 0
         self._loss_rate = 0.0
         self._loss_rng = None
 
@@ -411,18 +420,11 @@ class SimTransport:
             src.messages_sent += 1
             nbytes = frame_size(msg)
             src.bytes_sent += nbytes
-            if self._metrics is not None:
-                self._metrics.messages.inc()
-                self._metrics.bytes.inc(nbytes)
-                self._metrics.frame_bytes.observe(nbytes)
+            self._frame_bytes.observe(nbytes)
             if dest_node is None:
                 self.messages_dropped += 1
-                if self._metrics is not None:
-                    self._metrics.dropped.inc()
             else:
                 self.messages_lost += 1
-                if self._metrics is not None:
-                    self._metrics.lost.inc()
             return
         if self.codec_roundtrip:
             # gather into one writable buffer so delivery can decode
@@ -450,10 +452,7 @@ class SimTransport:
             nbytes = frame_size(msg)
         src.messages_sent += 1
         src.bytes_sent += nbytes
-        if self._metrics is not None:
-            self._metrics.messages.inc()
-            self._metrics.bytes.inc(nbytes)
-            self._metrics.frame_bytes.observe(nbytes)
+        self._frame_bytes.observe(nbytes)
         transfer = self.topology.transfer(
             src.host_name, dest_node.host_name, nbytes
         )
@@ -462,12 +461,8 @@ class SimTransport:
             node = self.nodes.get(dest)
             if node is None or not node.alive or node.component is None:
                 self.messages_dropped += 1
-                if self._metrics is not None:
-                    self._metrics.dropped.inc()
                 return
             self.messages_delivered += 1
-            if self._metrics is not None:
-                self._metrics.delivered.inc()
             delivered = msg if wire is None else decode_message(wire)
             node.component.on_message(src.address, delivered)
 

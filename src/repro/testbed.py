@@ -136,7 +136,7 @@ class Testbed:
         self.trace = trace
         self.sim = sim
         #: the metrics/span bundle every role reports into (None when the
-        #: deployment was built unobserved — the zero-cost default)
+        #: deployment was built unobserved — the default)
         self.observability = observability
         #: all agents by address (populated by build_testbed; the primary
         #: is also available as .agent)
@@ -324,7 +324,7 @@ def build_testbed(
     peer with each other, and ``ServerDef.agent`` / ``ClientDef.agent``
     choose each component's home agent.  ``observability`` attaches one
     metrics registry (and span log, for clients) to every role; omit it
-    and no instrumentation hooks fire anywhere.
+    and the components' counts are simply not collected.
     """
     if not hosts:
         raise ConfigError("need at least one host")

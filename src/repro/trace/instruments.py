@@ -1,28 +1,44 @@
-"""Operational metrics: counters, gauges and fixed-bucket histograms.
+"""Operational metrics: counts, gauges and fixed-bucket histograms.
 
-This is the *live* half of the trace package.  :mod:`repro.trace.metrics`
-computes post-hoc experiment statistics from finished request records;
-the :class:`MetricsRegistry` here is attached to running components
-(client, agent, server, transports) and accumulates counts as the system
-executes — the request-lifecycle observability layer.
+The *live* half of the trace package (:mod:`repro.trace.metrics` is the
+post-hoc half): what running components are doing now.
 
-Design constraints, in order:
+**One count per fact.**  A count is a plain ``int`` attribute on the
+object that owns the fact — ``server.requests_served``,
+``transport.messages_delivered`` — and the hot path is ``self.x += 1``
+with nothing beside it, observed or not.  Each owner class lists its
+instruments once, in a ``METRICS`` table of :class:`Metric` rows;
+:func:`track` zeroes the owned counts and, given a registry, attaches
+the owner.  The :class:`MetricsRegistry` stores no counts: it keeps the
+owners and reads them when asked.
 
-* **zero-cost when absent** — components hold pre-resolved instrument
-  bundles and guard every hook with one ``is not None`` check; no name
-  lookup, no dict churn, no allocation on the hot paths;
-* **snapshot-friendly** — :meth:`MetricsRegistry.snapshot` returns a
-  plain JSON-able dict, :func:`render_snapshot` turns any snapshot
-  (live or loaded from disk) into the same fixed-width text report;
-* **dependency-free** — instruments are plain Python with ``bisect``;
-  nothing here imports numpy or the core components.
+* Counters sum over owners.  An owner that died or was replaced stays
+  attached, so its counts are kept.
+* Gauges are computed from state at that moment (``len(queue)``, slots
+  in use, requests in flight), so there is nothing to keep in step or to
+  correct on restart.  They sum too, except ``server.peak_queue`` (the
+  deepest any one queue got) and ``agent.servers_*`` (agents in a fleet
+  hold replicas of one table, not shards: the fullest view), both
+  ``max``.
+* Histograms are the one *pushed* instrument: ``track`` binds the
+  declared attribute to the registry's :class:`Histogram`, or to the
+  shared no-op :data:`NO_HISTOGRAM`, and call sites ``observe()``
+  unconditionally.
+
+``registry.get("server.executing").value`` and
+``registry.counter("wire.malformed").value`` read a declared instrument
+live; on an undeclared name ``counter()/gauge()/histogram()`` still
+get-or-create a free-standing instrument for callers pushing their own.
+:func:`render_snapshot` renders any snapshot (live or from disk) as
+text.  Nothing here imports numpy or the core components.
 """
 
 from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from typing import Iterator, Optional
+from operator import attrgetter
+from typing import Callable, NamedTuple, Optional
 
 from ..errors import NetSolveError
 
@@ -30,9 +46,12 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "Metric",
     "MetricsRegistry",
+    "NO_HISTOGRAM",
     "Observability",
     "render_snapshot",
+    "track",
     "SECONDS_BUCKETS",
     "BYTES_BUCKETS",
     "ERROR_SECONDS_BUCKETS",
@@ -51,10 +70,28 @@ ERROR_SECONDS_BUCKETS = (
 )
 
 
+class Metric(NamedTuple):
+    """One row of an owner class's ``METRICS`` table."""
+
+    #: registry name, e.g. ``server.ok``
+    name: str
+    #: attribute on the owner holding the fact; a dotted path reaches a
+    #: part that counts for itself (``result_cache.evictions``)
+    attr: str
+    help: str
+    #: ``counter`` | ``gauge`` | ``histogram``
+    kind: str = "counter"
+    #: how owners combine: :func:`sum`, or :func:`max`
+    agg: Callable = sum
+    #: bucket edges (histograms only)
+    bounds: tuple = SECONDS_BUCKETS
+
+
 class Counter:
     """Monotonically increasing count."""
 
     __slots__ = ("name", "help", "value")
+    kind = "counter"
 
     def __init__(self, name: str, help: str = ""):
         self.name = name
@@ -69,6 +106,7 @@ class Gauge:
     """A value that goes up and down (queue depths, in-flight requests)."""
 
     __slots__ = ("name", "help", "value")
+    kind = "gauge"
 
     def __init__(self, name: str, help: str = ""):
         self.name = name
@@ -94,6 +132,7 @@ class Histogram:
 
     __slots__ = ("name", "help", "bounds", "counts", "count", "total",
                  "min", "max")
+    kind = "histogram"
 
     def __init__(self, name: str, bounds: tuple = SECONDS_BUCKETS,
                  help: str = ""):
@@ -124,46 +163,84 @@ class Histogram:
         return self.total / self.count if self.count else None
 
 
-class MetricsRegistry:
-    """Named instruments with get-or-create semantics.
+class _NoHistogram:
+    """What a declared histogram attribute holds on an unobserved owner."""
 
-    A name belongs to exactly one instrument type for the registry's
-    lifetime; re-requesting it returns the same object, so several
-    components may share (say) one ``wire.bytes_sent`` counter.
+    __slots__ = ()
+
+    def observe(self, value: float) -> None:
+        pass
+
+
+NO_HISTOGRAM = _NoHistogram()
+
+
+class _Reading:
+    """Live view of one declared count or gauge over its owners."""
+
+    __slots__ = ("name", "help", "kind", "_agg", "_read", "owners")
+
+    def __init__(self, metric: Metric):
+        self.name = metric.name
+        self.help = metric.help
+        self.kind = metric.kind
+        self._agg = metric.agg
+        self._read = attrgetter(metric.attr)
+        self.owners: list = []
+
+    @property
+    def value(self):
+        value = self._agg(self._read(owner) for owner in self.owners)
+        return float(value) if self.kind == "gauge" else value
+
+
+class MetricsRegistry:
+    """What a deployment reports, by name.
+
+    Declared counts and gauges are read off the attached owners when
+    asked (:func:`track` attaches); histograms, and any free-standing
+    instrument a caller creates by name, are stored here.  A name
+    belongs to exactly one kind for the registry's lifetime, and
+    re-requesting it returns the same object.
     """
 
     def __init__(self) -> None:
         self._instruments: dict[str, object] = {}
 
-    def _get(self, kind, name: str, *args, **kwargs):
-        existing = self._instruments.get(name)
-        if existing is not None:
-            if not isinstance(existing, kind):
-                raise NetSolveError(
-                    f"metric {name!r} is a {type(existing).__name__}, "
-                    f"not a {kind.__name__}"
+    def attach(self, owner) -> None:
+        """Collect ``owner``'s declared counts and gauges from now on."""
+        for metric in owner.METRICS:
+            if metric.kind != "histogram":
+                reading = self._get(
+                    metric.kind, metric.name, lambda: _Reading(metric)
                 )
-            return existing
-        instrument = kind(name, *args, **kwargs)
-        self._instruments[name] = instrument
-        return instrument
+                reading.owners.append(owner)
+
+    def _get(self, kind: str, name: str, make: Callable):
+        existing = self._instruments.get(name)
+        if existing is None:
+            existing = self._instruments[name] = make()
+        elif existing.kind != kind:
+            raise NetSolveError(
+                f"metric {name!r} is a {existing.kind}, not a {kind}"
+            )
+        return existing
 
     def counter(self, name: str, help: str = "") -> Counter:
-        return self._get(Counter, name, help)
+        return self._get("counter", name, lambda: Counter(name, help))
 
     def gauge(self, name: str, help: str = "") -> Gauge:
-        return self._get(Gauge, name, help)
+        return self._get("gauge", name, lambda: Gauge(name, help))
 
     def histogram(
         self, name: str, bounds: tuple = SECONDS_BUCKETS, help: str = ""
     ) -> Histogram:
-        return self._get(Histogram, name, bounds, help)
+        return self._get(
+            "histogram", name, lambda: Histogram(name, bounds, help)
+        )
 
     def __len__(self) -> int:
         return len(self._instruments)
-
-    def __iter__(self) -> Iterator[object]:
-        return iter(self._instruments.values())
 
     def get(self, name: str):
         """Look an instrument up by name (None when absent)."""
@@ -179,12 +256,11 @@ class MetricsRegistry:
         histograms: dict[str, dict] = {}
         for name in sorted(self._instruments):
             inst = self._instruments[name]
-            if isinstance(inst, Counter):
+            if inst.kind == "counter":
                 counters[name] = inst.value
-            elif isinstance(inst, Gauge):
+            elif inst.kind == "gauge":
                 gauges[name] = inst.value
             else:
-                assert isinstance(inst, Histogram)
                 histograms[name] = {
                     "count": inst.count,
                     "total": inst.total,
@@ -208,6 +284,29 @@ class MetricsRegistry:
 
     def report(self) -> str:
         return render_snapshot(self.snapshot())
+
+
+def track(owner, registry: Optional[MetricsRegistry]) -> None:
+    """Start ``owner``'s declared instruments; the one place that knows
+    whether anybody is watching.
+
+    Counts the owner holds itself start at zero (a property, a class
+    constant or a dotted path into a part already has its answer);
+    histogram attributes are bound; ``owner._metrics`` records the
+    collecting registry, ``None`` when unobserved.
+    """
+    for metric in owner.METRICS:
+        if metric.kind == "histogram":
+            setattr(
+                owner, metric.attr,
+                NO_HISTOGRAM if registry is None
+                else registry.histogram(metric.name, metric.bounds, metric.help),
+            )
+        elif "." not in metric.attr and not hasattr(type(owner), metric.attr):
+            setattr(owner, metric.attr, 0)
+    owner._metrics = registry
+    if registry is not None:
+        registry.attach(owner)
 
 
 def _fmt(value) -> str:

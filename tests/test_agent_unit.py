@@ -27,6 +27,7 @@ from repro.simnet.kernel import EventKernel
 from repro.simnet.network import Topology
 from repro.simnet.rng import RngStreams
 from repro.trace.events import EventLog
+from repro.trace.instruments import MetricsRegistry
 
 
 class Probe(Component):
@@ -280,3 +281,27 @@ def test_trace_records_agent_activity():
     kinds = agent.trace.kinds()
     assert kinds.get("server_registered") == 1
     assert kinds.get("query") == 1
+
+
+def test_servers_alive_gauge_follows_a_workload_report_revival():
+    """FailureReport marks s0 suspect (2 -> 1 alive); s0's next
+    WorkloadReport revives it through ``ServerTable.report_workload``.
+    A hand-kept gauge was not refreshed on that path and kept saying 1
+    until some unrelated table-shape event."""
+    registry = MetricsRegistry()
+    kernel, transport, agent, _probe = make_world(metrics=registry)
+    for sid in ("s0", "s1"):
+        send(kernel, transport, registration(sid, problems=("linsys/dgesv",)))
+
+    def gauge(name):
+        return registry.snapshot()["gauges"][f"agent.{name}"]
+
+    assert gauge("servers_alive") == 2
+    send(kernel, transport, FailureReport(
+        server_id="s0", problem="linsys/dgesv", detail="timeout"))
+    assert not agent.table.get("s0").alive
+    assert gauge("servers_alive") == 1
+    send(kernel, transport, WorkloadReport(server_id="s0", workload=0.0))
+    assert len(agent.table.alive_entries()) == 2
+    assert gauge("servers_alive") == 2
+    assert gauge("servers_total") == 2

@@ -8,8 +8,10 @@ resident-ref, ``keep_result``, ``SubmitDag``), with a live restart
 dropped in on some seeds.  At quiescence the books must balance: every
 request answered at most once (exactly once without a restart), the
 served/failed counters equal to the replies that left, every registry
-counter equal to its bare-int twin, nothing left queued, executing,
-in flight or half-run, and one job-store row per settled request.
+reading equal to the sum of the attribute it reports over the servers
+attached (a second, nearly idle server shares the registry), nothing
+left queued, executing, in flight or half-run, and one job-store row per
+settled request.
 
 Beside the ledger sit the regressions for the three drifts the single
 pipeline removed: re-entrant draining (a deep queue of cached or invalid
@@ -18,6 +20,7 @@ server, and replies that never reached the job store.
 """
 
 import itertools
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -200,7 +203,7 @@ def traffic(seed):
     return schedule, sent_rids, sent_dags
 
 
-def ledger_breaches(server, probe, obs, sent_rids, sent_dags, *,
+def ledger_breaches(server, bystander, probe, obs, sent_rids, sent_dags, *,
                     restarted, store_path):
     """Every broken invariant at quiescence, as labelled text."""
     bad = []
@@ -244,30 +247,38 @@ def ledger_breaches(server, probe, obs, sent_rids, sent_dags, *,
     check(server._queued_by_class == [0, 0, 0],
           f"_queued_by_class {server._queued_by_class}")
 
+    # the registry holds no count of its own: each name reports one
+    # attribute (the ones benches and perf/ read), summed over servers
     snap = obs.metrics.snapshot()
-    twins = {
-        "server.ok": server.requests_served,
-        "server.errors": server.requests_failed,
-        "server.sheds": server.requests_shed,
-        "server.batches": server.batches,
-        "server.batched_requests": server.batched_requests,
-        "server.coalesced": server.coalesced_requests,
-        "server.stale_drops": server.stale_completions,
-        "server.dags": server.dags_accepted,
-        "server.dag_nodes": server.dag_nodes_done,
-        "server.missing_objects": server.objects.misses,
+    servers = (server, bystander)
+    check(bystander.requests_served == 1, "the bystander served nothing")
+    reports = {
+        "server.ok": "requests_served",
+        "server.errors": "requests_failed",
+        "server.sheds": "requests_shed",
+        "server.batches": "batches",
+        "server.batched_requests": "batched_requests",
+        "server.coalesced": "coalesced_requests",
+        "server.stale_drops": "stale_completions",
+        "server.dags": "dags_accepted",
+        "server.dag_nodes": "dag_nodes_done",
+        "server.missing_objects": "objects.misses",
     }
-    for name, twin in twins.items():
-        check(snap["counters"][name] == twin,
-              f"{name} {snap['counters'][name]} != bare int {twin}")
-    check(snap["gauges"]["server.peak_queue"] == server.peak_queue,
-          "server.peak_queue gauge != peak_queue")
+    for name, attr in reports.items():
+        total = sum(attrgetter(attr)(s) for s in servers)
+        check(snap["counters"][name] == total,
+              f"{name} {snap['counters'][name]} != sum of {attr} {total}")
+    check(snap["gauges"]["server.peak_queue"]
+          == max(s.peak_queue for s in servers),
+          "server.peak_queue gauge != deepest peak_queue")
     for name in ("server.queue_depth", "server.executing"):
         check(snap["gauges"][name] == 0, f"{name} gauge {snap['gauges'][name]}")
     if not restarted:
-        check(snap["counters"]["server.requests"] == settled,
+        # bumped at three sites (cache-answered at admission, _start,
+        # batch mates in _run), still once per settled request
+        check(snap["counters"]["server.requests"] == settled + 1,
               f"server.requests {snap['counters']['server.requests']} != "
-              f"settled {settled}")
+              f"settled {settled} + the bystander's 1")
     if server.cfg.max_queue == 0 and not restarted:
         # a ref is resolved once per request (a digesting server
         # resolves at admission, so a request it then sheds or loses to
@@ -292,6 +303,18 @@ def ledger_breaches(server, probe, obs, sent_rids, sent_dags, *,
 def run_traffic(cfg, seed):
     """Play ``traffic(seed)`` into a fresh world until quiescence."""
     kernel, transport, server, probe, obs = make_world(cfg)
+    # a second server on the same registry, fed one solve whose reply
+    # goes to the agent probe (the client probe's inbox stays the ledger)
+    bystander = ComputationalServer(
+        server_id="by", agent_address="agent-probe",
+        registry=builtin_registry().subset(("linsys/dgesv",)),
+        mflops=100.0, host="ph", metrics=obs.metrics,
+    )
+    transport.add_node("server/by", "ph", bystander)
+    transport.node("agent-probe").send("server/by", SolveRequest(
+        request_id=1, problem="linsys/dgesv",
+        inputs=linsys(RngStreams(seed).get("pipeline.bystander"), 8),
+    ))
     schedule, sent_rids, sent_dags = traffic(seed)
     client = transport.node(CLIENT)
     for when, msg in schedule:
@@ -299,7 +322,7 @@ def run_traffic(cfg, seed):
     if seed in RESTART_SEEDS:
         kernel.call_at(0.6 * WINDOW, server.on_restart)
     kernel.run(until=120.0)
-    return server, probe, obs, sent_rids, sent_dags
+    return server, bystander, probe, obs, sent_rids, sent_dags
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -307,14 +330,15 @@ def run_traffic(cfg, seed):
 def test_server_ledger_closes(tmp_path, cache, batch_max, store, max_queue,
                               slots, seed):
     store_path = str(tmp_path / "jobs.sqlite") if store else ""
-    server, probe, obs, sent_rids, sent_dags = run_traffic(ServerConfig(
-        cache_entries=cache, batch_max=batch_max, store_path=store_path,
-        max_queue=max_queue, max_concurrent=slots,
-        cache_publish_bytes=4096 if cache else 0,
-    ), seed)
+    server, bystander, probe, obs, sent_rids, sent_dags = run_traffic(
+        ServerConfig(
+            cache_entries=cache, batch_max=batch_max, store_path=store_path,
+            max_queue=max_queue, max_concurrent=slots,
+            cache_publish_bytes=4096 if cache else 0,
+        ), seed)
     try:
         breaches = ledger_breaches(
-            server, probe, obs, sent_rids, sent_dags,
+            server, bystander, probe, obs, sent_rids, sent_dags,
             restarted=seed in RESTART_SEEDS, store_path=store_path,
         )
     finally:
@@ -334,7 +358,7 @@ def test_ledger_traffic_reaches_every_lifecycle():
         (8, 8, 4, 1), (8, 1, 0, 2), (0, 8, 0, 1),
     ):
         for seed in SEEDS:
-            server, _probe, obs, _rids, _dags = run_traffic(ServerConfig(
+            server, _by, _probe, obs, _rids, _dags = run_traffic(ServerConfig(
                 cache_entries=cache, batch_max=batch_max,
                 max_queue=max_queue, max_concurrent=slots,
             ), seed)
