@@ -107,7 +107,7 @@ def legacy_handle_query(agent: Agent, src: str, msg: QueryRequest):
     def predict_one(entry):
         cached = predictions.get(entry.server_id)
         if cached is None:
-            # seed predict_for: three spec evaluations per candidate,
+            # the seed's prediction: three spec evaluations per candidate,
             # with the complexity AST tree-walked (no compiled form)
             base = predict(
                 flops=spec.complexity.interpret(env),
@@ -118,18 +118,28 @@ def legacy_handle_query(agent: Agent, src: str, msg: QueryRequest):
                 workload=entry.workload,
                 use_workload=agent.use_workload,
             )
-            cached = agent._inflate_pending(base, entry, agent.node.now())
+            # seed pending inflation (every bench server has one slot):
+            # each live hint costs one more service time
+            pending = (
+                entry.live_pending(agent.node.now())
+                if agent.assignment_feedback else 0
+            )
+            cached = (
+                base.send_seconds
+                + base.compute_seconds * (1 + pending)
+                + base.recv_seconds
+            )
             predictions[entry.server_id] = cached
         return cached
 
-    ranked = sorted(entries, key=lambda e: (predict_one(e).total, e.server_id))
+    ranked = sorted(entries, key=lambda e: (predict_one(e), e.server_id))
     top = ranked[: agent.cfg.candidate_list_length]
     if top:
-        hold = min(600.0, max(1.0, predict_one(top[0]).total * 1.5))
+        hold = min(600.0, max(1.0, predict_one(top[0]) * 1.5))
         agent.table.note_assignment(
             top[0].server_id, agent.node.now(), hold_for=hold
         )
-    return [(e.server_id, predict_one(e).total) for e in top]
+    return [(e.server_id, predict_one(e)) for e in top]
 
 
 def _drain(agent: Agent):

@@ -20,7 +20,6 @@ from .predictor import (
     Prediction,
     effective_mflops,
     predict,
-    predict_for,
 )
 from .registry import ServerEntry, ServerTable
 from .scheduler import (
@@ -48,7 +47,6 @@ __all__ = [
     "Prediction",
     "effective_mflops",
     "predict",
-    "predict_for",
     "ServerEntry",
     "ServerTable",
     "SchedulingPolicy",

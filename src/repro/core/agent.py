@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from ..config import AgentConfig
-from ..errors import PdlSyntaxError
+from ..errors import NetSolveError, PdlSyntaxError
 from ..problems.pdl import parse_pdl, render_pdl
 from ..problems.spec import ProblemSpec
 from ..protocol.messages import (
@@ -58,20 +58,9 @@ from ..trace.events import EventLog
 from ..trace.instruments import Metric, MetricsRegistry, track
 from .fleet import HashRing, entry_fingerprint
 from .qos import QOS_CLASSES, qos_index
-from .predictor import (
-    NetworkInfo,
-    Prediction,
-    predict,
-    predict_batch,
-    predict_for,
-)
+from .predictor import NetworkInfo, predict_batch
 from .registry import ServerEntry, ServerTable
-from .scheduler import (
-    MinimumCompletionTime,
-    SchedulingPolicy,
-    make_policy,
-    mct_top_k,
-)
+from .scheduler import SchedulingPolicy, make_policy
 
 __all__ = ["Agent"]
 
@@ -648,77 +637,7 @@ class Agent(DispatchComponent):
         self._trace("sync_repair", server_id=sid, alive=bool(alive))
 
     # ------------------------------------------------------------------
-    def predict_entry(
-        self,
-        entry: ServerEntry,
-        spec: ProblemSpec,
-        env: dict,
-        client_host: str,
-        *,
-        resident_bytes: float = 0.0,
-    ) -> Prediction:
-        """The prediction the agent makes for one candidate server.
-
-        The reported workload degrades the server's effective speed
-        (processor sharing against other users), divided across the
-        server's advertised executor slots.  Requests the agent has
-        recently steered there but that no report reflects yet are
-        modelled as FIFO *queue wait* — each inflates the compute term by
-        one service time — because a server runs at most ``slots``
-        requests at a time: on a multi-slot server only every
-        ``slots``-th pending request adds a queueing round, so the hint
-        count divides by the slot count.
-
-        ``resident_bytes`` is how many of the request's input bytes are
-        already resident on this candidate (handle-referenced operands
-        homed there): those never cross the wire, so the send term
-        charges only the difference.  The default 0.0 takes the exact
-        pre-locality code path — handle-free queries rank bit-identically.
-        """
-        now = self.node.now()
-        if resident_bytes > 0.0:
-            base = predict(
-                flops=spec.flops(env),
-                input_bytes=max(0.0, spec.input_bytes(env) - resident_bytes),
-                output_bytes=spec.output_bytes(env),
-                link=self.network.link(client_host, entry.host),
-                peak_mflops=entry.mflops,
-                workload=entry.current_workload(now),
-                slots=entry.slots,
-                use_workload=self.use_workload,
-            )
-        else:
-            base = predict_for(
-                spec,
-                env,
-                link=self.network.link(client_host, entry.host),
-                peak_mflops=entry.mflops,
-                workload=entry.current_workload(now),
-                slots=entry.slots,
-                use_workload=self.use_workload,
-            )
-        return self._inflate_pending(base, entry, now)
-
-    def _inflate_pending(
-        self, base: Prediction, entry: ServerEntry, now: float
-    ) -> Prediction:
-        if not self.assignment_feedback:
-            return base
-        pending = entry.live_pending(now)
-        if pending == 0:
-            return base
-        # every full cohort of `slots` pending requests costs one more
-        # service time; slots=1 keeps the exact pre-slot inflation
-        rounds = pending // entry.slots if entry.slots > 1 else pending
-        if rounds == 0:
-            return base
-        return Prediction(
-            send_seconds=base.send_seconds,
-            compute_seconds=base.compute_seconds * (1 + rounds),
-            recv_seconds=base.recv_seconds,
-        )
-
-    def _rank_mct_vectorized(
+    def _predict_totals(
         self,
         entries: list[ServerEntry],
         *,
@@ -727,17 +646,19 @@ class Agent(DispatchComponent):
         output_bytes: float,
         client_host: str,
         now: float,
-        resident: Optional[dict] = None,
-    ) -> tuple[list[ServerEntry], list[float]]:
-        """MCT fast path: batch-predict all candidates, select top-k.
+        resident: dict,
+    ) -> np.ndarray:
+        """Predicted seconds per candidate — the agent's one prediction.
 
-        One numpy evaluation replaces len(entries) scalar predictions,
-        and partial selection replaces the full sort; the result is
-        bit-identical to ranking with :meth:`predict_entry` and slicing.
-        ``resident`` (server_id -> bytes already homed there) switches
-        the send term to per-candidate effective input bytes; ``None``
-        or empty keeps the scalar broadcast — and the exact pre-locality
-        arithmetic.
+        Gathers what the model needs of each candidate (link estimate,
+        peak, workload plus any live busy penalty, slots, live pending
+        hints when assignment feedback is on) and evaluates
+        :func:`predict_batch` once; every policy orders this vector.
+        ``resident`` (server_id -> input bytes already homed there)
+        switches the send term to per-candidate effective input bytes:
+        resident bytes never cross the wire.  Empty keeps the scalar
+        broadcast, so handle-free queries rank on the exact
+        pre-locality arithmetic.
         """
         n = len(entries)
         latency = np.empty(n)
@@ -771,7 +692,7 @@ class Agent(DispatchComponent):
                 ],
                 dtype=np.float64,
             )
-        totals = predict_batch(
+        return predict_batch(
             flops=flops,
             input_bytes=in_bytes,
             output_bytes=output_bytes,
@@ -783,8 +704,6 @@ class Agent(DispatchComponent):
             slots=slots,
             use_workload=self.use_workload,
         )
-        order = mct_top_k(entries, totals, self.cfg.candidate_list_length)
-        return [entries[i] for i in order], [float(totals[i]) for i in order]
 
     @handles(CacheInsert)
     def _handle_cache_insert(self, src: str, msg: CacheInsert) -> None:
@@ -816,6 +735,18 @@ class Agent(DispatchComponent):
             digest=msg.digest,
             problem=msg.problem,
             nbytes=msg.nbytes,
+        )
+
+    def _reject_query(
+        self, reply_to: str, msg: QueryRequest, detail: str,
+        retryable: bool = False,
+    ) -> None:
+        self.query_rejects += 1
+        self.node.send(
+            reply_to,
+            QueryReply(
+                ok=False, detail=detail, tag=msg.tag, retryable=retryable
+            ),
         )
 
     @handles(QueryRequest)
@@ -872,95 +803,61 @@ class Agent(DispatchComponent):
                 return
         spec = self.specs.get(msg.problem)
         if spec is None:
-            self.query_rejects += 1
-            self.node.send(
-                reply_to,
-                QueryReply(ok=False, detail=f"unknown problem {msg.problem!r}", tag=msg.tag),
+            self._reject_query(
+                reply_to, msg, f"unknown problem {msg.problem!r}"
             )
             return
         entries = self.table.candidates_for(msg.problem, exclude=msg.exclude)
         if not entries:
-            self.query_rejects += 1
-            self.node.send(
-                reply_to,
-                QueryReply(
-                    ok=False,
-                    detail=f"no server available for {msg.problem!r}",
-                    tag=msg.tag,
-                    retryable=True,  # suspects may report back in
-                ),
+            self._reject_query(
+                reply_to, msg, f"no server available for {msg.problem!r}",
+                retryable=True,  # suspects may report back in
             )
             return
-        env = {k: int(v) for k, v in msg.sizes.items()}
-        # the spec-derived quantities depend only on (spec, env): one
-        # evaluation per query, not one per candidate
-        flops = spec.flops(env)
-        input_bytes = spec.input_bytes(env)
-        output_bytes = spec.output_bytes(env)
         now = self.node.now()
-        # locality: input bytes already resident on a candidate (handle
-        # operands homed there) never cross the wire; an empty map takes
-        # every pre-locality code path untouched
-        resident = (
-            {str(k): int(v) for k, v in msg.resident.items()}
-            if msg.resident else {}
-        )
-
-        if isinstance(self.policy, MinimumCompletionTime):
-            top, predicted = self._rank_mct_vectorized(
+        try:
+            # everything derived from the request's field values sits
+            # under this guard: a frame can be well-formed and still
+            # carry sizes the complexity model rejects, text where a
+            # number belongs or a host the network table does not know
+            # (dict() turns a field that is no mapping into a TypeError)
+            env = {k: int(v) for k, v in dict(msg.sizes).items()}
+            totals = self._predict_totals(
                 entries,
-                flops=flops,
-                input_bytes=input_bytes,
-                output_bytes=output_bytes,
+                # spec-derived quantities depend only on (spec, env):
+                # one evaluation per query, not one per candidate
+                flops=spec.flops(env),
+                input_bytes=spec.input_bytes(env),
+                output_bytes=spec.output_bytes(env),
                 client_host=msg.client_host,
                 now=now,
-                resident=resident,
+                resident={
+                    str(k): max(0, int(v))
+                    for k, v in dict(msg.resident).items()
+                },
             )
-        else:
-            predictions: dict[str, Prediction] = {}
-
-            def predict_cached(entry: ServerEntry) -> Prediction:
-                cached = predictions.get(entry.server_id)
-                if cached is None:
-                    in_bytes = input_bytes
-                    if resident:
-                        in_bytes = max(
-                            0.0,
-                            input_bytes - resident.get(entry.server_id, 0),
-                        )
-                    base = predict(
-                        flops=flops,
-                        input_bytes=in_bytes,
-                        output_bytes=output_bytes,
-                        link=self.network.link(msg.client_host, entry.host),
-                        peak_mflops=entry.mflops,
-                        workload=entry.current_workload(now),
-                        slots=entry.slots,
-                        use_workload=self.use_workload,
-                    )
-                    cached = self._inflate_pending(base, entry, now)
-                    predictions[entry.server_id] = cached
-                return cached
-
-            ranked = self.policy.rank(entries, predict_cached)
-            top = ranked[: self.cfg.candidate_list_length]
-            predicted = [predict_cached(e).total for e in top]
-        if top:
-            # assume the client sends to the head of the list; hold the
-            # hint for roughly that request's predicted lifetime
-            hold = min(600.0, max(1.0, predicted[0] * 1.5))
-            self.table.note_assignment(top[0].server_id, now, hold_for=hold)
-            self._predicted_head_seconds.observe(predicted[0])
+        except (NetSolveError, ValueError, TypeError, OverflowError) as exc:
+            self._reject_query(reply_to, msg, f"bad query: {exc}")
+            return
+        order = self.policy.order(
+            entries, totals, self.cfg.candidate_list_length
+        )
         candidates = [
             Candidate(
                 server_id=e.server_id,
                 address=e.address,
                 host=e.host,
-                predicted_seconds=seconds,
+                predicted_seconds=float(totals[i]),
                 endpoint=self.node.endpoint_of(e.address),
             )
-            for e, seconds in zip(top, predicted)
+            for i, e in ((i, entries[i]) for i in order)
         ]
+        # assume the client sends to the head of the list; hold the
+        # hint for roughly that request's predicted lifetime
+        head = candidates[0]
+        hold = min(600.0, max(1.0, head.predicted_seconds * 1.5))
+        self.table.note_assignment(head.server_id, now, hold_for=hold)
+        self._predicted_head_seconds.observe(head.predicted_seconds)
         self._trace(
             "query",
             problem=msg.problem,

@@ -31,12 +31,11 @@ mismatch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Protocol
+from typing import Mapping, Optional, Protocol
 
 import numpy as np
 
 from ..errors import ConfigError
-from ..problems.spec import ProblemSpec
 
 __all__ = [
     "LinkEstimate",
@@ -46,7 +45,6 @@ __all__ = [
     "Prediction",
     "effective_mflops",
     "predict",
-    "predict_for",
     "predict_batch",
 ]
 
@@ -234,29 +232,6 @@ def predict(
     )
 
 
-def predict_for(
-    spec: ProblemSpec,
-    env: Mapping[str, int],
-    *,
-    link: LinkEstimate,
-    peak_mflops: float,
-    workload: float,
-    slots: int = 1,
-    use_workload: bool = True,
-) -> Prediction:
-    """Prediction for a problem spec at concrete sizes."""
-    return predict(
-        flops=spec.flops(env),
-        input_bytes=spec.input_bytes(env),
-        output_bytes=spec.output_bytes(env),
-        link=link,
-        peak_mflops=peak_mflops,
-        workload=workload,
-        slots=slots,
-        use_workload=use_workload,
-    )
-
-
 def predict_batch(
     *,
     flops: float,
@@ -281,22 +256,24 @@ def predict_batch(
     inputs not already resident on a candidate; passing the plain scalar
     keeps the arithmetic (and hence the ranking) bit-identical to the
     pre-locality model.  ``pending`` is the agent's
-    pending-assignment count per candidate — each live hint inflates the
-    compute term by one service time, exactly as
-    :meth:`~repro.core.agent.Agent.predict_entry` does.
+    pending-assignment count per candidate: requests it has recently
+    steered there that no report reflects yet, modelled as FIFO queue
+    wait — each inflates the compute term by one service time.
 
     ``slots`` (int per candidate; ``None`` means all-ones) divides both
     the reported workload and the pending hints across a server's
-    executor workers.
+    executor workers: a server runs ``slots`` requests at a time, so
+    only every ``slots``-th pending request adds a queueing round.
 
     Returns total predicted seconds as a float64 array.  Every
-    arithmetic step mirrors the scalar path operation for operation —
+    arithmetic step mirrors :func:`predict` operation for operation —
     the multi-slot branch replays :func:`effective_mflops`'s exact
     branch structure via ``np.where`` rather than a ``minimum()``
     (which could round differently at the capacity boundary) — so each
-    element is bit-identical to ``predict_for(...)`` plus the pending
-    inflation.  The property tests pin this; the scalar path remains
-    the reference implementation.
+    element is bit-identical to ``predict(...).total`` with the compute
+    term inflated.  The property tests pin this: the agent calls only
+    this function, and :func:`predict` stays as the documented model
+    and the tests' scalar reference.
     """
     input_bytes = np.asarray(input_bytes, dtype=np.float64)
     if flops < 0 or (input_bytes.size and input_bytes.min() < 0) \
@@ -333,6 +310,3 @@ def predict_batch(
     compute = (flops / (mflops * 1e6)) * inflation
     recv = latency + output_bytes / bandwidth
     return send + compute + recv
-
-
-PredictFn = Callable[..., Prediction]

@@ -95,21 +95,6 @@ class ServerEntry:
             heapq.heappop(heap)
         return len(heap)
 
-    def effective_workload(
-        self, now: float = 0.0, *, pending_weight: float = 100.0
-    ) -> float:
-        """Reported workload plus the pending-assignment correction.
-
-        Each live pending request is assumed to add one runnable process
-        (``pending_weight`` workload units = 1.0 load average).  A hint
-        expires on its own once the request it models should long have
-        finished — a fresh workload report would have superseded it, but
-        the hysteretic policy suppresses "still idle" reports, so without
-        the expiry a short job assigned between samples would pollute the
-        agent's view until the forced keep-alive.
-        """
-        return self.workload + pending_weight * self.live_pending(now)
-
 
 class ServerTable:
     """Registry of servers, keyed by server id."""

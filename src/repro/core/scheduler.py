@@ -10,19 +10,21 @@ the ones the scheduling experiment (T3) compares against:
   workload and network (the "static ranking" straw man),
 * ``mct`` — sort by the predictor's total.
 
-Every policy returns the *full ordered candidate list*; the client works
-down the list on failure, so policy choice also shapes retry behaviour.
+The agent predicts every candidate's completion time once (one
+``predict_batch`` call) and a policy only *orders* that vector: it
+returns the indices of the ``k`` candidates to hand the client, best
+first.  The client works down the list on failure, so policy choice
+also shapes retry behaviour.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..errors import ConfigError
-from .predictor import Prediction
 from .registry import ServerEntry
 
 __all__ = [
@@ -32,54 +34,42 @@ __all__ = [
     "RoundRobinPolicy",
     "FastestPeakPolicy",
     "make_policy",
-    "mct_top_k",
 ]
-
-PredictEntry = Callable[[ServerEntry], Prediction]
 
 
 class SchedulingPolicy:
-    """Base class: rank candidates best-first."""
+    """Base class: pick and order ``k`` of the candidates.
+
+    ``totals[i]`` is the predicted seconds for ``entries[i]``; the
+    result indexes both.
+    """
 
     name = "base"
 
-    def rank(
-        self, entries: Sequence[ServerEntry], predict: PredictEntry
-    ) -> list[ServerEntry]:
+    def order(
+        self, entries: Sequence[ServerEntry], totals: Sequence[float], k: int
+    ) -> list[int]:
         raise NotImplementedError
 
 
 class MinimumCompletionTime(SchedulingPolicy):
     """Ascending predicted completion time; server id breaks ties so
-    equal predictions rank deterministically."""
+    equal predictions rank deterministically.
+
+    Partial selection, O(n log k): ``heapq.nsmallest`` is defined to
+    equal ``sorted(...)[:k]``, tie-break included.
+    """
 
     name = "mct"
 
-    def rank(self, entries, predict):
-        return sorted(
-            entries, key=lambda e: (predict(e).total, e.server_id)
-        )
+    def order(self, entries, totals, k):
+        def key(i: int) -> tuple[float, str]:
+            return (totals[i], entries[i].server_id)
 
-
-def mct_top_k(
-    entries: Sequence[ServerEntry], totals: Sequence[float], k: int
-) -> list[int]:
-    """Indices of the ``k`` best candidates under the MCT ordering.
-
-    Partial selection over precomputed totals: O(n log k) instead of the
-    full O(n log n) sort, while returning exactly
-    ``MinimumCompletionTime.rank(...)[:k]`` — ``heapq.nsmallest`` is
-    defined to equal ``sorted(...)[:k]``, including the (total,
-    server_id) tie-break.
-    """
-
-    def key(i: int) -> tuple[float, str]:
-        return (totals[i], entries[i].server_id)
-
-    indices = range(len(entries))
-    if k >= len(entries):
-        return sorted(indices, key=key)
-    return heapq.nsmallest(k, indices, key=key)
+        indices = range(len(entries))
+        if k >= len(entries):
+            return sorted(indices, key=key)
+        return heapq.nsmallest(k, indices, key=key)
 
 
 class RandomPolicy(SchedulingPolicy):
@@ -90,10 +80,10 @@ class RandomPolicy(SchedulingPolicy):
     def __init__(self, rng: np.random.Generator):
         self.rng = rng
 
-    def rank(self, entries, predict):
-        order = list(entries)
-        self.rng.shuffle(order)
-        return order
+    def order(self, entries, totals, k):
+        indices = list(range(len(entries)))
+        self.rng.shuffle(indices)
+        return indices[:k]
 
 
 class RoundRobinPolicy(SchedulingPolicy):
@@ -104,13 +94,15 @@ class RoundRobinPolicy(SchedulingPolicy):
     def __init__(self) -> None:
         self._counter = 0
 
-    def rank(self, entries, predict):
-        order = sorted(entries, key=lambda e: e.server_id)
-        if not order:
+    def order(self, entries, totals, k):
+        indices = sorted(
+            range(len(entries)), key=lambda i: entries[i].server_id
+        )
+        if not indices:
             return []
-        shift = self._counter % len(order)
+        shift = self._counter % len(indices)
         self._counter += 1
-        return order[shift:] + order[:shift]
+        return (indices[shift:] + indices[:shift])[:k]
 
 
 class FastestPeakPolicy(SchedulingPolicy):
@@ -118,8 +110,11 @@ class FastestPeakPolicy(SchedulingPolicy):
 
     name = "fastestpeak"
 
-    def rank(self, entries, predict):
-        return sorted(entries, key=lambda e: (-e.mflops, e.server_id))
+    def order(self, entries, totals, k):
+        return sorted(
+            range(len(entries)),
+            key=lambda i: (-entries[i].mflops, entries[i].server_id),
+        )[:k]
 
 
 def make_policy(

@@ -225,3 +225,54 @@ def test_negative_prediction_candidate_handled():
     kernel, _t, _a, client = make_world(script)
     handle = submit_and_settle(kernel, client, limit=3600.0)
     assert handle.status is RequestStatus.FAILED
+
+
+def test_bad_query_over_a_socket_leaves_the_connection_serving():
+    # over TCP an exception out of the agent's handler killed the
+    # connection's reader thread, uncounted, and the client burned its
+    # agent retries on a dead socket; a query the agent cannot use must
+    # cost one rejecting reply and leave that same connection serving
+    import time
+
+    from repro.core.agent import Agent
+    from repro.core.predictor import StaticNetworkInfo
+    from repro.problems.builtin import builtin_registry
+    from repro.problems.pdl import render_pdl
+    from repro.protocol.messages import QueryRequest, RegisterAck, RegisterServer
+    from repro.protocol.tcp import TcpTransport
+
+    class Inbox(Component):
+        def __init__(self):
+            self.got = []
+
+        def on_message(self, src, msg):
+            self.got.append(msg)
+
+    def wait_for(kind, tag=0):
+        deadline = time.monotonic() + 10.0
+        while time.monotonic() < deadline:
+            for msg in list(inbox.got):
+                if type(msg) is kind and getattr(msg, "tag", 0) == tag:
+                    return msg
+            time.sleep(0.01)
+        raise AssertionError(f"no {kind.__name__} tagged {tag} arrived")
+
+    with TcpTransport() as transport:
+        agent = Agent(network=StaticNetworkInfo())  # loopback links only
+        transport.add_node("agent", agent, port=0)
+        inbox = Inbox()
+        peer = transport.add_node("peer", inbox, port=0)
+        peer.send("agent", RegisterServer(
+            server_id="s0", host="sh", mflops=100.0,
+            problems_pdl=render_pdl(builtin_registry().spec("linsys/dgesv")),
+        ))
+        assert wait_for(RegisterAck).ok
+        query = dict(problem="linsys/dgesv", client_host="sh")
+        peer.send("agent", QueryRequest(sizes={"n": "abc"}, tag=1, **query))
+        reply = wait_for(QueryReply, tag=1)
+        assert not reply.ok and not reply.retryable
+        assert reply.detail.startswith("bad query: ")
+        peer.send("agent", QueryRequest(sizes={"n": 64}, tag=2, **query))
+        assert wait_for(QueryReply, tag=2).ok
+        assert agent.query_rejects == 1
+        assert peer._pool.dials == 1  # one connection carried all three

@@ -1,7 +1,7 @@
 """Property tests pinning the agent's query fast path to the scalar
 reference implementations.
 
-The fast path (compiled complexity expressions, vectorized
+The query path (compiled complexity expressions, vectorized
 ``predict_batch``, partial top-k selection) must change *nothing* about
 scheduling decisions: every test here asserts exact float equality and
 identical orderings, not approximate closeness.
@@ -15,11 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.predictor import LinkEstimate, predict, predict_batch
 from repro.core.registry import ServerTable
-from repro.core.scheduler import (
-    MinimumCompletionTime,
-    RoundRobinPolicy,
-    mct_top_k,
-)
+from repro.core.scheduler import MinimumCompletionTime, RoundRobinPolicy
 from repro.problems.complexity import Complexity
 
 
@@ -107,16 +103,10 @@ def test_mct_top_k_matches_full_sort(totals, k, dup):
             mflops=1.0, problems={"p"}, now=0.0,
         )
     entries = table.entries()
-    full = MinimumCompletionTime().rank(
-        entries,
-        lambda e: type(
-            "P", (), {"total": totals[entries.index(e)]}
-        )(),
+    full = sorted(
+        range(len(entries)), key=lambda i: (totals[i], entries[i].server_id)
     )
-    chosen = mct_top_k(entries, totals, k)
-    assert [entries[i].server_id for i in chosen] == [
-        e.server_id for e in full[:k]
-    ]
+    assert MinimumCompletionTime().order(entries, totals, k) == full[:k]
 
 
 # ----------------------------------------------------------------------
@@ -204,11 +194,14 @@ def test_roundrobin_rotation_survives_churn():
             mflops=1.0, problems={"p"}, now=0.0,
         )
     policy = RoundRobinPolicy()
-    predict = lambda e: None  # round robin never predicts
+
+    def rank(entries):  # round robin never reads the totals
+        order = policy.order(entries, [0.0] * len(entries), len(entries))
+        return [entries[i] for i in order]
 
     # full set: rotation advances one per query
     firsts = [
-        policy.rank(_entries(table, ["s0", "s1", "s2", "s3"]), predict)[0].server_id
+        rank(_entries(table, ["s0", "s1", "s2", "s3"]))[0].server_id
         for _ in range(4)
     ]
     assert firsts == ["s0", "s1", "s2", "s3"]
@@ -217,7 +210,7 @@ def test_roundrobin_rotation_survives_churn():
     # and the rotation keeps advancing (no stuck or skipped counter)
     shrunk = _entries(table, ["s0", "s2"])
     orders = [
-        tuple(e.server_id for e in policy.rank(shrunk, predict))
+        tuple(e.server_id for e in rank(shrunk))
         for _ in range(4)
     ]
     for order in orders:
@@ -232,7 +225,7 @@ def test_roundrobin_rotation_survives_churn():
     )
     grown = _entries(table, ["s0", "s1", "s2", "s3", "s9"])
     seen_firsts = {
-        policy.rank(grown, predict)[0].server_id for _ in range(5)
+        rank(grown)[0].server_id for _ in range(5)
     }
     assert seen_firsts == {"s0", "s1", "s2", "s3", "s9"}
 
@@ -286,5 +279,4 @@ def test_pending_heap_expires_out_of_order_holds():
     assert entry.live_pending(5.0) == 3
     assert entry.live_pending(10.0) == 2   # expiry at t<=now drops
     assert entry.live_pending(60.0) == 1
-    assert entry.effective_workload(60.0) == pytest.approx(100.0)
     assert entry.live_pending(100.0) == 0

@@ -228,6 +228,60 @@ def test_no_assignment_feedback_herds():
     assert len(set(firsts)) == 1
 
 
+GOOD_QUERY = dict(problem="linsys/dgesv", sizes={"n": 64}, client_host="ch")
+
+
+@pytest.mark.parametrize("bad", [
+    dict(sizes={}),
+    dict(sizes={"n": -5}),
+    dict(sizes={"n": "abc"}),
+    dict(resident={"s0": "x"}),
+    dict(client_host="nowhere"),
+    dict(sizes={"n": float("inf")}),
+    dict(sizes=["n"]),
+], ids=["unbound", "negative", "text-size", "text-resident", "unknown-host",
+        "infinite", "not-a-mapping"])
+def test_bad_query_values_get_a_counted_reject(bad):
+    """A frame can decode and still carry values the model cannot use;
+    each used to raise out of ``_handle_query`` (unwinding the sim
+    kernel, killing a TCP reader thread) and left the client to time
+    out.  Now: one rejecting reply, one count, no hint, agent intact."""
+    registry = MetricsRegistry()
+    kernel, transport, agent, probe = make_world(metrics=registry)
+    # no default link: a host the table does not know is an error
+    agent.network = StaticNetworkInfo(
+        {("ch", "sh"): LinkEstimate(latency=1e-4, bandwidth=1e9)}
+    )
+    send(kernel, transport, registration("s0"))
+    send(kernel, transport, QueryRequest(**{**GOOD_QUERY, **bad, "tag": 7}))
+    reply = probe.last(QueryReply)
+    assert reply is not None and reply.tag == 7
+    assert not reply.ok and not reply.retryable and not reply.candidates
+    assert reply.detail.startswith("bad query: ")
+    assert agent.query_rejects == 1
+    assert registry.snapshot()["counters"]["agent.query_rejects"] == 1
+    assert agent.table.get("s0").assignments == 0
+    assert agent.table.get("s0").pending == 0
+    send(kernel, transport, QueryRequest(**GOOD_QUERY, tag=8))
+    reply = probe.last(QueryReply)
+    assert reply.ok and reply.tag == 8
+    assert [c.server_id for c in reply.candidate_list()] == ["s0"]
+    assert agent.query_rejects == 1 and agent.queries_served == 2
+
+
+def test_negative_resident_bytes_are_no_bytes():
+    # a negative count used to be subtracted as-is, i.e. *added* to the
+    # bytes the send term charges for
+    kernel, transport, agent, probe = make_world(assignment_feedback=False)
+    send(kernel, transport, registration("s0"))
+    predicted = []
+    for resident in ({}, {"s0": -10**9}):
+        send(kernel, transport, QueryRequest(**GOOD_QUERY, resident=resident))
+        (head,) = probe.last(QueryReply).candidate_list()
+        predicted.append(head.predicted_seconds)
+    assert predicted[0] == predicted[1]
+
+
 def test_describe_problem_roundtrips_spec():
     kernel, transport, agent, probe = make_world()
     send(kernel, transport, registration())

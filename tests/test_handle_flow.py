@@ -247,32 +247,3 @@ def test_handle_free_ranking_bit_identical():
         input_bytes=np.full(n, 1_280_000.0), **kwargs
     )
     assert np.array_equal(scalar, array)
-
-
-def test_locality_consistent_across_ranking_paths():
-    # the scalar predict_entry path and the vectorized MCT path must
-    # agree on the locality-adjusted totals for every candidate
-    tb = standard_testbed(
-        n_servers=3, server_mflops=[50.0, 100.0, 200.0], seed=13,
-    )
-    tb.settle()
-    agent = tb.agent
-    spec = agent.specs["linsys/dgesv"]
-    env = {"n": 300}
-    entries = agent.table.candidates_for("linsys/dgesv", exclude=())
-    resident = {"s0": int(300 * 300 * 8)}
-    top, totals = agent._rank_mct_vectorized(
-        entries,
-        flops=spec.flops(env),
-        input_bytes=spec.input_bytes(env),
-        output_bytes=spec.output_bytes(env),
-        client_host="apollo",
-        now=agent.node.now(),
-        resident=resident,
-    )
-    for entry, total in zip(top, totals):
-        scalar = agent.predict_entry(
-            entry, spec, env, "apollo",
-            resident_bytes=resident.get(entry.server_id, 0),
-        )
-        assert total == scalar.total

@@ -8,7 +8,6 @@ from repro.core.predictor import (
     StaticNetworkInfo,
     effective_mflops,
     predict,
-    predict_for,
 )
 from repro.problems.builtin import builtin_registry
 
@@ -92,7 +91,12 @@ def test_predict_for_uses_spec_model():
     spec = builtin_registry().spec("linsys/dgesv")
     link = LinkEstimate(latency=0.001, bandwidth=1.25e6)
     n = 512
-    p = predict_for(spec, {"n": n}, link=link, peak_mflops=100.0, workload=0.0)
+    env = {"n": n}
+    p = predict(
+        flops=spec.flops(env), input_bytes=spec.input_bytes(env),
+        output_bytes=spec.output_bytes(env),
+        link=link, peak_mflops=100.0, workload=0.0,
+    )
     in_bytes = n * n * 8 + n * 8
     out_bytes = n * 8
     flops = 2 / 3 * n**3 + 2 * n**2
@@ -105,8 +109,12 @@ def test_predict_for_larger_problems_cost_more():
     spec = builtin_registry().spec("linsys/dgesv")
     link = LinkEstimate(latency=0.001, bandwidth=1.25e6)
     totals = [
-        predict_for(spec, {"n": n}, link=link, peak_mflops=100.0, workload=0.0).total
-        for n in (64, 256, 1024)
+        predict(
+            flops=spec.flops(env), input_bytes=spec.input_bytes(env),
+            output_bytes=spec.output_bytes(env),
+            link=link, peak_mflops=100.0, workload=0.0,
+        ).total
+        for env in ({"n": 64}, {"n": 256}, {"n": 1024})
     ]
     assert totals == sorted(totals)
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError, NetSolveError
-from repro.core.predictor import Prediction
 from repro.core.registry import ServerTable
 from repro.core.scheduler import (
     FastestPeakPolicy,
@@ -86,10 +85,10 @@ def test_pending_assignment_feedback():
     table.note_assignment("s0")
     entry = table.get("s0")
     assert entry.pending == 2
-    assert entry.effective_workload() == pytest.approx(200.0)
+    assert entry.live_pending(0.0) == 2
     table.report_workload("s0", 50.0, now=2.0)
     assert entry.pending == 0
-    assert entry.effective_workload() == pytest.approx(50.0)
+    assert entry.workload == 50.0
 
 
 def test_mark_failed_counts_and_suspects():
@@ -130,69 +129,63 @@ def test_known_problems_union():
 # ----------------------------------------------------------------------
 # policies
 # ----------------------------------------------------------------------
-def fixed_predict(values):
-    def predict(entry):
-        t = values[entry.server_id]
-        return Prediction(send_seconds=0.0, compute_seconds=t, recv_seconds=0.0)
-
-    return predict
+def ranked(policy, table, totals=None, k=None):
+    """Server ids in the order ``policy`` hands them out."""
+    entries = table.entries()
+    if totals is None:
+        totals = [1.0] * len(entries)
+    order = policy.order(entries, totals, len(entries) if k is None else k)
+    return [entries[i].server_id for i in order]
 
 
 def test_mct_sorts_by_prediction():
     table = table_with(3)
-    predict = fixed_predict({"s0": 3.0, "s1": 1.0, "s2": 2.0})
-    ranked = MinimumCompletionTime().rank(table.entries(), predict)
-    assert [e.server_id for e in ranked] == ["s1", "s2", "s0"]
+    policy = MinimumCompletionTime()
+    assert ranked(policy, table, [3.0, 1.0, 2.0]) == ["s1", "s2", "s0"]
+    assert ranked(policy, table, [3.0, 1.0, 2.0], k=2) == ["s1", "s2"]
 
 
 def test_mct_deterministic_tiebreak():
     table = table_with(3)
-    predict = fixed_predict({"s0": 1.0, "s1": 1.0, "s2": 1.0})
-    ranked = MinimumCompletionTime().rank(table.entries(), predict)
-    assert [e.server_id for e in ranked] == ["s0", "s1", "s2"]
+    policy = MinimumCompletionTime()
+    assert ranked(policy, table, [1.0, 1.0, 1.0]) == ["s0", "s1", "s2"]
+    assert ranked(policy, table, [1.0, 1.0, 1.0], k=2) == ["s0", "s1"]
 
 
 def test_random_policy_permutes_deterministically():
     table = table_with(5)
-    predict = fixed_predict({f"s{i}": 1.0 for i in range(5)})
-    p1 = RandomPolicy(np.random.default_rng(3))
-    p2 = RandomPolicy(np.random.default_rng(3))
-    r1 = [e.server_id for e in p1.rank(table.entries(), predict)]
-    r2 = [e.server_id for e in p2.rank(table.entries(), predict)]
+    r1 = ranked(RandomPolicy(np.random.default_rng(3)), table)
+    r2 = ranked(RandomPolicy(np.random.default_rng(3)), table)
     assert r1 == r2
     assert sorted(r1) == [f"s{i}" for i in range(5)]
+    # a short list is the head of the same permutation
+    assert ranked(RandomPolicy(np.random.default_rng(3)), table, k=2) == r1[:2]
 
 
 def test_random_policy_actually_shuffles():
     table = table_with(6)
-    predict = fixed_predict({f"s{i}": 1.0 for i in range(6)})
     policy = RandomPolicy(np.random.default_rng(0))
-    orders = {
-        tuple(e.server_id for e in policy.rank(table.entries(), predict))
-        for _ in range(20)
-    }
+    orders = {tuple(ranked(policy, table)) for _ in range(20)}
     assert len(orders) > 1
 
 
 def test_roundrobin_rotates():
     table = table_with(3)
-    predict = fixed_predict({"s0": 1.0, "s1": 1.0, "s2": 1.0})
     policy = RoundRobinPolicy()
-    firsts = [
-        policy.rank(table.entries(), predict)[0].server_id for _ in range(4)
-    ]
-    assert firsts == ["s0", "s1", "s2", "s0"]
+    firsts = [ranked(policy, table, k=1) for _ in range(4)]
+    assert firsts == [["s0"], ["s1"], ["s2"], ["s0"]]
+    assert ranked(policy, table) == ["s1", "s2", "s0"]
 
 
 def test_roundrobin_empty():
-    assert RoundRobinPolicy().rank([], lambda e: None) == []
+    assert RoundRobinPolicy().order([], [], 3) == []
 
 
 def test_fastest_peak_ignores_prediction():
     table = table_with(3)
-    predict = fixed_predict({"s0": 0.0, "s1": 100.0, "s2": 50.0})
-    ranked = FastestPeakPolicy().rank(table.entries(), predict)
-    assert [e.server_id for e in ranked] == ["s2", "s1", "s0"]
+    policy = FastestPeakPolicy()
+    assert ranked(policy, table, [0.0, 100.0, 50.0]) == ["s2", "s1", "s0"]
+    assert ranked(policy, table, [0.0, 100.0, 50.0], k=1) == ["s2"]
 
 
 def test_make_policy():
