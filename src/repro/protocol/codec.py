@@ -27,8 +27,9 @@ the parts is byte-identical to the single-buffer encoding, which
 :func:`frame_size` sums tag/header/``nbytes`` analytically,
 materializing nothing, so the simulated wire can charge a frame without
 serializing it.  On decode, frames held in a *writable*
-buffer (``bytearray``) yield ndarrays aliasing that buffer — no payload
-copy; read-only input (``bytes``) still copies so decoded arrays stay
+buffer (``bytearray``) yield ndarrays aliasing that buffer where the
+payload's offset is aligned for its dtype, and aligned copies where it
+is not; read-only input (``bytes``) always copies so decoded arrays stay
 writable either way.
 
 Per-message work is compiled, not interpreted: each registered class has
@@ -697,9 +698,11 @@ def decode_message(data) -> Message:
     """Decode one framed message; the buffer must hold exactly one frame.
 
     Accepts bytes, bytearray or a memoryview.  When the buffer is
-    writable (a ``bytearray``), decoded ndarrays alias it zero-copy; the
-    arrays keep the buffer alive, so only hand in a buffer you will not
-    recycle — or pass ``bytes`` to force owning copies.
+    writable (a ``bytearray``), a decoded ndarray whose payload offset is
+    aligned for its dtype aliases it; a misaligned one is copied (today's
+    layout puts ``blas/dgemm`` operands at such offsets).  Aliasing arrays
+    keep the buffer alive, so only hand in a buffer you will not recycle
+    — or pass ``bytes`` to force owning copies.
     """
     view = data if isinstance(data, memoryview) else memoryview(data)
     if len(view) < HEADER.size:

@@ -43,7 +43,12 @@ _ENVELOPE = struct.Struct("<I")
 #: beyond this is a hostile or corrupt peer, dropped before allocating
 _MAX_ENVELOPE = 4096
 _ACCEPT_BACKLOG = 64
+#: dial timeout, and how long an inbound read may stall mid-frame
 _CONNECT_TIMEOUT = 5.0
+#: per-connection receive buffer: fits an envelope plus codec header
+_RECV_BUFFER = 1 << 16
+#: larger bodies grow chunk by chunk: a forged length wastes one at most
+_BODY_CHUNK = 1 << 22
 #: outbound sockets unused this long are closed instead of reused
 _POOL_IDLE_TIMEOUT = 30.0
 #: pooled outbound sockets per node; least-recently-used beyond this close
@@ -82,9 +87,13 @@ def _read_exact_into(conn: socket.socket, view: memoryview) -> None:
         view = view[got:]
 
 
-def _read_exact(conn: socket.socket, n: int) -> bytearray:
+def _read_exact(conn: socket.socket, n: int, prefix=b"") -> bytearray:
+    """A fresh ``n``-byte buffer: ``prefix``, then the rest off ``conn``."""
+    if len(prefix) == n:
+        return bytearray(prefix)
     buf = bytearray(n)
-    _read_exact_into(conn, memoryview(buf))
+    buf[:len(prefix)] = prefix
+    _read_exact_into(conn, memoryview(buf)[len(prefix):])
     return buf
 
 
@@ -134,7 +143,8 @@ class _ConnPool:
         if time.monotonic() - last_used > self.idle_timeout or not self._alive(conn):
             _close_quietly(conn)
             return None
-        self.reuses += 1
+        with self._lock:  # concurrent senders share the counters
+            self.reuses += 1
         return conn
 
     @staticmethod
@@ -174,6 +184,75 @@ def _close_quietly(conn: socket.socket) -> None:
         conn.close()
     except OSError:  # pragma: no cover
         pass
+
+
+class _FrameReader:
+    """Buffered reader for one inbound connection: envelopes and headers
+    are parsed in place out of a reusable buffer; each frame gets its own
+    buffer at its final size, since decoded arrays may alias it."""
+
+    __slots__ = ("conn", "buf", "pos", "end")
+
+    def __init__(self, conn: socket.socket):
+        self.conn = conn
+        self.buf = memoryview(bytearray(_RECV_BUFFER))
+        self.pos = self.end = 0  # unread bytes are buf[pos:end]
+
+    def wait(self, idle_budget: float) -> bool:
+        """Block until the next message starts; False once the peer hangs
+        up or its socket timeouts add up past ``idle_budget``."""
+        if self.pos < self.end:
+            return True
+        self.pos = self.end = 0
+        idle_until = time.monotonic() + idle_budget
+        while True:
+            try:
+                self.end = self.conn.recv_into(self.buf)
+                return self.end > 0
+            except TimeoutError:
+                if time.monotonic() >= idle_until:
+                    return False
+
+    def _take(self, n: int) -> memoryview:
+        """The next ``n`` buffered bytes (``n`` fits the buffer)."""
+        while self.end - self.pos < n:
+            if self.pos + n > len(self.buf):  # slide the unread tail down
+                unread = self.end - self.pos
+                self.buf[:unread] = self.buf[self.pos:self.end]
+                self.pos, self.end = 0, unread
+            got = self.conn.recv_into(self.buf[self.end:])
+            if not got:
+                raise TransportError("peer closed mid-frame")
+            self.end += got
+        self.pos += n
+        return self.buf[self.pos - n:self.pos]
+
+    def message(self) -> tuple[str, str, Message]:
+        """Read one enveloped frame: ``(src, return endpoint, message)``.
+        Raises on anything malformed, before allocating what a hostile
+        length asks for."""
+        (src_len,) = _ENVELOPE.unpack(self._take(_ENVELOPE.size))
+        if src_len > _MAX_ENVELOPE:
+            raise TransportError("envelope source length over limit")
+        src = str(self._take(src_len), "utf-8")
+        (ret_len,) = _ENVELOPE.unpack(self._take(_ENVELOPE.size))
+        if ret_len > _MAX_ENVELOPE:
+            raise TransportError("envelope return length over limit")
+        ret = str(self._take(ret_len), "ascii")
+        _magic, _ver, _type, length = HEADER.unpack(self._take(HEADER.size))
+        if length > MAX_BODY:
+            raise TransportError("frame body length over limit")
+        total = HEADER.size + length
+        start = self.pos - HEADER.size
+        first = min(total, HEADER.size + _BODY_CHUNK)
+        self.pos = min(start + first, self.end)
+        frame = _read_exact(self.conn, first, self.buf[start:self.pos])
+        while len(frame) < total:
+            grown = len(frame)
+            frame += bytes(min(total - grown, _BODY_CHUNK))
+            _read_exact_into(self.conn, memoryview(frame)[grown:])
+        # ndarrays alias the frame where aligned for their dtype, else copy
+        return src, ret, decode_message(frame)
 
 
 class TcpNode(Node):
@@ -259,7 +338,8 @@ class TcpNode(Node):
                 return
         try:
             conn = socket.create_connection(key, timeout=_CONNECT_TIMEOUT)
-            self._pool.dials += 1
+            with self._pool._lock:  # concurrent senders share the counters
+                self._pool.dials += 1
             nbytes = _sendmsg_all(conn, parts)
         except OSError:
             if conn is not None:
@@ -376,6 +456,8 @@ class TcpNode(Node):
                 conn, _peer = self._listener.accept()
             except OSError:
                 return  # listener closed
+            # the mid-frame stall limit; idle time is budgeted on top of it
+            conn.settimeout(_CONNECT_TIMEOUT)
             with self._inbound_lock:
                 if not self.alive:
                     _close_quietly(conn)
@@ -389,28 +471,27 @@ class TcpNode(Node):
             ).start()
 
     def _serve_conn(self, conn: socket.socket) -> None:
+        # idle between messages is normal for a pooled sender; allow well
+        # past its idle timeout
+        idle_budget = self.transport.pool_idle_timeout * 2 + 1.0
+        reader, peer = _FrameReader(conn), None
         try:
             with conn:
-                # a connection now carries a message stream: loop until
-                # the sender hangs up (or its pool expires the socket)
+                # a connection carries a message stream: loop until the
+                # sender hangs up (or its pool expires the socket)
                 while True:
                     try:
-                        # idle between messages is normal for a pooled
-                        # sender; allow well past its idle timeout
-                        conn.settimeout(
-                            self.transport.pool_idle_timeout * 2 + 1.0
-                        )
-                        first = conn.recv(_ENVELOPE.size)
-                    except (OSError, TransportError):
+                        if not reader.wait(idle_budget):
+                            return  # clean close or idle between messages
+                    except OSError:
                         return
-                    if not first:
-                        return  # clean close between messages
                     try:
-                        src, ret, msg = self._read_message(conn, first)
-                        # learn the sender's return path (no-op for
-                        # same-process nodes)
-                        ip, port_text = ret.rsplit(":", 1)
-                        self.transport.learn_peer(src, ip, int(port_text))
+                        src, ret, msg = reader.message()
+                        if (src, ret) != peer:
+                            # learn the return path (no-op in-process)
+                            ip, port_text = ret.rsplit(":", 1)
+                            self.transport.learn_peer(src, ip, int(port_text))
+                            peer = (src, ret)
                     except Exception:
                         # malformed peer (hostile length, bad envelope,
                         # undecodable or cut-short frame): count it,
@@ -426,41 +507,6 @@ class TcpNode(Node):
         finally:
             with self._inbound_lock:
                 self._inbound.discard(conn)
-
-    @staticmethod
-    def _read_message(conn: socket.socket, first: bytes):
-        """Read one enveloped frame whose first bytes are ``first``;
-        returns ``(src, return endpoint, message)``.  Raises on anything
-        malformed, before allocating what a hostile length asks for."""
-        head = bytearray(first)
-        if len(head) < _ENVELOPE.size:
-            head += _read_exact(conn, _ENVELOPE.size - len(head))
-        conn.settimeout(_CONNECT_TIMEOUT)
-        (src_len,) = _ENVELOPE.unpack(head)
-        if src_len > _MAX_ENVELOPE:
-            raise TransportError("envelope source length over limit")
-        src = bytes(_read_exact(conn, src_len)).decode("utf-8")
-        (ret_len,) = _ENVELOPE.unpack(_read_exact(conn, _ENVELOPE.size))
-        if ret_len > _MAX_ENVELOPE:
-            raise TransportError("envelope return length over limit")
-        ret = bytes(_read_exact(conn, ret_len)).decode("ascii")
-        frame = bytearray(HEADER.size)
-        _read_exact_into(conn, memoryview(frame))
-        _magic, _ver, _type, length = HEADER.unpack_from(frame)
-        if length > MAX_BODY:
-            raise TransportError("frame body length over limit")
-        # grow with the data so a hostile length field costs at most one
-        # spare chunk, not 16 GiB
-        remaining = length
-        while remaining:
-            chunk = min(remaining, 1 << 22)
-            start = len(frame)
-            frame += bytes(chunk)
-            _read_exact_into(conn, memoryview(frame)[start:])
-            remaining -= chunk
-        # decode straight off the writable receive buffer: ndarray
-        # payloads alias it, no copy
-        return src, ret, decode_message(frame)
 
     def shutdown(self) -> None:
         with self.lock:

@@ -313,6 +313,28 @@ def test_decode_misaligned_payload_copies_to_aligned():
     assert np.array_equal(arr, a)
 
 
+def test_dgemm_frames_decode_to_aligned_copies():
+    # pins today's layout: in a real dgemm request and its reply every
+    # payload sits at a frame offset that is not 8-aligned, so decoding a
+    # received frame copies each operand (aliasing only where aligned)
+    rng = np.random.default_rng(3)
+    a, b, c = rng.standard_normal((3, 16, 16))
+    for msg, field in (
+        (SolveRequest(request_id=1, problem="blas/dgemm", inputs=(a, b)), "inputs"),
+        (SolveReply(request_id=1, ok=True, outputs=(c,)), "outputs"),
+    ):
+        wire = bytearray(encode_message(msg))
+        raw = np.frombuffer(wire, dtype=np.uint8)
+        got = getattr(decode_message(wire), field)
+        for arr, want in zip(got, getattr(msg, field)):
+            offset = bytes(wire).find(want.tobytes())
+            aligned = (raw.ctypes.data + offset) % 8 == 0
+            assert arr.flags.writeable and arr.flags.aligned
+            assert np.shares_memory(arr, raw) == aligned
+            assert offset % 8 != 0
+            assert np.array_equal(arr, want)
+
+
 def test_decode_from_bytes_still_copies():
     a = np.arange(64, dtype=np.float64)
     frame = encode_message(SolveRequest(request_id=1, problem="p", inputs=(a,)))

@@ -506,3 +506,199 @@ def test_drive_accepts_request_handles():
         assert handle.result() == ("ok",)
     finally:
         transport.close()
+
+
+# ----------------------------------------------------------------------
+# inbound reader: raw sockets against a live node
+# ----------------------------------------------------------------------
+def _enveloped(msg, src=b"raw-peer", ret=b"127.0.0.1:9") -> bytes:
+    import struct
+
+    from repro.protocol.codec import encode_message
+
+    return (
+        struct.pack("<I", len(src)) + src
+        + struct.pack("<I", len(ret)) + ret + encode_message(msg)
+    )
+
+
+class _Catcher(Component):
+    def __init__(self):
+        self.got = []
+
+    def on_message(self, src, msg):
+        self.got.append(msg)
+
+
+@pytest.fixture()
+def listener():
+    with TcpTransport() as transport:
+        catcher = _Catcher()
+        node = transport.add_node("rx", catcher)
+        yield transport, node, catcher
+
+
+def test_reader_delivers_frames_written_together_in_order(listener):
+    import socket
+
+    from repro.protocol.messages import SolveRequest
+
+    _transport, node, catcher = listener
+
+    def middle(k):
+        return SolveRequest(
+            request_id=2, problem="p", inputs=(np.ones(k, dtype=bool),)
+        )
+
+    # size the middle frame so the third record's envelope straddles the
+    # end of the reader's 64 KiB receive buffer
+    head = len(_enveloped(Ping(nonce=1)))
+    k = (1 << 16) - head - len(_enveloped(middle(0))) - 6
+    records = [Ping(nonce=1), middle(k), Ping(nonce=3)]
+    with socket.create_connection(("127.0.0.1", node.port)) as conn:
+        conn.sendall(b"".join(_enveloped(m) for m in records))
+        assert wait_for(lambda: len(catcher.got) == 3)
+    first, second, third = catcher.got
+    assert (first, third) == (Ping(nonce=1), Ping(nonce=3))
+    assert second.request_id == 2
+    assert np.array_equal(second.inputs[0], np.ones(k, dtype=bool))
+
+
+def test_reader_delivers_a_frame_dribbled_byte_by_byte(listener):
+    import socket
+    import time
+
+    _transport, node, catcher = listener
+    data = _enveloped(Ping(nonce=9))
+    with socket.create_connection(("127.0.0.1", node.port)) as conn:
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        for i in range(len(data)):
+            conn.sendall(data[i:i + 1])
+            time.sleep(0.001)
+        assert wait_for(lambda: catcher.got == [Ping(nonce=9)])
+
+
+def test_reader_roundtrips_a_body_beyond_one_chunk(listener):
+    import socket
+
+    from repro.protocol.messages import SolveRequest
+
+    transport, node, catcher = listener
+    a = RNG.standard_normal(5 * (1 << 20) // 8)  # 5 MiB: past the 4 MiB chunk
+    with socket.create_connection(("127.0.0.1", node.port)) as conn:
+        conn.sendall(
+            _enveloped(SolveRequest(request_id=5, problem="p", inputs=(a,)))
+        )
+        assert wait_for(lambda: len(catcher.got) == 1, timeout=WAIT)
+    got = catcher.got[0].inputs[0]
+    assert got.tobytes() == a.tobytes()
+    assert got.flags.writeable
+    assert transport.messages_malformed == 0
+
+
+@pytest.mark.parametrize("cut", [6, -2], ids=["mid_envelope", "mid_body"])
+def test_reader_drops_a_frame_stalled_mid_body(monkeypatch, cut):
+    import socket
+
+    from repro.protocol import tcp
+
+    monkeypatch.setattr(tcp, "_CONNECT_TIMEOUT", 0.2)
+    with TcpTransport() as transport:
+        catcher = _Catcher()
+        node = transport.add_node("rx", catcher)
+        data = _enveloped(Ping(nonce=1))
+        with socket.create_connection(("127.0.0.1", node.port)) as conn:
+            conn.sendall(data[:cut])  # frame cut short, connection held open
+            conn.settimeout(5.0)
+            assert conn.recv(1) == b""  # the listener gives up on it
+        assert wait_for(lambda: transport.messages_malformed == 1)
+        with socket.create_connection(("127.0.0.1", node.port)) as conn:
+            conn.sendall(_enveloped(Ping(nonce=2)))
+            assert wait_for(lambda: catcher.got == [Ping(nonce=2)])
+        assert transport.messages_malformed == 1
+
+
+def test_reader_keeps_a_connection_idle_between_messages(monkeypatch):
+    # the mid-frame stall limit must not apply between messages
+    import socket
+    import time
+
+    from repro.protocol import tcp
+
+    monkeypatch.setattr(tcp, "_CONNECT_TIMEOUT", 0.2)
+    with TcpTransport() as transport:
+        catcher = _Catcher()
+        node = transport.add_node("rx", catcher)
+        with socket.create_connection(("127.0.0.1", node.port)) as conn:
+            conn.sendall(_enveloped(Ping(nonce=1)))
+            assert wait_for(lambda: catcher.got == [Ping(nonce=1)])
+            time.sleep(0.5)
+            conn.sendall(_enveloped(Ping(nonce=2)))
+            assert wait_for(lambda: len(catcher.got) == 2)
+        assert catcher.got == [Ping(nonce=1), Ping(nonce=2)]
+        assert transport.messages_malformed == 0
+
+
+def test_reader_learns_each_new_return_path(listener):
+    import socket
+
+    transport, node, catcher = listener
+    with socket.create_connection(("127.0.0.1", node.port)) as conn:
+        for port in (9, 9, 10):
+            ret = f"127.0.0.1:{port}".encode()
+            conn.sendall(_enveloped(Ping(nonce=port), ret=ret))
+        assert wait_for(lambda: len(catcher.got) == 3)
+    assert transport.resolve("raw-peer") == ("127.0.0.1", 10)
+
+
+def test_reader_sets_the_socket_timeout_once_per_connection(
+    listener, monkeypatch
+):
+    import socket
+
+    _transport, node, catcher = listener
+    calls = []
+    settimeout = socket.socket.settimeout
+
+    def counting(sock, value):
+        calls.append(sock)
+        settimeout(sock, value)
+
+    monkeypatch.setattr(socket.socket, "settimeout", counting)
+    with socket.create_connection(("127.0.0.1", node.port)) as conn:
+        for i in range(20):
+            conn.sendall(_enveloped(Ping(nonce=i)))
+        assert wait_for(lambda: len(catcher.got) == 20)
+        assert len([s for s in calls if s is not conn]) == 1
+
+
+def test_pool_counters_exact_under_concurrent_sends():
+    import threading
+    import time
+
+    class YieldingInt(int):
+        # yields the GIL between an increment's read and its write, the
+        # window where an unlocked ``+= 1`` from another thread is lost
+        def __add__(self, other):
+            time.sleep(0)
+            return YieldingInt(int(self) + other)
+
+    threads, sends = 8, 50
+    with TcpTransport() as transport:
+        transport.add_node("rx", _Sink())
+        sender = transport.add_node("tx", _Sink())
+        pool = sender._pool
+        pool.dials, pool.reuses = YieldingInt(0), YieldingInt(0)
+        start = threading.Barrier(threads)
+
+        def blast():
+            start.wait()
+            for i in range(sends):
+                sender.send("rx", Ping(nonce=i))
+
+        workers = [threading.Thread(target=blast) for _ in range(threads)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join()
+        assert pool.dials + pool.reuses == threads * sends
