@@ -9,8 +9,8 @@ Measures broker throughput (queries/second) against table sizes of 10,
   one scalar prediction per candidate, and a full sort to ship the top
   ``candidate_list_length``;
 * ``fast``   — the shipped path: compiled+memoized complexity evaluated
-  once per query, the indexed table, ``predict_batch`` over candidate
-  arrays, and partial top-k selection.
+  once per query, the columnar table (candidate rows, gathered ranking
+  and link columns), one ``predict_batch``, and a stable argsort.
 
 Both paths run against the same agent state and must return identical
 candidate lists — the benchmark asserts decision equality before it
@@ -146,7 +146,8 @@ def _drain(agent: Agent):
     """Reset per-run side effects (reply sink, pending hints)."""
     agent.node.sent.clear()
     for entry in agent.table.entries():
-        entry.pending_expiries.clear()
+        # the bench clock never moves, so revival only drops the hints
+        agent.table.mark_alive(entry.server_id, agent.node.now())
 
 
 def _fast_reply(agent: Agent, msg: QueryRequest):
@@ -213,7 +214,7 @@ def test_agent_query_bench():
     lines.append("")
     lines.append(
         "legacy = seed path (per-candidate AST walks, full re-sorts); "
-        "fast = compiled complexity + indexed table + predict_batch + top-k"
+        "fast = compiled complexity + columnar table + predict_batch + argsort"
     )
     emit("BENCH_agent", "\n".join(lines))
 

@@ -9,9 +9,13 @@ Two scenarios, one headline JSON (``benchmarks/results/BENCH_fleet.json``):
   max(per-agent busy time)`` — the fleet runs on separate machines, so
   the busiest broker is the bottleneck.  With ``shard`` on, a non-owner
   hops a query one hop to its consistent-hash owner, so the ranking work
-  (the expensive part: predict_batch over the whole table) splits across
-  the fleet while every agent still pays the full churn cost.  Asserts
-  the headline claim: 3 agents >= 2.2x one agent.
+  (column gathers and predict_batch over the whole table) splits across
+  the fleet while every agent still pays the full churn cost and its
+  share of the hops.  Each configuration runs ``REPEATS`` times,
+  alternating, and each agent keeps its least busy run: a busy time is a
+  sum of ~100 µs handler calls, so one preemption of the process would
+  otherwise decide the ratio.  Asserts the headline claim: 3 agents >=
+  2.2x one agent.
 * **kill_agent** — a simulated ``fleet_testbed`` deployment (3 sharded
   agents, anti-entropy on); the primary agent is crashed mid-run and
   clients keep submitting.  Asserts zero failed requests and that the
@@ -39,6 +43,7 @@ N_SERVERS = 250 if SMOKE else 600
 N_QUERIES = 600 if SMOKE else 2400
 CHURN_EVERY = 10  # one churn-server (re-)registration per this many queries
 N_CHURN_SERVERS = 8  # dedicated churners cycling through registrations
+REPEATS = 3  # runs per configuration; each agent keeps its least busy
 
 
 def bench_pdl(n_problems: int) -> str:
@@ -154,13 +159,6 @@ class _Fleet:
             )
             self.drain(timed=False)
 
-    def reset_pending(self) -> None:
-        """Clear assignment hints so ranking cost stays flat over the
-        run (the simulated clock never advances, so holds never lapse)."""
-        for agent in self.agents.values():
-            for entry in agent.table.entries():
-                entry.pending_expiries.clear()
-
 
 def run_scaling(n_agents: int, *, shard: bool) -> dict:
     pdl = bench_pdl(N_PROBLEMS)
@@ -201,7 +199,9 @@ def run_scaling(n_agents: int, *, shard: bool) -> dict:
                 timed=True,
             )
             fleet.drain(timed=True)  # the mirror copies
-        fleet.reset_pending()
+        # assignment hints pile up (the clock never moves, so none
+        # lapses); the table keeps them as a count per row, so ranking
+        # cost stays flat over the run
 
     ok = [r for r in fleet.replies if r.ok]
     assert len(ok) == N_QUERIES, (len(ok), N_QUERIES)
@@ -217,6 +217,21 @@ def run_scaling(n_agents: int, *, shard: bool) -> dict:
         "served": served,
         "busy_seconds": dict(fleet.busy),
         "qps": N_QUERIES / bottleneck,
+    }
+
+
+def least_busy(runs: list[dict]) -> dict:
+    """Repeated runs of one configuration, each agent at its least busy
+    run; ``qps`` is recomputed from those busy times."""
+    busy = {
+        agent: min(r["busy_seconds"][agent] for r in runs)
+        for agent in runs[0]["busy_seconds"]
+    }
+    return {
+        **runs[0],
+        "repeats": len(runs),
+        "busy_seconds": busy,
+        "qps": runs[0]["queries"] / max(busy.values()),
     }
 
 
@@ -262,8 +277,11 @@ def run_kill_agent() -> dict:
 
 
 def test_fleet_bench():
-    single = run_scaling(1, shard=False)
-    fleet = run_scaling(3, shard=True)
+    singles, fleets = [], []
+    for _ in range(REPEATS):  # alternate, so drift hits both alike
+        singles.append(run_scaling(1, shard=False))
+        fleets.append(run_scaling(3, shard=True))
+    single, fleet = least_busy(singles), least_busy(fleets)
     speedup = fleet["qps"] / single["qps"]
 
     ring = HashRing(tuple(f"agent{i}" for i in range(3)))
@@ -286,7 +304,7 @@ def test_fleet_bench():
     lines += [
         "",
         f"speedup: {speedup:.2f}x  (aggregate q/s = queries / busiest "
-        "agent's handling time)",
+        f"agent's handling time, each agent's least of {REPEATS} runs)",
         f"shard ownership of {N_PROBLEMS} problems: "
         + " ".join(f"{a}:{n}" for a, n in spread.items()),
         "",

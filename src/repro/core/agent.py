@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from ..config import AgentConfig
-from ..errors import NetSolveError, PdlSyntaxError
+from ..errors import NetSolveError, PdlSyntaxError, ProtocolError
 from ..problems.pdl import parse_pdl, render_pdl
 from ..problems.spec import ProblemSpec
 from ..protocol.messages import (
@@ -59,10 +59,13 @@ from ..trace.instruments import Metric, MetricsRegistry, track
 from .fleet import HashRing, entry_fingerprint
 from .qos import QOS_CLASSES, qos_index
 from .predictor import NetworkInfo, predict_batch
-from .registry import ServerEntry, ServerTable
+from .registry import ServerTable, server_capacity
 from .scheduler import SchedulingPolicy, make_policy
 
 __all__ = ["Agent"]
+
+#: distinct problem catalogues an agent keeps parsed
+_CATALOGUES = 32
 
 
 class Agent(DispatchComponent):
@@ -105,6 +108,8 @@ class Agent(DispatchComponent):
                "busy reports turned into workload penalties"),
         Metric("agent.transfer_reports", "transfer_reports",
                "transfer observations received"),
+        Metric("agent.report_rejects", "report_rejects",
+               "workload/transfer reports dropped for unusable field values"),
         Metric("agent.describes", "describes_answered",
                "DescribeProblems answered"),
         Metric("agent.lists", "lists_answered", "ListProblems answered"),
@@ -160,6 +165,10 @@ class Agent(DispatchComponent):
         self.peers = tuple(peers)
         self.table = ServerTable()
         self.specs: dict[str, ProblemSpec] = {}
+        #: parsed problem catalogues by PDL text: a re-registration
+        #: mostly repeats its catalogue, and parsing it is most of what a
+        #: registration costs (specs are immutable, so sharing is safe)
+        self._catalogues: dict[str, tuple[ProblemSpec, ...]] = {}
         self.policy: SchedulingPolicy = make_policy(cfg.policy, rng)
         self.trace = trace
         self.use_workload = use_workload
@@ -316,12 +325,30 @@ class Agent(DispatchComponent):
         else:
             self.node.send(src, RegisterAck(ok=False, detail=detail))
 
+    def _parse_catalogue(
+        self, pdl: str, source: str
+    ) -> tuple[ProblemSpec, ...]:
+        """``parse_pdl`` memoised by text for the last
+        :data:`_CATALOGUES` distinct catalogues (oldest dropped first);
+        a failed parse is not kept."""
+        if not isinstance(pdl, str):
+            raise PdlSyntaxError(f"{source}: problem catalogue is not text")
+        specs = self._catalogues.get(pdl)
+        if specs is None:
+            specs = tuple(parse_pdl(pdl, source=source))
+            if len(self._catalogues) >= _CATALOGUES:
+                del self._catalogues[next(iter(self._catalogues))]
+            self._catalogues[pdl] = specs
+        return specs
+
     @handles(RegisterServer)
     def _handle_register(self, src: str, msg: RegisterServer) -> None:
         if msg.forwarded:
             self._note_peer(src)
         try:
-            specs = parse_pdl(msg.problems_pdl, source=f"<{msg.server_id}>")
+            specs = self._parse_catalogue(
+                msg.problems_pdl, f"<{msg.server_id}>"
+            )
         except PdlSyntaxError as exc:
             self._register_rejected(src, msg, str(exc))
             return
@@ -338,22 +365,26 @@ class Agent(DispatchComponent):
                     "existing description",
                 )
                 return
-        for spec in specs:
-            self.specs[spec.name] = spec
         # a mirror copy carries the server's real address; a direct
         # registration's address is the transport-level source
         server_address = msg.server_address if msg.forwarded else src
+        try:
+            entry = self.table.register(
+                server_id=msg.server_id,
+                address=server_address,
+                host=msg.host,
+                mflops=msg.mflops,
+                problems={s.name for s in specs},
+                now=self.node.now(),
+                slots=msg.slots,
+            )
+        except NetSolveError as exc:
+            self._register_rejected(src, msg, str(exc))
+            return
+        for spec in specs:
+            self.specs[spec.name] = spec
         if msg.forwarded and msg.server_endpoint:
             self.node.learn_endpoint(server_address, msg.server_endpoint)
-        self.table.register(
-            server_id=msg.server_id,
-            address=server_address,
-            host=msg.host,
-            mflops=msg.mflops,
-            problems={s.name for s in specs},
-            now=self.node.now(),
-            slots=max(1, int(msg.slots)),
-        )
         # the sync record mirrors what a peer would need to rebuild this
         # registration; the fields are normalised identically on the
         # direct, mirrored and sync-applied paths so fingerprints agree
@@ -365,8 +396,8 @@ class Agent(DispatchComponent):
                 else self.node.endpoint_of(src)
             ) or "",
             "host": msg.host,
-            "mflops": float(msg.mflops),
-            "slots": max(1, int(msg.slots)),
+            "mflops": entry.mflops,
+            "slots": entry.slots,
             "problems_pdl": msg.problems_pdl,
         }
         record["fp"] = entry_fingerprint(record)
@@ -411,16 +442,28 @@ class Agent(DispatchComponent):
                 forwarded=msg.forwarded,
             )
             return
-        self.table.report_workload(
-            msg.server_id, msg.workload, self.node.now(),
-            inflight=msg.inflight,
-        )
+        try:
+            self.table.report_workload(
+                msg.server_id, msg.workload, self.node.now(),
+                inflight=msg.inflight,
+            )
+        except ProtocolError as exc:
+            self._reject_report(msg, exc)
+            return
         self.reports_received += 1
         self._trace(
             "workload_report", server_id=msg.server_id, workload=msg.workload
         )
         if not msg.forwarded and self.peers:
             self._mirror(replace(msg, forwarded=True))
+
+    def _reject_report(self, msg, exc: ProtocolError) -> None:
+        """A report whose values cannot enter the model: count, trace and
+        drop it (nothing is folded in, nothing is mirrored)."""
+        self.report_rejects += 1
+        self._trace(
+            "report_rejected", message=type(msg).__name__, detail=str(exc)
+        )
 
     @handles(FailureReport)
     def _handle_failure(self, src: str, msg: FailureReport) -> None:
@@ -463,6 +506,11 @@ class Agent(DispatchComponent):
         observe = getattr(self.network, "observe", None)
         if observe is None:
             return  # static table: measurements are not folded in
+        try:
+            observe(msg.client_host, msg.server_host, msg.nbytes, msg.seconds)
+        except ProtocolError as exc:
+            self._reject_report(msg, exc)
+            return
         # measurements are ground truth like registrations and reports —
         # but unlike those, they arrive per completed request, so only a
         # learning fleet pays the mirror cost: with a static table every
@@ -470,7 +518,6 @@ class Agent(DispatchComponent):
         # scale with query volume instead of ground-truth events
         if not msg.forwarded and self.peers:
             self._mirror(replace(msg, forwarded=True))
-        observe(msg.client_host, msg.server_host, msg.nbytes, msg.seconds)
         self._trace(
             "transfer_observed",
             pair=(msg.client_host, msg.server_host),
@@ -574,20 +621,25 @@ class Agent(DispatchComponent):
     def _apply_sync_entry(self, entry) -> None:
         (sid, address, endpoint, host, mflops, slots,
          problems_pdl, workload, inflight, alive) = entry
+        try:
+            mflops, slots = server_capacity(sid, mflops, slots)
+        except NetSolveError as exc:
+            self._trace("sync_rejected", server_id=sid, detail=str(exc))
+            return
         record = {
             "server_id": sid,
             "address": address,
             "endpoint": endpoint or "",
             "host": host,
-            "mflops": float(mflops),
-            "slots": max(1, int(slots)),
+            "mflops": mflops,
+            "slots": slots,
             "problems_pdl": problems_pdl,
         }
         record["fp"] = entry_fingerprint(record)
         if sid in self._records and self._records[sid]["fp"] == record["fp"]:
             return  # healed already (a racing mirror or an earlier pull)
         try:
-            specs = parse_pdl(problems_pdl, source=f"<sync:{sid}>")
+            specs = self._parse_catalogue(problems_pdl, f"<sync:{sid}>")
         except PdlSyntaxError as exc:
             self._trace("sync_rejected", server_id=sid, detail=str(exc))
             return
@@ -606,27 +658,33 @@ class Agent(DispatchComponent):
                     detail=f"sync conflict on problem {spec.name!r}",
                 )
                 return
+        known_before = sid in self.table
+        try:
+            self.table.register(
+                server_id=sid,
+                address=address,
+                host=host,
+                mflops=mflops,
+                problems={s.name for s in specs},
+                now=self.node.now(),
+                slots=slots,
+            )
+        except NetSolveError as exc:
+            self._trace("sync_rejected", server_id=sid, detail=str(exc))
+            return
         for spec in specs:
             self.specs[spec.name] = spec
         if endpoint:
             self.node.learn_endpoint(address, endpoint)
-        known_before = sid in self.table
-        self.table.register(
-            server_id=sid,
-            address=address,
-            host=host,
-            mflops=float(mflops),
-            problems={s.name for s in specs},
-            now=self.node.now(),
-            slots=max(1, int(slots)),
-        )
         if not known_before:
             # seed the home agent's workload view; a server already in
             # the table keeps its own (possibly fresher) report stream
-            self.table.report_workload(
-                sid, float(workload), self.node.now(),
-                inflight=max(0, int(inflight)),
-            )
+            try:
+                self.table.report_workload(
+                    sid, workload, self.node.now(), inflight=inflight
+                )
+            except ProtocolError as exc:
+                self._trace("sync_rejected", server_id=sid, detail=str(exc))
         if not alive:
             self.table.mark_failed(sid)
         self._records[sid] = record
@@ -639,7 +697,7 @@ class Agent(DispatchComponent):
     # ------------------------------------------------------------------
     def _predict_totals(
         self,
-        entries: list[ServerEntry],
+        rows: np.ndarray,
         *,
         flops: float,
         input_bytes: float,
@@ -648,50 +706,37 @@ class Agent(DispatchComponent):
         now: float,
         resident: dict,
     ) -> np.ndarray:
-        """Predicted seconds per candidate — the agent's one prediction.
+        """Predicted seconds per candidate row — the agent's one prediction.
 
-        Gathers what the model needs of each candidate (link estimate,
-        peak, workload plus any live busy penalty, slots, live pending
-        hints when assignment feedback is on) and evaluates
-        :func:`predict_batch` once; every policy orders this vector.
-        ``resident`` (server_id -> input bytes already homed there)
-        switches the send term to per-candidate effective input bytes:
-        resident bytes never cross the wire.  Empty keeps the scalar
-        broadcast, so handle-free queries rank on the exact
-        pre-locality arithmetic.
+        Gathers what the model needs of each candidate from the table's
+        columns (link estimate, peak, workload plus any live busy
+        penalty, slots, live pending hints when assignment feedback is
+        on) and evaluates :func:`predict_batch` once; every policy
+        orders this vector.  ``resident`` (server_id -> input bytes
+        already homed there) switches the send term to per-candidate
+        effective input bytes: resident bytes never cross the wire.
+        Empty keeps the scalar broadcast, so handle-free queries rank on
+        the exact pre-locality arithmetic.
         """
-        n = len(entries)
-        latency = np.empty(n)
-        bandwidth = np.empty(n)
-        peak = np.empty(n)
-        workload = np.empty(n)
-        pending = np.zeros(n, dtype=np.int64)
-        slots = np.ones(n, dtype=np.int64)
-        feedback = self.assignment_feedback
-        link_of = self.network.link
-        # many servers share a host; one link lookup per distinct host
-        links: dict[str, tuple[float, float]] = {}
-        for i, e in enumerate(entries):
-            link = links.get(e.host)
-            if link is None:
-                est = link_of(client_host, e.host)
-                link = (est.latency, est.bandwidth)
-                links[e.host] = link
-            latency[i], bandwidth[i] = link
-            peak[i] = e.mflops
-            workload[i] = e.current_workload(now)
-            slots[i] = e.slots
-            if feedback and e.pending_expiries:
-                pending[i] = e.live_pending(now)
+        table = self.table
+        latency, bandwidth = table.link_columns(
+            self.network, client_host, rows
+        )
+        peak, workload, slots, pending = table.ranking_columns(rows, now)
+        if not self.assignment_feedback:
+            pending[:] = 0
         in_bytes: "float | np.ndarray" = input_bytes
         if resident:
-            in_bytes = np.array(
-                [
-                    max(0.0, input_bytes - resident.get(e.server_id, 0))
-                    for e in entries
-                ],
-                dtype=np.float64,
-            )
+            in_bytes = np.full(len(rows), input_bytes, dtype=np.float64)
+            held = {
+                table.get(server_id).row: nbytes
+                for server_id, nbytes in resident.items()
+                if server_id in table
+            }
+            # one pass over the candidates, a Python step only for the
+            # ones holding resident bytes
+            for i in np.flatnonzero(np.isin(rows, list(held))).tolist():
+                in_bytes[i] = max(0.0, input_bytes - held[int(rows[i])])
         return predict_batch(
             flops=flops,
             input_bytes=in_bytes,
@@ -823,7 +868,7 @@ class Agent(DispatchComponent):
             # (dict() turns a field that is no mapping into a TypeError)
             env = {k: int(v) for k, v in dict(msg.sizes).items()}
             totals = self._predict_totals(
-                entries,
+                entries.rows,
                 # spec-derived quantities depend only on (spec, env):
                 # one evaluation per query, not one per candidate
                 flops=spec.flops(env),

@@ -30,12 +30,14 @@ mismatch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Mapping, Optional, Protocol
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, ProtocolError
 
 __all__ = [
     "LinkEstimate",
@@ -44,6 +46,7 @@ __all__ = [
     "LearnedNetworkInfo",
     "Prediction",
     "effective_mflops",
+    "finite_real",
     "predict",
     "predict_batch",
 ]
@@ -66,8 +69,34 @@ class LinkEstimate:
         return self.latency + nbytes / self.bandwidth
 
 
+def finite_real(value, what: str) -> float:
+    """``value`` as a float; a :class:`ProtocolError` unless it is a finite
+    real number.
+
+    The check every peer-reported quantity passes before it can reach a
+    prediction: text, ``inf`` and ``nan`` are refused here rather than
+    ranked through.
+    """
+    # builtin types first: the ABC isinstance check is slow, and
+    # every workload report passes through here
+    if isinstance(value, (float, int)) or isinstance(value, Real):
+        try:
+            number = float(value)
+        except OverflowError:  # an int beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ProtocolError(f"{what} must be a finite number, got {value!r:.40}")
+
+
 class NetworkInfo(Protocol):
-    """Provider of link estimates between named hosts."""
+    """Provider of link estimates between named hosts.
+
+    ``version`` changes whenever any estimate may have changed, so a
+    consumer can cache what ``link`` returned until it moves.
+    """
+
+    version: int
 
     def link(self, a: str, b: str) -> LinkEstimate: ...
 
@@ -91,6 +120,8 @@ class StaticNetworkInfo:
         self._table: dict[tuple[str, str], LinkEstimate] = {}
         self.default = default
         self.loopback = loopback or LinkEstimate(latency=20e-6, bandwidth=400e6)
+        #: bumped by every :meth:`set`
+        self.version = 0
         if table:
             for (a, b), est in table.items():
                 self.set(a, b, est)
@@ -98,6 +129,7 @@ class StaticNetworkInfo:
     def set(self, a: str, b: str, est: LinkEstimate) -> None:
         self._table[(a, b)] = est
         self._table[(b, a)] = est
+        self.version += 1
 
     def link(self, a: str, b: str) -> LinkEstimate:
         if a == b:
@@ -130,15 +162,31 @@ class LearnedNetworkInfo:
         self._learned: dict[tuple[str, str], float] = {}
         self.observations = 0
 
+    @property
+    def version(self) -> int:
+        """Moves with every folded observation and with the prior's own
+        version (both only ever grow, so their sum does too)."""
+        return self.observations + self.prior.version
+
     @staticmethod
     def _key(a: str, b: str) -> tuple[str, str]:
         return (a, b) if a <= b else (b, a)
 
     def observe(self, a: str, b: str, nbytes: float, seconds: float) -> None:
-        """Fold one realized transfer into the path's bandwidth belief."""
+        """Fold one realized transfer into the path's bandwidth belief.
+
+        A value that is not a finite number, or a rate that overflows,
+        raises :class:`ProtocolError` and leaves the belief untouched.
+        """
+        nbytes = finite_real(nbytes, "nbytes")
+        seconds = finite_real(seconds, "seconds")
         if nbytes <= 0 or seconds <= 0:
             return  # nothing to learn from degenerate reports
         observed = nbytes / seconds
+        if not math.isfinite(observed):
+            raise ProtocolError(
+                f"transfer rate {nbytes} B / {seconds} s overflows"
+            )
         key = self._key(a, b)
         current = self._learned.get(key)
         if current is None:

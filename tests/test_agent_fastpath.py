@@ -246,7 +246,7 @@ def test_reregistration_updates_problem_index():
     table.register(server_id="s0", address="a", host="h",
                    mflops=1.0, problems={"q", "r"}, now=1.0)
     assert table.known_problems() == {"q", "r"}
-    assert table.candidates_for("p") == []
+    assert len(table.candidates_for("p")) == 0
     assert [e.server_id for e in table.candidates_for("r")] == ["s0"]
     assert [e.server_id for e in table.candidates_for("q")] == ["s0", "s1"]
 

@@ -15,7 +15,14 @@ check keeps a second path from growing back:
   — no policy gets a private branch of ``_handle_query``;
 * every ``SchedulingPolicy`` subclass in ``core/scheduler.py`` defines
   ``order`` and nothing named ``rank`` — a policy orders the totals it
-  is handed, it is not handed a way to predict.
+  is handed, it is not handed a way to predict;
+* no module under ``src/``, ``tests/`` or ``benchmarks/`` other than
+  ``core/registry.py`` assigns to a ``ServerEntry`` ranking field: the
+  fields are views of the table's columns, and the table's methods are
+  their one writer.  An entry is recognised as what the table hands
+  out — ``<...>table.get(...)`` / ``.register(...)``, an element of
+  ``entries()`` / ``alive_entries()`` / ``candidates_for(...)``, or a
+  name bound to one of those in the same function.
 
 The walk is syntactic, like ``test_lint_server_pipeline``.
 """
@@ -23,9 +30,19 @@ The walk is syntactic, like ``test_lint_server_pipeline``.
 import ast
 from pathlib import Path
 
-CORE = Path(__file__).resolve().parents[1] / "src" / "repro" / "core"
+ROOT = Path(__file__).resolve().parents[1]
+CORE = ROOT / "src" / "repro" / "core"
 AGENT = CORE / "agent.py"
 SCHEDULER = CORE / "scheduler.py"
+REGISTRY = CORE / "registry.py"
+
+#: ServerEntry properties that read the table's ranking columns
+RANKING_FIELDS = frozenset({
+    "mflops", "slots", "workload", "penalty_workload", "penalty_until",
+    "alive", "pending",
+})
+_LOOKUPS = ("get", "register")
+_VIEWS = ("entries", "alive_entries", "candidates_for")
 
 
 def _callee(call: ast.Call) -> str:
@@ -80,6 +97,125 @@ def policy_violations(source: str, filename: str) -> list[str]:
     if len(policies) == 1:
         found.append(f"{filename}: no SchedulingPolicy subclass found")
     return found
+
+
+def _method_call(node, names) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in names
+    )
+
+
+def _is_table(node) -> bool:
+    name = (
+        node.id if isinstance(node, ast.Name)
+        else node.attr if isinstance(node, ast.Attribute) else ""
+    )
+    return name.endswith("table")
+
+
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _scopes(tree):
+    """The module and each function, with the nodes each owns (those
+    outside its nested functions)."""
+    for scope in [tree, *(
+        n for n in ast.walk(tree) if isinstance(n, _FUNCTIONS)
+    )]:
+        owned, todo = [], list(ast.iter_child_nodes(scope))
+        while todo:
+            node = todo.pop()
+            owned.append(node)
+            if not isinstance(node, _FUNCTIONS):
+                todo.extend(ast.iter_child_nodes(node))
+        yield owned
+
+
+def entry_field_writes(source: str, filename: str) -> list[str]:
+    found = set()
+    for nodes in _scopes(ast.parse(source, filename=filename)):
+        bound: set[str] = set()
+
+        def is_entry(node) -> bool:
+            if _method_call(node, _LOOKUPS):
+                return _is_table(node.func.value)
+            if isinstance(node, ast.Subscript):
+                return _method_call(node.value, _VIEWS)
+            return isinstance(node, ast.Name) and node.id in bound
+
+        for node in nodes:  # names bound to an entry, in this scope
+            if isinstance(node, ast.Assign) and is_entry(node.value):
+                bound.update(
+                    t.id for t in node.targets if isinstance(t, ast.Name)
+                )
+            elif isinstance(node, (ast.For, ast.comprehension)) and \
+                    _method_call(node.iter, _VIEWS) and \
+                    isinstance(node.target, ast.Name):
+                bound.add(node.target.id)
+        for node in nodes:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            elif isinstance(node, ast.Delete):
+                targets = node.targets
+            else:
+                continue
+            for target in targets:
+                for t in ast.walk(target):
+                    if isinstance(t, ast.Attribute) and \
+                            t.attr in RANKING_FIELDS and is_entry(t.value):
+                        found.add((t.lineno, t.attr))
+    return [
+        f"{filename}:{line}: assigns ServerEntry.{attr} — write through "
+        "a ServerTable method"
+        for line, attr in sorted(found)
+    ]
+
+
+def test_ranking_fields_have_one_writer():
+    failures = []
+    for top in ("src", "tests", "benchmarks"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            if path == REGISTRY:
+                continue
+            failures += entry_field_writes(
+                path.read_text(encoding="utf-8"),
+                str(path.relative_to(ROOT)),
+            )
+    assert not failures, "\n".join(failures)
+
+
+def test_writer_lint_catches_entry_writes_and_nothing_else():
+    bad = (
+        "def f(table, agent):\n"
+        "    entry = table.register(server_id='s0')\n"
+        "    entry.workload = 50.0\n"
+        "    agent.table.get('s1').alive = False\n"
+        "    for e in agent.table.entries():\n"
+        "        e.pending += 1\n"
+        "    table.candidates_for('p')[0].mflops, x = 2.0, 1\n"
+    )
+    found = entry_field_writes(bad, "<synthetic>")
+    assert [f.split(":")[1] for f in found] == ["3", "4", "6", "7"]
+    good = (
+        "def g(self, tb, node, table):\n"
+        "    tb.servers['s'].mflops = 10.0\n"  # a server, not an entry
+        "    node.alive = True\n"
+        "    self.alive = False\n"
+        "    entry = table.get('s0')\n"
+        "    entry.last_report = 3.0\n"  # a cold field
+        "    cache = store.get('k')\n"
+        "    cache.workload = 1.0\n"  # not a table lookup
+        "def h(table):\n"
+        "    entry = table.get('s0')\n"
+        "def k(store):\n"
+        "    entry = store.get('k')\n"
+        "    entry.alive = True\n"  # another function's name
+    )
+    assert entry_field_writes(good, "<synthetic>") == []
 
 
 def test_agent_has_one_ranking_path():

@@ -229,7 +229,7 @@ def test_penalize_and_decay():
         server_id="s0", address="a0", host="h0", mflops=100.0,
         problems={"p"}, now=0.0,
     )
-    entry.workload = 50.0
+    table.report_workload("s0", 50.0, now=0.0)
     assert entry.current_workload(0.0) == 50.0
     table.penalize("s0", 10.0, workload=100.0, hold_for=30.0)
     assert entry.current_workload(10.0) == 150.0

@@ -116,7 +116,7 @@ def test_candidates_filtering():
     assert [c.server_id for c in cands] == ["s0", "s2"]
     cands = table.candidates_for("p", exclude=("s0",))
     assert [c.server_id for c in cands] == ["s2"]
-    assert table.candidates_for("unknown-problem") == []
+    assert len(table.candidates_for("unknown-problem")) == 0
 
 
 def test_known_problems_union():
