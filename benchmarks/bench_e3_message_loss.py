@@ -74,6 +74,10 @@ def test_e3_message_loss_tolerance(benchmark):
     emit("E3_message_loss", text)
 
     by_rate = {r["rate"]: r for r in results}
+    # what the loop guarantees at any loss rate: every request settles,
+    # completed or failed — loss never strands one in flight
+    for rate, r in by_rate.items():
+        assert r["completed"] + r["failed"] == N_REQUESTS, rate
     # the clean run is the baseline
     assert by_rate[0.0]["completed"] == N_REQUESTS
     assert by_rate[0.0]["retries"] == 0
@@ -84,8 +88,7 @@ def test_e3_message_loss_tolerance(benchmark):
     assert by_rate[0.10]["makespan"] > by_rate[0.0]["makespan"]
     # at 20% the control plane itself erodes (lost workload reports keep
     # servers suspect; lost queries burn the agent-retry budget): the
-    # majority still completes, but degradation is real and honest — the
-    # 1996 design assumed TCP underneath, not a 20%-lossy datagram path
+    # majority still completes, at a visibly higher latency — the 1996
+    # design assumed TCP underneath, not a 20%-lossy datagram path
     assert by_rate[0.20]["completed"] >= 0.5 * N_REQUESTS
-    assert by_rate[0.20]["failed"] > 0
     assert by_rate[0.20]["makespan"] > by_rate[0.10]["makespan"]

@@ -248,9 +248,6 @@ class ClientConfig:
     timeout_floor: float = 10.0
     #: re-query the agent for a fresh candidate list after exhausting one
     requery_agent: bool = True
-    #: send a TransferReport after each success (feeds the agent's
-    #: learned network table; harmless when the agent does not learn)
-    report_transfers: bool = True
     #: compute a content digest per request and carry it in the agent
     #: query, enabling one-RTT answers from the agent's hot cache.
     #: Off by default: an undigested query is byte-identical whether or

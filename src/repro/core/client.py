@@ -13,6 +13,13 @@ non-blocking submit/probe/wait triple (``netslnb``/``netslpr``/
    runs dry — the paper's transparent fault-tolerance loop;
 4. resolve the request's promise with the outputs.
 
+Everything in flight is one of two records.  A solve — brokered or
+pinned — is an ``_Active``, and ``_finish`` is the only code that
+settles one.  Every other exchange (describe, list, candidate query,
+store / delete, fetch, result lookup, DAG) is a ``_Call`` in one table,
+keyed by what its reply is matched on — a GridRPC call id — and
+``_answer`` is the only code that settles one.
+
 Every request keeps a full :class:`~repro.core.request.RequestRecord`
 timeline, which is where the breakdown/fault experiments read from.
 The same lifecycle is counted on the client itself (``METRICS``; an
@@ -25,53 +32,28 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Any, Optional, Sequence
+from typing import Any, Hashable, Optional, Sequence
 
 from ..config import ClientConfig
 from ..errors import (
-    BadArgumentsError,
-    MissingObjectError,
-    NetSolveError,
-    ProblemNotFoundError,
-    RequestFailed,
+    BadArgumentsError, MissingObjectError, NetSolveError,
+    ProblemNotFoundError, RequestFailed,
 )
 from ..problems.pdl import parse_pdl
 from ..problems.spec import ProblemSpec, validate_inputs
 from ..protocol.messages import (
-    Busy,
-    Candidate,
-    DagNodeDone,
-    DagReply,
-    DataHandle,
-    DescribeProblem,
-    FailureReport,
-    FetchObject,
-    FetchResult,
-    ListProblems,
-    ObjectPayload,
-    ProblemDescription,
-    ProblemList,
-    QueryReply,
-    QueryRequest,
-    DeleteObject,
-    ObjectRef,
-    ResultStatus,
-    SolveReply,
-    SolveRequest,
-    StoreAck,
-    StoreObject,
-    SubmitDag,
-    TransferReport,
+    Busy, Candidate, DagNodeDone, DagReply, DataHandle, DeleteObject,
+    DescribeProblem, FailureReport, FetchObject, FetchResult, ListProblems,
+    ObjectPayload, ObjectRef, ProblemDescription, ProblemList, QueryReply,
+    QueryRequest, ResultStatus, SolveReply, SolveRequest, StoreAck,
+    StoreObject, SubmitDag, TransferReport,
 )
 from ..protocol.transport import Promise
-from ..runtime import DeadlineTable, DispatchComponent, RetryChain, handles
+from ..runtime import DeadlineTable, DispatchComponent, handles
 from ..store import solve_digest
 from ..trace.events import EventLog
 from ..trace.instruments import (
-    ERROR_SECONDS_BUCKETS,
-    Metric,
-    MetricsRegistry,
-    track,
+    ERROR_SECONDS_BUCKETS, Metric, MetricsRegistry, track,
 )
 from ..trace.spans import SpanLog
 from .qos import QOS_DEFAULT, normalize_qos
@@ -105,30 +87,16 @@ class RequestHandle:
 
 
 class _Active:
-    """Internal per-request state."""
+    """One solve in flight, brokered or pinned."""
 
     __slots__ = (
-        "handle",
-        "record",
-        "problem",
-        "raw_args",
-        "inputs",
-        "env",
-        "digest",
-        "candidates",
-        "tried",
-        "current",
-        "attempt",
-        "pinned",
-        "keep_result",
-        "payloads",
-        "resubmitted",
-        "query_silences",
-        "span",
-        "qos",
+        "handle", "record", "problem", "raw_args", "inputs", "env", "digest",
+        "candidates", "tried", "current", "attempt", "pinned", "keep_result",
+        "payloads", "resubmitted", "query_silences", "span", "qos",
     )
 
-    def __init__(self, handle: RequestHandle, problem: str, raw_args: list):
+    def __init__(self, handle: RequestHandle, problem: str, raw_args: list,
+                 pinned: bool, keep_result: bool, payloads, qos: str):
         self.handle = handle
         self.record = handle.record
         self.problem = problem
@@ -142,34 +110,58 @@ class _Active:
         self.current: Optional[Candidate] = None
         self.attempt: Optional[AttemptRecord] = None
         #: pinned requests bypass the agent and never fail over
-        self.pinned = False
+        self.pinned = pinned
         #: ask the server to leave outputs resident (reply carries handles)
-        self.keep_result = False
+        self.keep_result = keep_result
         #: key -> value fallback for handle inputs: a missing-object
         #: error re-submits once with these inlined instead of failing
-        self.payloads: dict[str, Any] = {}
+        self.payloads: dict[str, Any] = dict(payloads or {})
         #: the one payload re-submission has been spent
         self.resubmitted = False
-        #: unanswered agent queries so far (control-message retry budget)
+        #: agent silences and empty answers so far (re-query budget)
         self.query_silences = 0
         #: per-request span (None when no SpanLog is attached)
         self.span = None
         #: QoS class carried on the query and the solve ("" = batch)
-        self.qos = ""
+        self.qos = qos
 
 
-class _DagState:
-    """Client-side state of one in-flight request DAG."""
+class _Call:
+    """One outstanding control exchange — one GridRPC call.
 
-    __slots__ = ("promise", "on_node", "interval", "address")
+    ``key`` is what the reply is matched on, and names the call's
+    deadline; ``target`` is the server it goes to, or "" for the current
+    agent (a resend then rotates the agent list).  ``attempts`` sends
+    are allowed, each waiting ``interval`` seconds; then the waiters get
+    ``RequestFailed(give_up)``.  ``waiters`` are the promises the answer
+    settles (and, on a describe, the solves waiting for the spec).
+    ``behind`` holds later calls on the same key that ask something
+    different: they go out one at a time, in call order.
+    """
 
-    def __init__(self, promise: Promise, on_node, interval: float, address: str):
-        self.promise = promise
-        #: optional per-node progress callback (receives each DagNodeDone)
-        self.on_node = on_node
-        #: liveness window, re-armed on every node completion
+    __slots__ = ("key", "target", "msg", "attempts", "interval", "give_up",
+                 "waiters", "sent", "behind", "on_node", "want_handle")
+
+    def __init__(self, key: Hashable, target: str, msg, attempts: int,
+                 interval: float, give_up: str, waiter, on_node=None,
+                 want_handle: bool = False):
+        self.key = key
+        self.target = target
+        self.msg = msg
+        self.attempts = attempts
         self.interval = interval
-        self.address = address
+        self.give_up = give_up
+        self.waiters: list = [waiter]
+        self.sent = 0
+        self.behind: list[_Call] = []
+        #: DAG progress callback, given each DagNodeDone
+        self.on_node = on_node
+        #: a store that resolves with the ack's DataHandle, not its size
+        self.want_handle = want_handle
+
+
+#: calls that change server state: two of them never share one answer
+_MUTATIONS = (StoreObject, DeleteObject)
 
 
 class NetSolveClient(DispatchComponent):
@@ -208,7 +200,7 @@ class NetSolveClient(DispatchComponent):
         Metric("client.store_ops", "store_ops",
                "store/delete operations started"),
         Metric("client.store_timeouts", "store_timeouts",
-               "store/delete batches timed out"),
+               "store/delete operations timed out"),
         Metric("client.fetches", "fetches", "FetchResult lookups started"),
         Metric("client.object_fetches", "object_fetches",
                "FetchObject pulls started"),
@@ -247,22 +239,14 @@ class NetSolveClient(DispatchComponent):
         track(self, metrics)
         self.spans = spans
         self._rids = itertools.count(1)
-        self._specs: dict[str, ProblemSpec] = {}
-        self._describing: dict[str, list[_Active]] = {}
-        self._spec_waiters: dict[str, list[Promise]] = {}
-        self._listing: dict[str, list[Promise]] = {}
-        self._storing: dict[tuple[str, str], list[tuple[Promise, bool]]] = {}
-        self._fetching: dict[tuple[str, int], list[Promise]] = {}
-        #: (server address, key) -> promises awaiting an ObjectPayload
-        self._object_fetches: dict[tuple[str, str], list[Promise]] = {}
-        #: dag_id -> in-flight DAG state
-        self._dags: dict[str, _DagState] = {}
         self._dag_ids = itertools.count(1)
-        self._queries: dict[int, Promise] = {}
+        self._specs: dict[str, ProblemSpec] = {}
+        #: every control exchange in flight, by the key its reply carries
+        self._calls: dict[Hashable, _Call] = {}
         self._active: dict[int, _Active] = {}
         #: every timeout this client arms, keyed and generation-safe;
-        #: tuple keys name control-plane batches, bare request-id ints
-        #: name the per-request timer (ints and tuples cannot collide)
+        #: a ``_Call`` key names a control exchange, a bare request-id
+        #: int names the per-request timer (ints and tuples cannot collide)
         self._deadlines = DeadlineTable(self)
         #: every record ever created, terminal or not (experiment data)
         self.records: list[RequestRecord] = []
@@ -300,12 +284,8 @@ class NetSolveClient(DispatchComponent):
         failed = self._agents.pop(0)
         self._agents.append(failed)
         self.agent_failovers += 1
-        self._trace(
-            "agent_failover",
-            context=context,
-            from_agent=failed,
-            to_agent=self._agents[0],
-        )
+        self._trace("agent_failover", context=context, from_agent=failed,
+                    to_agent=self._agents[0])
 
     def _agent_attempts(self) -> int:
         """Retry budget for one-shot catalogue messages (list/candidates).
@@ -317,7 +297,7 @@ class NetSolveClient(DispatchComponent):
         return max(1, min(self.cfg.agent_retries, len(self._agents)))
 
     # ------------------------------------------------------------------
-    # public API
+    # public API: solves
     # ------------------------------------------------------------------
     def submit(
         self,
@@ -343,46 +323,48 @@ class NetSolveClient(DispatchComponent):
         ``cfg.default_qos``) — servers order admission and shed per
         class (see :mod:`repro.core.qos`).
         """
-        qos = normalize_qos(qos or self.cfg.default_qos)
-        if qos == QOS_DEFAULT:
-            qos = ""  # the default class rides the wire as "" (cheaper)
-        rid = next(self._rids)
-        record = RequestRecord(
-            request_id=rid,
-            problem=problem,
-            sizes={},
-            t_submit=self.node.now(),
-        )
-        handle = RequestHandle(record, self.node.promise())
-        self.records.append(record)
-        req = _Active(handle, problem, list(args))
-        req.keep_result = keep_result
-        req.payloads = dict(payloads or {})
-        req.qos = qos
-        self._active[rid] = req
-        self._trace("submit", request_id=rid, problem=problem)
-        self.submits += 1
-        if self.spans is not None:
-            req.span = self.spans.begin(
-                rid, problem, self.client_id, record.t_submit
-            )
+        req = self._open(problem, args, "", keep_result, payloads, qos)
         spec = self._specs.get(problem)
         if spec is not None:
             self._validate_and_query(req, spec)
         else:
             if req.span is not None:
-                req.span.begin_phase("describe", record.t_submit)
-            # exactly one DescribeProblem retry chain per problem: a
-            # `describe()` call may already have inserted the (empty)
-            # waiter-list marker and sent the message — appending to an
-            # existing list must never re-send
-            waiting = self._describing.get(problem)
-            if waiting is None:
-                self._describing[problem] = [req]
-                self._start_describe(problem)
-            else:
-                waiting.append(req)
-        return handle
+                req.span.begin_phase("describe", req.record.t_submit)
+            self._describe(problem, req)
+        return req.handle
+
+    def submit_pinned(
+        self, problem: str, args: Sequence[Any], server_address: str,
+        *, server_id: str = "", keep_result: bool = False,
+        payloads: Optional[dict] = None,
+    ) -> RequestHandle:
+        """Submit directly to one server, bypassing the agent.
+
+        This is the execution half of request sequencing: arguments may
+        contain :class:`ObjectRef` placeholders (or :class:`DataHandle`
+        stubs) for operands previously :meth:`store`\\ d there.  No
+        fail-over — a pinned request lives and dies with its server (the
+        sequence's data is there).  ``keep_result`` and ``payloads``
+        behave as in :meth:`submit`: the one recovery a pinned request
+        does get is re-sending *to the same server* with ``payloads``
+        inlined when it answers that a referenced key is gone.
+        """
+        req = self._open(problem, args, server_address, keep_result,
+                         payloads, "")
+        spec = self._specs.get(problem)
+        if spec is None or any(
+            isinstance(a, (ObjectRef, DataHandle)) for a in args
+        ):
+            # refs resolve server-side; validation happens there
+            req.inputs = tuple(args)
+        elif not self._validate(req, spec):
+            return req.handle
+        req.candidates.append(Candidate(
+            server_id=server_id or server_address, address=server_address,
+            host="", predicted_seconds=0.0,
+        ))
+        self._try_next(req)
+        return req.handle
 
     def known_problems(self) -> list[str]:
         return sorted(self._specs)
@@ -392,17 +374,71 @@ class NetSolveClient(DispatchComponent):
         self._specs[spec.name] = spec
 
     # ------------------------------------------------------------------
-    # request sequencing: object store + pinned submits
+    # public API: control exchanges (each one ``_call``)
     # ------------------------------------------------------------------
+    def describe(self, problem: str) -> Promise:
+        """Fetch a problem's spec from the agent (cached after first use).
+
+        Resolves with the :class:`ProblemSpec`; rejects with
+        :class:`ProblemNotFoundError` when the agent does not know it.
+        """
+        spec = self._specs.get(problem)
+        if spec is not None:
+            return self._settled(spec)
+        return self._describe(problem)
+
+    def _describe(self, problem: str, waiter=None) -> Promise:
+        # one DescribeProblem exchange per problem: describe() and every
+        # submit() of a not-yet-described problem join it
+        return self._call(
+            ("describe", problem), "", DescribeProblem(problem=problem),
+            self.cfg.agent_retries, self.cfg.agent_timeout,
+            "agent did not answer DescribeProblem", waiter,
+        )
+
+    def list_problems(self, prefix: str = "") -> Promise:
+        """Browse the agent's catalogue; promise resolves with a name tuple."""
+        return self._call(
+            ("list", prefix), "", ListProblems(prefix=prefix),
+            self._agent_attempts(), self.cfg.agent_timeout,
+            "agent did not answer ListProblems",
+        )
+
+    def query_candidates(
+        self, problem: str, sizes: dict, *, exclude: tuple = ()
+    ) -> Promise:
+        """Ask the agent for its ranked candidate list without submitting.
+
+        Resolves with ``list[Candidate]`` (possibly after the agent notes
+        an assignment to the head — exactly as a real query would);
+        rejects with :class:`RequestFailed` on unknown problems, empty
+        pools, or agent silence.  Used by sequencing to pick a pin.
+        """
+        # negative tags cannot collide with request ids (always >= 1)
+        tag = -next(self._rids)
+        return self._call(
+            ("query_candidates", tag), "",
+            QueryRequest(
+                problem=problem,
+                sizes={k: int(v) for k, v in sizes.items()},
+                client_host=self.node.host_name,
+                exclude=tuple(exclude),
+                tag=tag,
+            ),
+            self._agent_attempts(), self.cfg.agent_timeout,
+            "agent did not answer query",
+        )
+
     def store(self, server_address: str, key: str, value: Any) -> Promise:
         """Cache ``value`` under ``key`` on a specific server.
 
         The promise resolves with the stored byte count, or rejects if
         the server refuses (cache full) or never answers.
         """
-        return self._store_op(
-            server_address, key, StoreObject(key=key, value=value),
-            want_handle=False,
+        return self._call(
+            ("store", server_address, key), server_address,
+            StoreObject(key=key, value=value), 1, self.cfg.server_timeout,
+            f"server {server_address!r} did not ack object {key!r}",
         )
 
     def store_handle(
@@ -412,48 +448,20 @@ class NetSolveClient(DispatchComponent):
         the ack carries — digest, size and shape metadata included — so
         the stored operand can be referenced or fetched with no further
         round trip."""
-        return self._store_op(
-            server_address, key, StoreObject(key=key, value=value),
+        return self._call(
+            ("store", server_address, key), server_address,
+            StoreObject(key=key, value=value), 1, self.cfg.server_timeout,
+            f"server {server_address!r} did not ack object {key!r}",
             want_handle=True,
         )
 
     def delete_stored(self, server_address: str, key: str) -> Promise:
-        """Drop a cached object; resolves True if it existed."""
-        return self._store_op(
-            server_address, key, DeleteObject(key=key), want_handle=False,
-        )
-
-    def _store_op(
-        self, server_address: str, key: str, msg: Any, *, want_handle: bool,
-    ) -> Promise:
-        promise = self.node.promise()
-        waiting = self._storing.setdefault((server_address, key), [])
-        waiting.append((promise, want_handle))
-        if len(waiting) == 1:
-            self.store_ops += 1
-            self.node.send(server_address, msg)
-            self._arm_store_timeout(server_address, key)
-        return promise
-
-    def _arm_store_timeout(self, server_address: str, key: str) -> None:
-        # an ack cancels the deadline as it pops the batch; a later
-        # operation on the same key arms a fresh generation — the
-        # deadline table makes a stale fire against a successor batch
-        # structurally impossible
-        def fire() -> None:
-            batch = self._storing.pop((server_address, key), [])
-            self.store_timeouts += 1
-            for p, _ in batch:
-                if not p.done:
-                    p.reject(
-                        RequestFailed(
-                            0, f"server {server_address!r} did not ack "
-                            f"object {key!r}"
-                        )
-                    )
-
-        self._deadlines.arm(
-            ("store", server_address, key), self.cfg.server_timeout, fire
+        """Drop a cached object; resolves with the bytes freed (0 when
+        the key was not resident)."""
+        return self._call(
+            ("store", server_address, key), server_address,
+            DeleteObject(key=key), 1, self.cfg.server_timeout,
+            f"server {server_address!r} did not ack object {key!r}",
         )
 
     def fetch(
@@ -478,67 +486,44 @@ class NetSolveClient(DispatchComponent):
         target = address or (
             handle.address if isinstance(handle, DataHandle) else ""
         )
-        promise = self.node.promise()
         if not target:
-            promise.reject(
-                NetSolveError(
-                    f"fetch of {key!r} needs a server address "
-                    f"(the reference carries none)"
-                )
-            )
-            return promise
-        waiting = self._object_fetches.setdefault((target, key), [])
-        waiting.append(promise)
-        if len(waiting) == 1:
-            self.object_fetches += 1
+            return self._settled(NetSolveError(
+                f"fetch of {key!r} needs a server address "
+                f"(the reference carries none)"
+            ))
+        return self._call(
+            ("objfetch", target, key), target,
+            FetchObject(key=key, reply_to=self.node.address),
+            self.cfg.agent_retries, self.cfg.server_timeout,
+            f"server {target!r} did not answer FetchObject for {key!r}",
+        )
 
-            def send_fetch(attempt: int) -> None:
-                self._trace("object_fetch_sent", key=key, server=target)
-                self.node.send(
-                    target,
-                    FetchObject(key=key, reply_to=self.node.address),
-                )
+    def fetch_result(
+        self, server_address: str, request_id: int, *, client: str = ""
+    ) -> Promise:
+        """Recover a finished result from a server's persistent job store.
 
-            def exhausted() -> None:
-                batch = self._object_fetches.pop((target, key), [])
-                for p in batch:
-                    if not p.done:
-                        p.reject(
-                            RequestFailed(
-                                0,
-                                f"server {target!r} did not answer "
-                                f"FetchObject for {key!r}",
-                            )
-                        )
+        The crash-recovery half of the non-blocking API: a client that
+        submitted work, died, and reconnected asks the server for the
+        outcome it never received.  ``client`` names the original
+        requester's address when this endpoint is a different node (the
+        store is keyed by who the reply was owed to); empty means "me".
 
-            RetryChain(
-                self._deadlines,
-                ("objfetch", target, key),
-                interval=self.cfg.server_timeout,
-                attempts=self.cfg.agent_retries,
-                send=send_fetch,
-                on_exhausted=exhausted,
-            ).start()
-        return promise
+        The promise resolves with the :class:`ResultStatus` message —
+        ``status`` is ``"done"`` (outputs present), ``"failed"`` (the
+        compute errored; ``detail`` says why), ``"unknown"`` (no such
+        row), or ``"unsupported"`` (server runs without a store) — and
+        rejects only when the server never answers.
+        """
+        # the wire has no retransmission, so a dropped FetchResult is
+        # re-sent instead of failing on one silence
+        return self._call(
+            ("fetch", server_address, request_id), server_address,
+            FetchResult(request_id=request_id, client=client),
+            self.cfg.agent_retries, self.cfg.server_timeout,
+            f"server {server_address!r} did not answer FetchResult",
+        )
 
-    @handles(ObjectPayload)
-    def _on_object_payload(self, src: str, msg: ObjectPayload) -> None:
-        self._deadlines.cancel(("objfetch", src, msg.key))
-        for promise in self._object_fetches.pop((src, msg.key), []):
-            if promise.done:
-                continue
-            if msg.ok:
-                promise.resolve(msg.value)
-            elif msg.error_kind == "missing_object":
-                promise.reject(MissingObjectError(msg.key))
-            else:
-                promise.reject(
-                    RequestFailed(0, msg.detail or "object fetch refused")
-                )
-
-    # ------------------------------------------------------------------
-    # request DAGs
-    # ------------------------------------------------------------------
     def submit_dag(
         self,
         nodes: Sequence[dict],
@@ -568,348 +553,250 @@ class NetSolveClient(DispatchComponent):
         bounds the silence *between* node completions, not the whole
         graph (default: ``cfg.server_timeout``).
         """
-        promise = self.node.promise()
-        target = address
+        target = address or next(
+            (
+                value.address
+                for node in nodes for value in node.get("inputs", ())
+                if isinstance(value, DataHandle) and value.address
+            ),
+            "",
+        )
         if not target:
-            for node in nodes:
-                for value in node.get("inputs", ()):
-                    if isinstance(value, DataHandle) and value.address:
-                        target = value.address
-                        break
-                if target:
-                    break
-        if not target:
-            promise.reject(
-                NetSolveError(
-                    "submit_dag needs a server address (none given, and "
-                    "no input handle carries one)"
-                )
-            )
-            return promise
+            return self._settled(NetSolveError(
+                "submit_dag needs a server address (none given, and "
+                "no input handle carries one)"
+            ))
         dag_id = dag_id or f"{self.client_id}/dag{next(self._dag_ids)}"
-        if dag_id in self._dags:
-            promise.reject(NetSolveError(f"dag id {dag_id!r} already in flight"))
-            return promise
-        interval = timeout if timeout is not None else self.cfg.server_timeout
-        self._dags[dag_id] = _DagState(promise, on_node, interval, target)
+        if ("dag", dag_id) in self._calls:
+            return self._settled(
+                NetSolveError(f"dag id {dag_id!r} already in flight")
+            )
         self._trace("dag_submitted", dag_id=dag_id, server=target,
                     nodes=len(nodes))
         self.dag_submits += 1
-        self.node.send(
-            target,
+        # one send, no resend (a graph is not idempotent); the deadline
+        # is a liveness window re-armed on every node completion
+        return self._call(
+            ("dag", dag_id), target,
             SubmitDag(
                 dag_id=dag_id,
                 nodes=tuple(dict(node) for node in nodes),
                 reply_to=self.node.address,
             ),
+            1, timeout if timeout is not None else self.cfg.server_timeout,
+            f"server {target!r} went silent on dag {dag_id!r}",
+            on_node=on_node,
         )
-        self._arm_dag_timeout(dag_id)
-        return promise
 
-    def _arm_dag_timeout(self, dag_id: str) -> None:
-        def fire() -> None:
-            state = self._dags.pop(dag_id, None)
-            if state is None or state.promise.done:
-                return
-            self._trace("dag_timeout", dag_id=dag_id, server=state.address)
-            state.promise.reject(
-                RequestFailed(
-                    0, f"server {state.address!r} went silent on dag "
-                    f"{dag_id!r}"
-                )
-            )
+    # ------------------------------------------------------------------
+    # the control-exchange lifecycle: _call -> _send / _expire -> _answer
+    # ------------------------------------------------------------------
+    def _call(self, key: Hashable, target: str, msg, attempts: int,
+              interval: float, give_up: str, waiter=None,
+              **extra) -> Promise:
+        """Start the exchange ``msg`` on ``key``, or wait on one already
+        asking exactly the same; returns the waiter's promise.
 
-        state = self._dags[dag_id]
-        self._deadlines.arm(("dag", dag_id), state.interval, fire)
-
-    @handles(DagNodeDone)
-    def _on_dag_node_done(self, src: str, msg: DagNodeDone) -> None:
-        state = self._dags.get(msg.dag_id)
-        if state is None:
-            return  # late progress for a dag we already gave up on
-        # progress resets the liveness window: a deep graph is allowed
-        # interval seconds per node, not per graph
-        self._arm_dag_timeout(msg.dag_id)
-        self._trace(
-            "dag_node_done", dag_id=msg.dag_id, node=msg.node, ok=msg.ok,
-            remaining=msg.remaining,
-        )
-        if state.on_node is not None:
-            state.on_node(msg)
-
-    @handles(DagReply)
-    def _on_dag_reply(self, src: str, msg: DagReply) -> None:
-        state = self._dags.pop(msg.dag_id, None)
-        if state is None:
-            return
-        self._deadlines.cancel(("dag", msg.dag_id))
-        if state.promise.done:
-            return
-        if msg.ok:
-            self._trace("dag_done", dag_id=msg.dag_id)
-            state.promise.resolve(tuple(msg.outputs))
-        else:
-            self._trace(
-                "dag_failed", dag_id=msg.dag_id,
-                failed_node=msg.failed_node, detail=msg.detail,
-            )
-            error = RequestFailed(
-                0,
-                f"dag {msg.dag_id!r} failed"
-                + (f" at node {msg.failed_node!r}" if msg.failed_node else "")
-                + f": {msg.detail}",
-            )
-            # typed context for callers that recover (re-store + retry)
-            error.error_kind = msg.error_kind
-            error.missing = tuple(msg.missing)
-            error.failed_node = msg.failed_node
-            state.promise.reject(error)
-
-    def fetch_result(
-        self, server_address: str, request_id: int, *, client: str = ""
-    ) -> Promise:
-        """Recover a finished result from a server's persistent job store.
-
-        The crash-recovery half of the non-blocking API: a client that
-        submitted work, died, and reconnected asks the server for the
-        outcome it never received.  ``client`` names the original
-        requester's address when this endpoint is a different node (the
-        store is keyed by who the reply was owed to); empty means "me".
-
-        The promise resolves with the :class:`ResultStatus` message —
-        ``status`` is ``"done"`` (outputs present), ``"failed"`` (the
-        compute errored; ``detail`` says why), ``"unknown"`` (no such
-        row), or ``"unsupported"`` (server runs without a store) — and
-        rejects only when the server never answers.
+        A different question on a busy key — a second store or delete of
+        one object, a lookup under another attribution — queues behind
+        it and is sent once the exchange ahead has been answered, so
+        operations on one key apply in call order.
         """
-        promise = self.node.promise()
-        waiting = self._fetching.setdefault((server_address, request_id), [])
-        waiting.append(promise)
-        if len(waiting) == 1:
-            self.fetches += 1
+        if waiter is None:
+            waiter = self.node.promise()
+        head = self._calls.get(key)
+        if head is not None and not isinstance(msg, _MUTATIONS):
+            for call in (head, *head.behind):
+                if call.msg == msg:
+                    call.waiters.append(waiter)
+                    return waiter
+        call = _Call(key, target, msg, attempts, interval, give_up, waiter,
+                     **extra)
+        if head is not None:
+            head.behind.append(call)
+        else:
+            self._calls[key] = call
+            self._send(call)
+        return waiter
 
-            def send_fetch(attempt: int) -> None:
-                self._trace(
-                    "fetch_sent", request_id=request_id, server=server_address
-                )
-                self.node.send(
-                    server_address,
-                    FetchResult(request_id=request_id, client=client),
-                )
+    def _send(self, call: _Call) -> None:
+        """(Re-)send ``call`` and arm its deadline."""
+        kind = call.key[0]
+        call.sent += 1
+        if call.sent > 1 and not call.target:
+            self._rotate_agent(kind)
+        if kind == "describe":
+            if call.sent > 1:
+                self._trace("describe_retry", problem=call.msg.problem,
+                            attempt=call.sent)
+                self.describe_retries += 1
+            self.describe_sends += 1
+        elif kind == "fetch":
+            if call.sent == 1:
+                self.fetches += 1
+            self._trace("fetch_sent", request_id=call.msg.request_id,
+                        server=call.target)
+        elif kind == "objfetch":
+            if call.sent == 1:
+                self.object_fetches += 1
+            self._trace("object_fetch_sent", key=call.msg.key,
+                        server=call.target)
+        elif kind == "store":
+            self.store_ops += 1
+        self.node.send(call.target or self.agent_address, call.msg)
+        self._arm(call)
 
-            def exhausted() -> None:
-                batch = self._fetching.pop((server_address, request_id), [])
-                for p in batch:
-                    if not p.done:
-                        p.reject(
-                            RequestFailed(
-                                request_id,
-                                f"server {server_address!r} did not answer "
-                                f"FetchResult",
-                            )
-                        )
+    def _arm(self, call: _Call) -> None:
+        # the closure holds the key, not the call: a TCP timer outlives
+        # its cancel for a while, and must not pin the call's payload
+        key = call.key
+        self._deadlines.arm(key, call.interval, lambda: self._expire(key))
 
-            # server-directed: there is no agent list to rotate through,
-            # but the wire has no retransmission either, so a dropped
-            # FetchResult is re-sent instead of failing on one silence
-            RetryChain(
-                self._deadlines,
-                ("fetch", server_address, request_id),
-                interval=self.cfg.server_timeout,
-                attempts=self.cfg.agent_retries,
-                send=send_fetch,
-                on_exhausted=exhausted,
-            ).start()
-        return promise
+    def _expire(self, key: Hashable) -> None:
+        """The call on ``key`` met silence: resend while its budget
+        lasts, else give up.  (A deadline fires only while the call that
+        armed it is the one in the table.)"""
+        call = self._calls[key]
+        if call.sent < call.attempts:
+            self._send(call)
+            return
+        kind = call.key[0]
+        if kind == "store":
+            self.store_timeouts += 1
+        elif kind == "dag":
+            self._trace("dag_timeout", dag_id=call.msg.dag_id,
+                        server=call.target)
+        # a FetchResult names its request; every other give-up is request 0
+        self._answer(call.key, RequestFailed(
+            getattr(call.msg, "request_id", 0), call.give_up
+        ))
 
-    @handles(ResultStatus)
-    def _on_result_status(self, src: str, msg: ResultStatus) -> None:
-        self._deadlines.cancel(("fetch", src, msg.request_id))
-        for promise in self._fetching.pop((src, msg.request_id), []):
-            if not promise.done:
-                promise.resolve(msg)
+    def _answer(self, key: Hashable, outcome: Any) -> None:
+        """Settle the exchange on ``key`` with a value, or an error.
 
-    @handles(StoreAck)
-    def _on_store_ack(self, src: str, msg: StoreAck) -> None:
-        self._deadlines.cancel(("store", src, msg.key))
-        for promise, want_handle in self._storing.pop((src, msg.key), []):
-            if promise.done:
+        The only code that settles a control exchange.  The next call
+        queued on the key goes out first; then solves waiting on a
+        describe move on (or fail), then promises settle in join order.
+        A late or duplicate reply finds no call and is dropped.
+        """
+        call = self._calls.pop(key, None)
+        if call is None:
+            return
+        self._deadlines.cancel(key)
+        if call.behind:
+            successor = call.behind.pop(0)
+            successor.behind = call.behind
+            self._calls[key] = successor
+            self._send(successor)
+        failed = isinstance(outcome, NetSolveError)
+        for waiter in sorted(call.waiters,
+                             key=lambda w: not isinstance(w, _Active)):
+            if isinstance(waiter, _Active):
+                if not failed:
+                    self._validate_and_query(waiter, outcome)
+                elif isinstance(outcome, RequestFailed):
+                    self._finish(waiter, RequestFailed(
+                        waiter.record.request_id, outcome.detail
+                    ))
+                else:
+                    self._finish(waiter, outcome)
+            elif waiter.done:
                 continue
-            if msg.ok:
-                promise.resolve(msg.handle if want_handle else msg.nbytes)
+            elif failed:
+                waiter.reject(outcome)
             else:
-                promise.reject(RequestFailed(0, msg.detail or "store refused"))
+                waiter.resolve(outcome)
 
-    def submit_pinned(
-        self, problem: str, args: Sequence[Any], server_address: str,
-        *, server_id: str = "", keep_result: bool = False,
-        payloads: Optional[dict] = None,
-    ) -> RequestHandle:
-        """Submit directly to one server, bypassing the agent.
-
-        This is the execution half of request sequencing: arguments may
-        contain :class:`ObjectRef` placeholders (or :class:`DataHandle`
-        stubs) for operands previously :meth:`store`\\ d there.  No
-        fail-over — a pinned request lives and dies with its server (the
-        sequence's data is there).  ``keep_result`` and ``payloads``
-        behave as in :meth:`submit`: the one recovery a pinned request
-        does get is re-sending *to the same server* with ``payloads``
-        inlined when it answers that a referenced key is gone.
-        """
-        rid = next(self._rids)
-        record = RequestRecord(
-            request_id=rid, problem=problem, sizes={},
-            t_submit=self.node.now(),
-        )
-        handle = RequestHandle(record, self.node.promise())
-        self.records.append(record)
-        req = _Active(handle, problem, list(args))
-        req.pinned = True
-        req.keep_result = keep_result
-        req.payloads = dict(payloads or {})
-        self._active[rid] = req
-        self._trace(
-            "submit_pinned", request_id=rid, problem=problem,
-            server=server_address,
-        )
-        self.pinned_submits += 1
-        if self.spans is not None:
-            req.span = self.spans.begin(
-                rid, problem, self.client_id, record.t_submit
-            )
-        spec = self._specs.get(problem)
-        refs = any(isinstance(a, (ObjectRef, DataHandle)) for a in args)
-        if spec is not None and not refs:
-            try:
-                coerced, env = validate_inputs(spec, list(args))
-            except BadArgumentsError as exc:
-                self._finish(req, exc)
-                return handle
-            req.inputs = tuple(coerced)
-            req.env = env
-            record.sizes = dict(env)
-        else:
-            # refs resolve server-side; validation happens there
-            req.inputs = tuple(args)
-        req.candidates = deque(
-            [Candidate(
-                server_id=server_id or server_address,
-                address=server_address,
-                host="",
-                predicted_seconds=0.0,
-            )]
-        )
-        self._try_next(req)
-        return handle
-
-    def query_candidates(
-        self, problem: str, sizes: dict, *, exclude: tuple = ()
-    ) -> Promise:
-        """Ask the agent for its ranked candidate list without submitting.
-
-        Resolves with ``list[Candidate]`` (possibly after the agent notes
-        an assignment to the head — exactly as a real query would);
-        rejects with :class:`RequestFailed` on unknown problems, empty
-        pools, or agent silence.  Used by sequencing to pick a pin.
-        """
+    def _settled(self, outcome: Any) -> Promise:
+        """A promise answered on the spot (a cached spec, a call with no
+        route) — still through :meth:`_answer`."""
         promise = self.node.promise()
-        # negative tags cannot collide with request ids (always >= 1)
-        tag = -next(self._rids)
-        self._queries[tag] = promise
-
-        def exhausted() -> None:
-            pending = self._queries.pop(tag, None)
-            if pending is not None and not pending.done:
-                pending.reject(RequestFailed(0, "agent did not answer query"))
-
-        RetryChain(
-            self._deadlines,
-            ("qtag", tag),
-            interval=self.cfg.agent_timeout,
-            attempts=self._agent_attempts(),
-            send=lambda attempt: self.node.send(
-                self.agent_address,
-                QueryRequest(
-                    problem=problem,
-                    sizes={k: int(v) for k, v in sizes.items()},
-                    client_host=self.node.host_name,
-                    exclude=tuple(exclude),
-                    tag=tag,
-                ),
-            ),
-            on_retry=lambda attempt: self._rotate_agent("query_candidates"),
-            on_exhausted=exhausted,
-        ).start()
+        self._calls[None] = _Call(None, "", None, 0, 0.0, "", promise)
+        self._answer(None, outcome)
         return promise
 
-    def _on_candidate_query_reply(self, msg: QueryReply) -> bool:
-        promise = self._queries.pop(msg.tag, None)
-        if promise is None:
-            return False
-        self._deadlines.cancel(("qtag", msg.tag))
-        if not promise.done:
-            if msg.ok:
-                promise.resolve(msg.candidate_list())
-            else:
-                promise.reject(RequestFailed(0, msg.detail))
-        return True
-
-    def describe(self, problem: str) -> Promise:
-        """Fetch a problem's spec from the agent (cached after first use).
-
-        Resolves with the :class:`ProblemSpec`; rejects with
-        :class:`ProblemNotFoundError` when the agent does not know it.
-        """
-        promise = self.node.promise()
-        spec = self._specs.get(problem)
-        if spec is not None:
-            promise.resolve(spec)
-            return promise
-        waiting = self._spec_waiters.setdefault(problem, [])
-        waiting.append(promise)
-        if problem not in self._describing:
-            self._describing.setdefault(problem, [])
-            self._start_describe(problem)
-        return promise
-
-    def list_problems(self, prefix: str = "") -> Promise:
-        """Browse the agent's catalogue; promise resolves with a name tuple."""
-        promise = self.node.promise()
-        waiting = self._listing.setdefault(prefix, [])
-        waiting.append(promise)
-        if len(waiting) == 1:
-            def exhausted() -> None:
-                # a ProblemList reply cancels the chain's deadline as it
-                # pops the batch, and a later list on the same prefix
-                # arms a fresh generation, so only the batch that armed
-                # the timer can die here
-                batch = self._listing.pop(prefix, [])
-                for p in batch:
-                    if not p.done:
-                        p.reject(
-                            RequestFailed(0, "agent did not answer ListProblems")
-                        )
-
-            RetryChain(
-                self._deadlines,
-                ("list", prefix),
-                interval=self.cfg.agent_timeout,
-                attempts=self._agent_attempts(),
-                send=lambda attempt: self.node.send(
-                    self.agent_address, ListProblems(prefix=prefix)
-                ),
-                on_retry=lambda attempt: self._rotate_agent("list"),
-                on_exhausted=exhausted,
-            ).start()
-        return promise
+    @handles(ProblemDescription)
+    def _on_description(self, src: str, msg: ProblemDescription) -> None:
+        key = ("describe", msg.problem)
+        if not msg.ok:
+            self._answer(key, ProblemNotFoundError(msg.problem))
+            return
+        try:
+            specs = parse_pdl(msg.pdl, source=f"<agent:{msg.problem}>")
+        except NetSolveError:
+            specs = []  # unparseable text counts as malformed below
+        if len(specs) != 1 or specs[0].name != msg.problem:
+            self._answer(key, RequestFailed(
+                0, "agent returned a malformed problem description"
+            ))
+            return
+        self._specs[msg.problem] = specs[0]
+        self._answer(key, specs[0])
 
     @handles(ProblemList)
     def _on_problem_list(self, src: str, msg: ProblemList) -> None:
-        self._deadlines.cancel(("list", msg.prefix))
-        for promise in self._listing.pop(msg.prefix, []):
-            if not promise.done:
-                promise.resolve(tuple(msg.names))
+        self._answer(("list", msg.prefix), tuple(msg.names))
 
+    @handles(StoreAck)
+    def _on_store_ack(self, src: str, msg: StoreAck) -> None:
+        key = ("store", src, msg.key)
+        call = self._calls.get(key)
+        if call is None:
+            return
+        self._answer(key, RequestFailed(0, msg.detail or "store refused")
+                     if not msg.ok
+                     else msg.handle if call.want_handle else msg.nbytes)
+
+    @handles(ObjectPayload)
+    def _on_object_payload(self, src: str, msg: ObjectPayload) -> None:
+        if msg.ok:
+            outcome = msg.value
+        elif msg.error_kind == "missing_object":
+            outcome = MissingObjectError(msg.key)
+        else:
+            outcome = RequestFailed(0, msg.detail or "object fetch refused")
+        self._answer(("objfetch", src, msg.key), outcome)
+
+    @handles(ResultStatus)
+    def _on_result_status(self, src: str, msg: ResultStatus) -> None:
+        # the reply does not echo the attribution; it answers the one
+        # lookup in flight on (server, request id)
+        self._answer(("fetch", src, msg.request_id), msg)
+
+    @handles(DagNodeDone)
+    def _on_dag_node_done(self, src: str, msg: DagNodeDone) -> None:
+        call = self._calls.get(("dag", msg.dag_id))
+        if call is None:
+            return  # late progress for a dag we already gave up on
+        # progress resets the liveness window: a deep graph is allowed
+        # interval seconds per node, not per graph
+        self._arm(call)
+        self._trace("dag_node_done", dag_id=msg.dag_id, node=msg.node,
+                    ok=msg.ok, remaining=msg.remaining)
+        if call.on_node is not None:
+            call.on_node(msg)
+
+    @handles(DagReply)
+    def _on_dag_reply(self, src: str, msg: DagReply) -> None:
+        key = ("dag", msg.dag_id)
+        if key not in self._calls:
+            return
+        if msg.ok:
+            self._trace("dag_done", dag_id=msg.dag_id)
+            self._answer(key, tuple(msg.outputs))
+            return
+        self._trace("dag_failed", dag_id=msg.dag_id,
+                    failed_node=msg.failed_node, detail=msg.detail)
+        at = f" at node {msg.failed_node!r}" if msg.failed_node else ""
+        error = RequestFailed(0, f"dag {msg.dag_id!r} failed{at}: {msg.detail}")
+        # typed context for callers that recover (re-store + retry)
+        error.error_kind = msg.error_kind
+        error.missing = tuple(msg.missing)
+        error.failed_node = msg.failed_node
+        self._answer(key, error)
+
+    # ------------------------------------------------------------------
+    # the solve lifecycle: _open -> _query -> _try_next -> _finish
     # ------------------------------------------------------------------
     @property
     def active_requests(self) -> int:
@@ -918,6 +805,33 @@ class NetSolveClient(DispatchComponent):
     def _trace(self, kind: str, **fields) -> None:
         if self.trace is not None:
             self.trace.log(self.node.now(), self.node.address, kind, **fields)
+
+    def _open(self, problem: str, args: Sequence[Any], server: str,
+              keep_result: bool, payloads, qos: str) -> _Active:
+        """Build and register one solve: brokered, or pinned to
+        ``server``.  The one constructor path, so a pinned submit gets
+        the configured default QoS class like any other."""
+        qos = normalize_qos(qos or self.cfg.default_qos)
+        if qos == QOS_DEFAULT:
+            qos = ""  # the default class rides the wire as "" (cheaper)
+        rid = next(self._rids)
+        record = RequestRecord(request_id=rid, problem=problem, sizes={},
+                               t_submit=self.node.now())
+        req = _Active(RequestHandle(record, self.node.promise()), problem,
+                      list(args), bool(server), keep_result, payloads, qos)
+        self.records.append(record)
+        self._active[rid] = req
+        if server:
+            self._trace("submit_pinned", request_id=rid, problem=problem,
+                        server=server)
+            self.pinned_submits += 1
+        else:
+            self._trace("submit", request_id=rid, problem=problem)
+            self.submits += 1
+        if self.spans is not None:
+            req.span = self.spans.begin(rid, problem, self.client_id,
+                                        record.t_submit)
+        return req
 
     def _finish(self, req: _Active, error: Optional[NetSolveError], value=None):
         rid = req.record.request_id
@@ -939,113 +853,29 @@ class NetSolveClient(DispatchComponent):
             self._trace("request_failed", request_id=rid, error=str(error))
             self.requests_failed += 1
             if req.span is not None:
-                req.span.finish(
-                    now, RequestStatus.FAILED.value, error=str(error)
-                )
+                req.span.finish(now, RequestStatus.FAILED.value,
+                                error=str(error))
             req.handle.promise.reject(error)
 
-    # ------------------------------------------------------------------
-    # phase 1: problem description
-    # ------------------------------------------------------------------
-    def _start_describe(self, problem: str) -> None:
-        """Start the one DescribeProblem retry chain for ``problem``: the
-        wire has no retransmission, so control messages carry their own
-        retry.  A ProblemDescription reply cancels the chain's deadline,
-        so a late fire after the answer is structurally impossible."""
-        RetryChain(
-            self._deadlines,
-            ("describe", problem),
-            interval=self.cfg.agent_timeout,
-            attempts=self.cfg.agent_retries,
-            send=lambda attempt: self._send_describe(problem),
-            on_retry=lambda attempt: self._describe_retry(problem, attempt),
-            on_exhausted=lambda: self._describe_exhausted(problem),
-        ).start()
-
-    def _send_describe(self, problem: str) -> None:
-        self.describe_sends += 1
-        self.node.send(self.agent_address, DescribeProblem(problem=problem))
-
-    def _describe_retry(self, problem: str, attempt: int) -> None:
-        self._rotate_agent("describe")
-        self._trace("describe_retry", problem=problem, attempt=attempt)
-        self.describe_retries += 1
-
-    def _describe_exhausted(self, problem: str) -> None:
-        waiting = self._describing.pop(problem, [])
-        for req in waiting:
-            if req.record.status.terminal:
-                continue
-            self._finish(
-                req,
-                RequestFailed(
-                    req.record.request_id,
-                    "agent did not answer DescribeProblem",
-                ),
-            )
-        for promise in self._spec_waiters.pop(problem, []):
-            if not promise.done:
-                promise.reject(
-                    RequestFailed(0, "agent did not answer DescribeProblem")
-                )
-
-    @handles(ProblemDescription)
-    def _on_description(self, src: str, msg: ProblemDescription) -> None:
-        self._deadlines.cancel(("describe", msg.problem))
-        waiting = self._describing.pop(msg.problem, [])
-        watchers = self._spec_waiters.pop(msg.problem, [])
-        if not msg.ok:
-            for req in waiting:
-                self._finish(req, ProblemNotFoundError(msg.problem))
-            for promise in watchers:
-                if not promise.done:
-                    promise.reject(ProblemNotFoundError(msg.problem))
-            return
-        try:
-            specs = parse_pdl(msg.pdl, source=f"<agent:{msg.problem}>")
-        except NetSolveError:
-            specs = []  # unparseable text counts as malformed below
-        if len(specs) != 1 or specs[0].name != msg.problem:
-            for req in waiting:
-                self._finish(
-                    req,
-                    RequestFailed(
-                        req.record.request_id,
-                        "agent returned a malformed problem description",
-                    ),
-                )
-            for promise in watchers:
-                if not promise.done:
-                    promise.reject(
-                        RequestFailed(0, "malformed problem description")
-                    )
-            return
-        spec = specs[0]
-        self._specs[spec.name] = spec
-        for req in waiting:
-            if not req.record.status.terminal:
-                self._validate_and_query(req, spec)
-        for promise in watchers:
-            if not promise.done:
-                promise.resolve(spec)
-
-    # ------------------------------------------------------------------
-    # phase 2: agent negotiation
-    # ------------------------------------------------------------------
-    def _validate_and_query(self, req: _Active, spec: ProblemSpec) -> None:
+    def _validate(self, req: _Active, spec: ProblemSpec) -> bool:
         try:
             coerced, env = validate_inputs(spec, req.raw_args)
         except BadArgumentsError as exc:
             self._finish(req, exc)
-            return
+            return False
         req.inputs = tuple(coerced)
         req.env = env
         req.record.sizes = dict(env)
+        return True
+
+    def _validate_and_query(self, req: _Active, spec: ProblemSpec) -> None:
+        if not self._validate(req, spec):
+            return
         if self.cfg.cache_digest:
             # digested over the coerced inputs + env — exactly what the
             # server digests after its own validation, so client, agent
             # and server all key the same request identically
-            req.digest = solve_digest(req.problem, coerced, env) or ""
+            req.digest = solve_digest(req.problem, req.inputs, req.env) or ""
         self._query(req)
 
     def _query(self, req: _Active) -> None:
@@ -1054,69 +884,82 @@ class NetSolveClient(DispatchComponent):
         now = self.node.now()
         req.record.t_query_sent = now
         req.record.status = RequestStatus.QUERYING
-        self._trace(
-            "query_sent", request_id=rid, exclude=list(req.tried)
-        )
+        self._trace("query_sent", request_id=rid, exclude=list(req.tried))
         self.queries += 1
         if req.span is not None:
-            req.span.begin_phase(
-                "query", now, number=req.record.queries,
-                excluded=len(req.tried),
-            )
+            req.span.begin_phase("query", now, number=req.record.queries,
+                                 excluded=len(req.tried))
         # locality hint: per-server bytes the request references that are
         # already resident there (handle stubs carry home + size).  A
         # handle-free request sends the empty map — the frame and the
         # agent's ranking arithmetic are exactly the pre-handle ones
         resident: dict[str, int] = {}
         for value in req.inputs or ():
-            if (
-                isinstance(value, DataHandle)
-                and value.server_id
-                and value.nbytes > 0
-            ):
+            if (isinstance(value, DataHandle) and value.server_id
+                    and value.nbytes > 0):
                 resident[value.server_id] = (
                     resident.get(value.server_id, 0) + int(value.nbytes)
                 )
-        self.node.send(
-            self.agent_address,
-            QueryRequest(
-                problem=req.problem,
-                sizes={k: int(v) for k, v in req.env.items()},
-                client_host=self.node.host_name,
-                exclude=tuple(req.tried),
-                tag=rid,
-                digest=req.digest,
-                resident=resident,
-                qos=req.qos,
-            ),
-        )
+        self.node.send(self.agent_address, QueryRequest(
+            problem=req.problem,
+            sizes={k: int(v) for k, v in req.env.items()},
+            client_host=self.node.host_name, exclude=tuple(req.tried),
+            tag=rid, digest=req.digest, resident=resident, qos=req.qos,
+        ))
+        # a reply or _finish cancels this, so a fire means silence.  The
+        # closure holds the id, not the request: a TCP timer outlives its
+        # cancel for a while and must not pin the inputs
         self._deadlines.arm(
-            rid, self.cfg.agent_timeout, lambda: self._agent_timed_out(rid)
+            rid, self.cfg.agent_timeout,
+            lambda: self._requery(self._active[rid],
+                                  "agent did not answer query"),
         )
 
-    def _agent_timed_out(self, rid: int) -> None:
-        req = self._active.get(rid)
-        if req is None or req.record.status is not RequestStatus.QUERYING:
+    def _requery(self, req: _Active, failure: str, *,
+                 backoff: bool = False) -> None:
+        """The one re-query policy: spend one of ``agent_retries`` on
+        asking again, or fail the request with ``failure``.
+
+        After a silence the query goes out again at once, to the next
+        agent.  After an empty answer (``backoff``) the pool may
+        recover — suspected servers report back in, or the agent's probe
+        revives a falsely-blamed one — so the client waits one timeout
+        floor and asks again with a clean slate: permanent exclusions
+        would wedge small pools.
+        """
+        rid = req.record.request_id
+        if req.query_silences >= self.cfg.agent_retries:
+            self._finish(req, RequestFailed(rid, failure))
             return
-        if req.query_silences < self.cfg.agent_retries:
-            req.query_silences += 1
+        req.query_silences += 1
+        if not backoff:
             self._rotate_agent("query")
-            self._trace(
-                "query_retry", request_id=rid, attempt=req.query_silences
-            )
+            self._trace("query_retry", request_id=rid,
+                        attempt=req.query_silences)
             self.query_retries += 1
             self._query(req)
             return
-        self._finish(req, RequestFailed(rid, "agent did not answer query"))
+        req.tried.clear()
+        self._trace("query_backoff", request_id=rid,
+                    attempt=req.query_silences)
+        self.query_backoffs += 1
+        if req.span is not None:
+            req.span.begin_phase("backoff", self.node.now(),
+                                 attempt=req.query_silences)
+        self._deadlines.arm(rid, self.cfg.timeout_floor,
+                            lambda: self._query(self._active[rid]))
 
     @handles(QueryReply)
     def _on_query_reply(self, src: str, msg: QueryReply) -> None:
-        if msg.tag < 0 and self._on_candidate_query_reply(msg):
+        if msg.tag < 0:  # a query_candidates call, not a solve
+            self._answer(("query_candidates", msg.tag), msg.candidate_list()
+                         if msg.ok else RequestFailed(0, msg.detail))
             return
         req = self._active.get(msg.tag)
         if req is None or req.record.status is not RequestStatus.QUERYING:
             return  # late or duplicate reply
         self._deadlines.cancel(msg.tag)
+        rid = req.record.request_id
         now = self.node.now()
         req.record.t_candidates = now
         if req.record.t_query_sent is not None:
@@ -1124,100 +967,42 @@ class NetSolveClient(DispatchComponent):
         if msg.ok and msg.cached:
             # the agent answered the solve itself from its hot cache:
             # one RTT, no server ever touched — the request is done
-            self._trace(
-                "cached_answer", request_id=req.record.request_id
-            )
+            self._trace("cached_answer", request_id=rid)
             self.cached_replies += 1
             if req.span is not None:
                 req.span.end_phase(now, outcome="cached")
             self._finish(req, None, tuple(msg.outputs))
             return
-        if not msg.ok:
-            if msg.retryable and req.query_silences < self.cfg.agent_retries:
-                # the pool may recover (suspected servers report back in,
-                # or the agent's probe revives a falsely-blamed one):
-                # back off one timeout floor and ask again with a clean
-                # slate — permanent exclusions would wedge small pools
-                req.query_silences += 1
-                req.tried.clear()
-                self._trace(
-                    "query_backoff",
-                    request_id=req.record.request_id,
-                    attempt=req.query_silences,
-                )
-                self.query_backoffs += 1
-                if req.span is not None:
-                    req.span.begin_phase(
-                        "backoff", now, attempt=req.query_silences
-                    )
-                self._deadlines.arm(
-                    msg.tag, self.cfg.timeout_floor, lambda: self._query(req)
-                )
-                return
-            self._finish(
-                req, RequestFailed(req.record.request_id, msg.detail)
-            )
+        if not msg.ok and not msg.retryable:
+            self._finish(req, RequestFailed(rid, msg.detail))
             return
-        candidates = msg.candidate_list()
+        candidates = msg.candidate_list() if msg.ok else []
         if not candidates:
-            # ok=True with an empty list is a degenerate agent reply;
-            # treat it like a retryable empty pool (bounded backoff)
-            # rather than looping the query forever
-            if req.query_silences < self.cfg.agent_retries:
-                req.query_silences += 1
-                req.tried.clear()
-                self._trace(
-                    "query_backoff",
-                    request_id=req.record.request_id,
-                    attempt=req.query_silences,
-                )
-                self.query_backoffs += 1
-                if req.span is not None:
-                    req.span.begin_phase(
-                        "backoff", now, attempt=req.query_silences
-                    )
-                self._deadlines.arm(
-                    msg.tag, self.cfg.timeout_floor, lambda: self._query(req)
-                )
-            else:
-                self._finish(
-                    req,
-                    RequestFailed(
-                        req.record.request_id, "agent returned no candidates"
-                    ),
-                )
+            # an empty pool, or (degenerate) ok=True with an empty list:
+            # back off and ask again, within the budget
+            self._requery(req, "agent returned no candidates" if msg.ok
+                          else msg.detail, backoff=True)
             return
         req.candidates = deque(candidates)
-        self._trace(
-            "candidates",
-            request_id=req.record.request_id,
-            servers=[c.server_id for c in req.candidates],
-        )
+        self._trace("candidates", request_id=rid,
+                    servers=[c.server_id for c in req.candidates])
         if req.span is not None:
             req.span.end_phase(now, candidates=len(candidates))
         self._try_next(req)
 
-    # ------------------------------------------------------------------
-    # phase 3: attempts & the fault-tolerance loop
-    # ------------------------------------------------------------------
     def _try_next(self, req: _Active) -> None:
         rid = req.record.request_id
         if len(req.record.attempts) >= self.cfg.max_retries:
-            self._finish(
-                req,
-                RequestFailed(
-                    rid,
-                    f"retry budget exhausted after "
-                    f"{len(req.record.attempts)} attempt(s)",
-                ),
-            )
+            self._finish(req, RequestFailed(
+                rid, f"retry budget exhausted after "
+                f"{len(req.record.attempts)} attempt(s)",
+            ))
             return
         if not req.candidates:
             if req.pinned:
-                self._finish(
-                    req,
-                    RequestFailed(rid, "pinned request failed on its server"),
-                )
+                self._finish(req, RequestFailed(
+                    rid, "pinned request failed on its server"
+                ))
             elif self.cfg.requery_agent:
                 self._query(req)
             else:
@@ -1228,20 +1013,14 @@ class NetSolveClient(DispatchComponent):
             self.node.learn_endpoint(cand.address, cand.endpoint)
         req.current = cand
         attempt = AttemptRecord(
-            server_id=cand.server_id,
-            address=cand.address,
-            predicted_seconds=cand.predicted_seconds,
-            t_sent=self.node.now(),
+            server_id=cand.server_id, address=cand.address,
+            predicted_seconds=cand.predicted_seconds, t_sent=self.node.now(),
         )
         req.attempt = attempt
         req.record.attempts.append(attempt)
         req.record.status = RequestStatus.EXECUTING
-        self._trace(
-            "attempt",
-            request_id=rid,
-            server_id=cand.server_id,
-            predicted=cand.predicted_seconds,
-        )
+        self._trace("attempt", request_id=rid, server_id=cand.server_id,
+                    predicted=cand.predicted_seconds)
         self.attempts += 1
         if req.span is not None:
             req.span.begin_phase(
@@ -1249,197 +1028,65 @@ class NetSolveClient(DispatchComponent):
                 number=len(req.record.attempts),
                 predicted=round(cand.predicted_seconds, 6),
             )
-        assert req.inputs is not None
-        self.node.send(
-            cand.address,
-            SolveRequest(
-                request_id=rid,
-                problem=req.problem,
-                inputs=req.inputs,
-                reply_to=self.node.address,
-                keep_result=req.keep_result,
-                qos=req.qos,
-            ),
-        )
+        self.node.send(cand.address, SolveRequest(
+            request_id=rid, problem=req.problem, inputs=req.inputs,
+            reply_to=self.node.address, keep_result=req.keep_result,
+            qos=req.qos,
+        ))
         if cand.predicted_seconds > 0:
-            timeout = min(
-                self.cfg.server_timeout,
-                max(
-                    self.cfg.timeout_floor,
-                    self.cfg.timeout_factor * cand.predicted_seconds,
-                ),
-            )
+            timeout = min(self.cfg.server_timeout, max(
+                self.cfg.timeout_floor,
+                self.cfg.timeout_factor * cand.predicted_seconds,
+            ))
         else:  # pinned submit: no prediction to scale from
             timeout = self.cfg.server_timeout
-        self._deadlines.arm(
-            rid, timeout, lambda: self._attempt_timed_out(rid, cand.server_id)
-        )
+        self._deadlines.arm(rid, timeout, lambda: self._attempt_timed_out(rid))
 
-    def _attempt_timed_out(self, rid: int, server_id: str) -> None:
+    # ------------------------------------------------------------------
+    # attempt ends: a reply, a refusal or a silence
+    # ------------------------------------------------------------------
+    def _attempt_of(self, rid: int, src: str) -> Optional[_Active]:
+        """The request whose current attempt ``src`` answers for (any
+        source for a timeout), or None when the answer is for an attempt
+        already given up on."""
         req = self._active.get(rid)
-        if (
-            req is None
-            or req.record.status is not RequestStatus.EXECUTING
-            or req.current is None
-            or req.current.server_id != server_id
-        ):
-            return
-        assert req.attempt is not None
+        if (req is None or req.record.status is not RequestStatus.EXECUTING
+                or (src and src != req.current.address)):
+            return None
+        return req
+
+    def _end_attempt(self, req: _Active, outcome: str, detail: str = "",
+                     event: str = "", /, **fields) -> None:
+        """The one attempt-end step: cancel the attempt's deadline,
+        stamp its outcome, close its span phase, trace ``event`` and
+        count the end."""
+        rid = req.record.request_id
+        self._deadlines.cancel(rid)
         now = self.node.now()
         req.attempt.t_end = now
-        req.attempt.outcome = "timeout"
-        self._trace("attempt_timeout", request_id=rid, server_id=server_id)
-        self.attempt_timeouts += 1
-        if req.span is not None:
-            req.span.end_phase(now, outcome="timeout")
-        self._report_failure(req, "timeout")
-        self._try_next(req)
-
-    def _report_failure(
-        self, req: _Active, detail: str, *, kind: str = "", suspect: bool = True
-    ) -> None:
-        assert req.current is not None
-        req.tried.append(req.current.server_id)
-        if not req.pinned and suspect:
-            # pinned requests bypassed the agent on the way in, so their
-            # failures must bypass it on the way out: reporting one would
-            # penalise the server's suspicion state for a request the
-            # agent never scheduled (the attempt record still stands)
-            self.failovers += 1
-            self.node.send(
-                self.agent_address,
-                FailureReport(
-                    server_id=req.current.server_id,
-                    problem=req.problem,
-                    detail=detail,
-                    kind=kind,
-                ),
-            )
-        req.current = None
-        req.attempt = None
-
-    def _report_transfer(self, req: _Active) -> None:
-        """Tell the agent what the path actually delivered (NWS loop)."""
-        attempt = req.attempt
-        assert attempt is not None and req.current is not None
-        spec = self._specs.get(req.problem)
-        if spec is None or attempt.elapsed is None or not req.current.host:
-            return  # pinned submits carry no host; nothing to learn on
-        transfer_seconds = attempt.elapsed - attempt.compute_seconds
-        nbytes = spec.input_bytes(req.env) + spec.output_bytes(req.env)
-        for value in req.inputs or ():
-            # handle operands homed on the server never crossed the wire;
-            # counting them would inflate the learned bandwidth belief
-            if (
-                isinstance(value, DataHandle)
-                and value.server_id == req.current.server_id
-            ):
-                nbytes -= value.nbytes
-        if transfer_seconds <= 0 or nbytes <= 0:
-            return
-        self.node.send(
-            self.agent_address,
-            TransferReport(
-                client_host=self.node.host_name,
-                server_host=req.current.host,
-                nbytes=int(nbytes),
-                seconds=float(transfer_seconds),
-            ),
-        )
-
-    @handles(SolveReply)
-    def _on_solve_reply(self, src: str, msg: SolveReply) -> None:
-        req = self._active.get(msg.request_id)
-        if (
-            req is None
-            or req.record.status is not RequestStatus.EXECUTING
-            or req.current is None
-            or src != req.current.address
-        ):
-            return  # reply from an attempt we already gave up on
-        self._deadlines.cancel(msg.request_id)
-        assert req.attempt is not None
-        now = self.node.now()
-        req.attempt.t_end = now
-        req.attempt.compute_seconds = msg.compute_seconds
-        elapsed = now - req.attempt.t_sent
-        self._attempt_seconds.observe(elapsed)
-        if req.attempt.predicted_seconds > 0:
-            self._prediction_error_seconds.observe(
-                elapsed - req.attempt.predicted_seconds
-            )
-        if msg.ok:
-            req.attempt.outcome = "ok"
-            req.attempt.cached = msg.cached
+        req.attempt.outcome = outcome
+        req.attempt.detail = detail
+        if event:
+            self._trace(event, request_id=rid,
+                        server_id=req.current.server_id, **fields)
+        if outcome == "ok":
             self.attempt_ok += 1
-            if msg.cached:
-                self.cached_replies += 1
-            if req.span is not None:
-                req.span.end_phase(now, outcome="ok")
-            if self.cfg.report_transfers:
-                self._report_transfer(req)
-            self._finish(req, None, tuple(msg.outputs))
-        elif msg.error_kind == "missing_object":
-            # a referenced operand is no longer resident (TTL lapse,
-            # eviction, server death between store and solve).  This is
-            # retryable data-placement drift, not a server fault
-            req.attempt.outcome = "missing"
-            req.attempt.detail = msg.detail
-            if req.span is not None:
-                req.span.end_phase(now, outcome="missing")
-            if (
-                not req.resubmitted
-                and req.payloads
-                and all(key in req.payloads for key in msg.missing)
-            ):
-                # re-submit once to the same server with the lost
-                # operands inlined — no FailureReport, no fail-over
-                req.resubmitted = True
-                gone = set(msg.missing)
-                assert req.inputs is not None
-                req.inputs = tuple(
-                    req.payloads[value.key]
-                    if isinstance(value, (ObjectRef, DataHandle))
-                    and value.key in gone
-                    else value
-                    for value in req.inputs
-                )
-                self._trace(
-                    "resubmit_with_payload",
-                    request_id=msg.request_id,
-                    server_id=req.current.server_id,
-                    missing=list(msg.missing),
-                )
-                self.payload_resubmits += 1
-                req.candidates.appendleft(req.current)
-                req.current = None
-                req.attempt = None
-                self._try_next(req)
-                return
-            self._trace(
-                "attempt_missing_object",
-                request_id=msg.request_id,
-                server_id=req.current.server_id,
-                missing=list(msg.missing),
-            )
-            self.attempt_errors += 1
-            # without payloads in hand the best move is the next
-            # candidate; the server is healthy, so it is not suspected
-            self._report_failure(req, msg.detail, suspect=False)
-            self._try_next(req)
+        elif outcome == "busy":
+            self.busy_failovers += 1
+        elif outcome == "timeout":
+            self.attempt_timeouts += 1
+        elif event == "resubmit_with_payload":
+            self.payload_resubmits += 1
         else:
-            req.attempt.outcome = "error"
-            req.attempt.detail = msg.detail
-            self._trace(
-                "attempt_error",
-                request_id=msg.request_id,
-                server_id=req.current.server_id,
-                detail=msg.detail,
-            )
             self.attempt_errors += 1
-            if req.span is not None:
-                req.span.end_phase(now, outcome="error")
-            self._report_failure(req, msg.detail)
+        if req.span is not None:
+            req.span.end_phase(now, outcome=outcome)
+
+    def _attempt_timed_out(self, rid: int) -> None:
+        req = self._attempt_of(rid, "")
+        if req is not None:
+            self._end_attempt(req, "timeout", "", "attempt_timeout")
+            self._report_failure(req, "timeout")
             self._try_next(req)
 
     @handles(Busy)
@@ -1451,28 +1098,103 @@ class NetSolveClient(DispatchComponent):
         instead of marked dead, then the normal fault-tolerance loop
         falls through to the next candidate (re-querying with bounded
         backoff once the list runs dry)."""
-        req = self._active.get(msg.request_id)
-        if (
-            req is None
-            or req.record.status is not RequestStatus.EXECUTING
-            or req.current is None
-            or src != req.current.address
+        req = self._attempt_of(msg.request_id, src)
+        if req is not None:
+            self._end_attempt(req, "busy", msg.detail, "attempt_busy",
+                              queue_depth=msg.queue_depth)
+            self._report_failure(req, msg.detail or "busy", kind="busy")
+            self._try_next(req)
+
+    @handles(SolveReply)
+    def _on_solve_reply(self, src: str, msg: SolveReply) -> None:
+        req = self._attempt_of(msg.request_id, src)
+        if req is None:
+            return  # reply from an attempt we already gave up on
+        attempt = req.attempt
+        attempt.compute_seconds = msg.compute_seconds
+        elapsed = self.node.now() - attempt.t_sent
+        self._attempt_seconds.observe(elapsed)
+        if attempt.predicted_seconds > 0:
+            self._prediction_error_seconds.observe(
+                elapsed - attempt.predicted_seconds
+            )
+        if msg.ok:
+            attempt.cached = msg.cached
+            if msg.cached:
+                self.cached_replies += 1
+            self._end_attempt(req, "ok")
+            self._report_transfer(req)
+            self._finish(req, None, tuple(msg.outputs))
+            return
+        if msg.error_kind != "missing_object":
+            self._end_attempt(req, "error", msg.detail, "attempt_error",
+                              detail=msg.detail)
+            self._report_failure(req, msg.detail)
+        elif req.resubmitted or not req.payloads or not all(
+            key in req.payloads for key in msg.missing
         ):
-            return  # refusal from an attempt we already gave up on
-        self._deadlines.cancel(msg.request_id)
-        assert req.attempt is not None
-        now = self.node.now()
-        req.attempt.t_end = now
-        req.attempt.outcome = "busy"
-        req.attempt.detail = msg.detail
-        self._trace(
-            "attempt_busy",
-            request_id=msg.request_id,
-            server_id=req.current.server_id,
-            queue_depth=msg.queue_depth,
-        )
-        self.busy_failovers += 1
-        if req.span is not None:
-            req.span.end_phase(now, outcome="busy")
-        self._report_failure(req, msg.detail or "busy", kind="busy")
+            # a referenced operand is gone and its value is not in hand:
+            # the best move is the next candidate.  The server is
+            # healthy, so it is not suspected
+            self._end_attempt(req, "missing", msg.detail,
+                              "attempt_missing_object",
+                              missing=list(msg.missing))
+            self._report_failure(req, msg.detail, suspect=False)
+        else:
+            # retryable data-placement drift (TTL lapse, eviction, server
+            # death between store and solve): re-submit once to the same
+            # server with the lost operands inlined — no FailureReport,
+            # no fail-over
+            self._end_attempt(req, "missing", msg.detail,
+                              "resubmit_with_payload",
+                              missing=list(msg.missing))
+            req.resubmitted = True
+            gone = set(msg.missing)
+            req.inputs = tuple(
+                req.payloads[value.key]
+                if isinstance(value, (ObjectRef, DataHandle))
+                and value.key in gone
+                else value
+                for value in req.inputs
+            )
+            req.candidates.appendleft(req.current)
+            req.current = req.attempt = None
         self._try_next(req)
+
+    def _report_failure(
+        self, req: _Active, detail: str, *, kind: str = "", suspect: bool = True
+    ) -> None:
+        req.tried.append(req.current.server_id)
+        if not req.pinned and suspect:
+            # pinned requests bypassed the agent on the way in, so their
+            # failures must bypass it on the way out: reporting one would
+            # penalise the server's suspicion state for a request the
+            # agent never scheduled (the attempt record still stands)
+            self.failovers += 1
+            self.node.send(self.agent_address, FailureReport(
+                server_id=req.current.server_id, problem=req.problem,
+                detail=detail, kind=kind,
+            ))
+        req.current = None
+        req.attempt = None
+
+    def _report_transfer(self, req: _Active) -> None:
+        """Tell the agent what the path actually delivered (NWS loop)."""
+        attempt = req.attempt
+        spec = self._specs.get(req.problem)
+        if spec is None or attempt.elapsed is None or not req.current.host:
+            return  # pinned submits carry no host; nothing to learn on
+        transfer_seconds = attempt.elapsed - attempt.compute_seconds
+        nbytes = spec.input_bytes(req.env) + spec.output_bytes(req.env)
+        for value in req.inputs or ():
+            # handle operands homed on the server never crossed the wire;
+            # counting them would inflate the learned bandwidth belief
+            if (isinstance(value, DataHandle)
+                    and value.server_id == req.current.server_id):
+                nbytes -= value.nbytes
+        if transfer_seconds <= 0 or nbytes <= 0:
+            return
+        self.node.send(self.agent_address, TransferReport(
+            client_host=self.node.host_name, server_host=req.current.host,
+            nbytes=int(nbytes), seconds=float(transfer_seconds),
+        ))

@@ -89,6 +89,7 @@ class RequestFailed(NetSolveError):
         msg = f"request {request_id} failed" + (f": {detail}" if detail else "")
         super().__init__(msg)
         self.request_id = request_id
+        self.detail = detail
 
 
 class MissingObjectError(NetSolveError):

@@ -288,15 +288,3 @@ def test_transfer_reports_reach_learning_agent():
     learned = net.learned_bandwidth("ch", "sh")
     assert learned is not None
     assert abs(learned - 1.25e6) / 1.25e6 < 0.2
-
-
-def test_transfer_reports_optional():
-    world = standard_testbed(
-        n_servers=1, seed=69,
-        client_cfg=ClientConfig(report_transfers=False),
-    )
-    world.settle()
-    a = RNG.standard_normal((32, 32)) + 32 * np.eye(32)
-    world.solve("c0", "linsys/dgesv", [a, np.ones(32)])
-    world.run(until=world.kernel.now + 5.0)
-    assert world.trace.count("transfer_observed") == 0
