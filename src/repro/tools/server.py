@@ -18,6 +18,7 @@ import argparse
 
 from ..config import ServerConfig, WorkloadPolicy
 from ..core.server import ComputationalServer
+from ..numerics.threads import SLOT_BLAS_THREADS, blas_threads
 from ..problems.builtin import builtin_registry
 from ..problems.pdl import parse_pdl_file
 from ..protocol.tcp import TcpTransport
@@ -209,10 +210,16 @@ def main(argv: list[str] | None = None) -> int:
             agent_list = ", ".join(
                 f"{name}@{host}:{port}" for name, host, port in agents
             )
+            # the compute pool pins the BLAS when its first worker spawns
+            blas = (
+                "not controlled" if blas_threads() is None
+                else SLOT_BLAS_THREADS
+            )
             run_forever(
                 f"netsolve server {server_id!r} on {args.bind}:{node.port} "
                 f"({len(registry)} problems, {args.mflops:g} Mflop/s, "
-                f"{slots} slot(s), agent(s) {agent_list})"
+                f"{slots} slot(s), BLAS threads per slot: {blas}, "
+                f"agent(s) {agent_list})"
             )
         finally:
             server.shutdown_executors()

@@ -14,6 +14,7 @@ Covers the three layers of the concurrency work:
   ``slots=1`` reproduces the old arithmetic bit-for-bit.
 """
 
+import queue
 import threading
 import time
 
@@ -85,6 +86,40 @@ def test_worker_pool_bounds_threads_and_counts_saturation():
     assert stats["submitted"] == 5
     assert stats["workers"] == 2  # never more threads than the bound
     pool.shutdown()
+
+
+def test_worker_pool_spawns_for_a_task_dequeued_but_not_yet_busy():
+    """A worker between dequeue and counting itself busy still holds a
+    task, so the next submission must get the second worker instead of
+    queueing behind the first."""
+
+    class SlowGet:
+        """A task queue whose ``get`` stalls after the dequeue."""
+
+        def __init__(self):
+            self._q = queue.SimpleQueue()
+            self.put = self._q.put
+            self.qsize = self._q.qsize
+
+        def get(self):
+            item = self._q.get()
+            time.sleep(0.05)
+            return item
+
+    pool = WorkerPool(2, name="t")
+    pool._tasks = SlowGet()
+    release = threading.Event()
+    b_started = threading.Event()
+    try:
+        pool.submit(lambda: release.wait(10.0))  # A
+        time.sleep(0.01)
+        pool.submit(b_started.set)  # B, while A's worker is mid-dequeue
+        assert b_started.wait(2.0), "B queued behind the blocked A"
+        assert len(pool._threads) == 2
+        assert pool.stats()["saturated"] == 0
+    finally:
+        release.set()
+        pool.shutdown()
 
 
 def test_worker_pool_shutdown_and_validation():

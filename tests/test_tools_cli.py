@@ -174,6 +174,10 @@ def test_multiprocess_deployment():
         agent.wait(timeout=10)
         if server is not None:
             server.wait(timeout=10)
+    # the banner states the per-slot BLAS threading the pool will pin
+    banner = server.stdout.read().decode()
+    assert ("BLAS threads per slot: 1" in banner
+            or "BLAS threads per slot: not controlled" in banner), banner
 
 
 def test_server_refuses_empty_problem_set(tmp_path):
