@@ -146,10 +146,12 @@ class ServerConfig:
     #: compute-pool threads on threaded transports; 0 = match
     #: max_concurrent (the pool never needs more threads than slots)
     workers: int = 0
-    #: execution lane: "thread" (kernels release the GIL in BLAS) or
-    #: "process" (opt-in for GIL-bound handlers; threaded transports only).
-    #: Either way one slot runs one kernel on one BLAS thread: OpenBLAS's
-    #: own pool would busy-wait after every call (repro.numerics.threads)
+    #: execution lane: "thread" (a compute-pool thread per slot; only
+    #: kernels registered as releasing the GIL run side by side, the rest
+    #: take turns in the process's interpreter lane) or "process" (opt-in
+    #: for GIL-bound handlers; threaded transports only).  Either way one
+    #: slot runs one kernel on one BLAS thread: OpenBLAS's own pool would
+    #: busy-wait after every call (repro.numerics.threads)
     executor: str = "thread"
     #: micro-batching: while all slots are busy, up to this many queued
     #: same-problem shape-compatible requests coalesce into one stacked

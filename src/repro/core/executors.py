@@ -7,11 +7,16 @@ made a thread explosion visible.  This module provides the two bounded
 lanes a server can execute on:
 
 * :class:`WorkerPool` — a fixed set of lazily-spawned worker threads
-  draining an unbounded task queue.  The right lane for the repo's
-  numerics: the hot kernels bottom out in NumPy/BLAS calls that release
-  the GIL.  Each worker is one compute slot running one kernel on one
-  BLAS thread (:mod:`repro.numerics.threads`): left at its default,
-  OpenBLAS would spread each kernel over its own thread pool, whose
+  draining an unbounded task queue.  Workers run kernels in parallel
+  only where the kernel releases the GIL (``blas/dgemm``: on a 2-vCPU
+  host two slots halve its wall time per 384x384 product, 3.06 -> 1.52
+  ms).  Most of the catalogue is Python loops that hold the GIL, and
+  those take turns in one process-wide interpreter lane instead: dgesv
+  n=384 takes 14.7 ms of wall per item in the lane and 15.1 ms two at a
+  time, which also costs 47% more CPU.  Each worker is one compute
+  slot running one kernel on one BLAS thread
+  (:mod:`repro.numerics.threads`): left at its default, OpenBLAS
+  would spread each kernel over its own thread pool, whose
   idle threads busy-wait after every call (a 384x384 ``@`` every 9 ms
   on 2 vCPUs: 13.3 ms of CPU for 2.1 ms of wall, against 3.4 ms of both
   pinned).  ``submit`` never blocks; when every worker is busy the task

@@ -425,6 +425,12 @@ _BATCH_HANDLERS = {
 }
 
 
+#: problems whose kernels run in BLAS with the GIL released, so slots
+#: run them in parallel; every other kernel takes the interpreter lane
+#: (repro.numerics.threads)
+_RELEASES_GIL = frozenset({"blas/dgemm"})
+
+
 _HANDLERS = {
     "linsys/dgesv": _h_dgesv,
     "linsys/inverse": _h_inverse,
@@ -469,6 +475,7 @@ def builtin_registry() -> ProblemRegistry:
         )
     for name, spec in by_name.items():
         registry.register(
-            spec, _HANDLERS[name], batch=_BATCH_HANDLERS.get(name)
+            spec, _HANDLERS[name], batch=_BATCH_HANDLERS.get(name),
+            releases_gil=name in _RELEASES_GIL,
         )
     return registry

@@ -11,6 +11,11 @@ requests as one stacked numerics call.  Batch handlers must be
 bit-identical to running the scalar handler per item; any batch-lane
 failure falls back to per-item execution so one bad operand (say, a
 singular matrix) only fails its own request.
+
+A handler runs inside the process's interpreter lane
+(:data:`repro.numerics.threads.INTERPRETER_LANE`) unless its problem is
+registered with ``releases_gil=True``: kernels that keep the GIL gain
+nothing from running side by side, and lose CPU to the convoy.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from ..errors import BadArgumentsError, ProblemNotFoundError
+from ..numerics.threads import FREE_LANE, INTERPRETER_LANE
 from .spec import CoercedArgs, ObjectKind, ProblemSpec, validate_inputs
 
 __all__ = ["RegisteredProblem", "ProblemRegistry"]
@@ -33,10 +39,18 @@ class RegisteredProblem:
     spec: ProblemSpec
     handler: Handler
     batch_handler: "BatchHandler | None" = None
+    #: the kernels spend their time in native code with the GIL released,
+    #: so they run in parallel across slots instead of in the lane
+    releases_gil: bool = False
 
     @property
     def name(self) -> str:
         return self.spec.name
+
+    @property
+    def lane(self):
+        """What a call of this problem's handlers holds while it runs."""
+        return FREE_LANE if self.releases_gil else INTERPRETER_LANE
 
 
 class ProblemRegistry:
@@ -57,6 +71,7 @@ class ProblemRegistry:
         handler: Handler,
         *,
         batch: "BatchHandler | None" = None,
+        releases_gil: bool = False,
     ) -> RegisteredProblem:
         if spec.name in self._problems:
             raise BadArgumentsError(f"problem {spec.name!r} already registered")
@@ -66,7 +81,7 @@ class ProblemRegistry:
             raise BadArgumentsError(
                 f"batch handler for {spec.name!r} is not callable"
             )
-        reg = RegisteredProblem(spec, handler, batch)
+        reg = RegisteredProblem(spec, handler, batch, releases_gil)
         self._problems[spec.name] = reg
         return reg
 
@@ -115,7 +130,10 @@ class ProblemRegistry:
         out = ProblemRegistry()
         for name in names:
             reg = self.get(name)
-            out.register(reg.spec, reg.handler, batch=reg.batch_handler)
+            out.register(
+                reg.spec, reg.handler, batch=reg.batch_handler,
+                releases_gil=reg.releases_gil,
+            )
         return out
 
     def has_batch(self, name: str) -> bool:
@@ -134,7 +152,9 @@ class ProblemRegistry:
         shipping malformed objects back to the client.
         """
         reg = self.get(name)
-        result = reg.handler(*_coerced(reg.spec, args))
+        coerced = _coerced(reg.spec, args)
+        with reg.lane:
+            result = reg.handler(*coerced)
         return _check_outputs(name, reg.spec, result)
 
     def execute_batch(self, name: str, args_list: Sequence[Sequence[Any]]) -> list:
@@ -144,7 +164,8 @@ class ProblemRegistry:
         or the exception that item raised.  The stacked call is tried
         first; any batch-lane failure (a singular member, a shape the
         kernel rejects) degrades to per-item :meth:`execute` so healthy
-        members still complete.
+        members still complete.  The lane is held around each handler
+        call, never across the fallback's own :meth:`execute` calls.
         """
         reg = self.get(name)
         if reg.batch_handler is None:
@@ -153,7 +174,8 @@ class ProblemRegistry:
             return []
         try:
             coerced_items = [_coerced(reg.spec, args) for args in args_list]
-            results = reg.batch_handler(coerced_items)
+            with reg.lane:
+                results = reg.batch_handler(coerced_items)
             if len(results) != len(args_list):
                 raise BadArgumentsError(
                     f"problem {name!r}: batch handler returned "

@@ -13,6 +13,14 @@ never concatenated into one big buffer.  Component entry points
 (message dispatch, timers, compute completions, and user-thread calls
 like ``client.submit``) are serialized by a per-node re-entrant lock,
 so the sans-IO state machines need no thread awareness of their own.
+An exception that escapes one is counted (``wire.handler_errors``), and
+the thread that ran it carries on.
+
+Threads are spent only where they buy parallelism or block on a socket:
+one accept thread per node, one reader per inbound connection, the
+compute pool, and one timer thread per node that fires every
+``call_after`` in due order off a deadline heap (started by the first
+timer, so nodes that never arm one run no timer thread).
 
 This transport exists to prove the protocol is real: the integration
 tests run a full agent/server/client deployment over actual sockets and
@@ -21,6 +29,8 @@ get bit-identical results to the simulated runs.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import os
 import select
 import socket
@@ -31,6 +41,7 @@ from typing import Any, Callable, Optional
 
 from ..core.executors import WorkerPool
 from ..errors import TransportClosed, TransportError
+from ..simnet.kernel import EventKernel
 from ..trace.instruments import Metric, MetricsRegistry, track
 from .codec import HEADER, MAX_BODY, decode_message, encode_message_iov
 from .messages import Message
@@ -57,6 +68,8 @@ _POOL_MAX = 32
 _SENDMSG_MAX_BUFFERS = 256
 #: compute-pool threads per node unless the deployment says otherwise
 _DEFAULT_COMPUTE_WORKERS = 4
+#: how long ``shutdown`` waits for a timer callback that is still running
+_TIMER_JOIN_TIMEOUT = 5.0
 #: resolved once: ``os.getloadavg`` does not exist on non-UNIX builds,
 #: and the periodic workload sampler should not re-discover that (or
 #: re-run the import machinery) every tick
@@ -255,6 +268,110 @@ class _FrameReader:
         return src, ret, decode_message(frame)
 
 
+class _Timer:
+    """A timer armed on a node's heap; ``fn`` is ``None`` once it has
+    fired or been cancelled, so a dead entry pins no closure."""
+
+    __slots__ = ("fn", "_timers")
+
+    def __init__(self, fn: Callable[[], None], timers: "_TimerHeap"):
+        self.fn: Callable[[], None] | None = fn
+        self._timers = timers
+
+    def cancel(self) -> None:
+        self._timers.cancel(self)
+
+
+class _TimerHeap:
+    """One thread firing a node's timers in due order.
+
+    Entries are ``(due, seq, timer)`` on the monotonic clock; ``seq``
+    keeps timers due at the same instant in arming order.  A cancelled
+    entry stays until it reaches the top, or until the heap is rebuilt
+    by :class:`~repro.simnet.kernel.EventKernel`'s rule (at least
+    ``COMPACT_MIN`` entries, fewer than half of them live).  A fire pops
+    its entry and lets go of the heap lock before it takes the node
+    lock: ``call_after`` and ``cancel`` run under the node lock and take
+    this one inside it, so the order is always node, then heap.
+    """
+
+    def __init__(self, node: "TcpNode"):
+        self.node = node
+        self.heap: list[tuple[float, int, _Timer]] = []
+        #: entries in ``heap`` that are neither fired nor cancelled
+        self.live = 0
+        self._cond = threading.Condition(threading.Lock())
+        self._seq = itertools.count()
+        self._thread: threading.Thread | None = None
+        self._closed = False
+
+    def arm(self, delay: float, fn: Callable[[], None]) -> _Timer:
+        timer = _Timer(fn, self)
+        due = time.monotonic() + delay
+        with self._cond:
+            if self._closed:
+                raise TransportClosed(f"node {self.node.address!r} is down")
+            heap = self.heap
+            heapq.heappush(heap, (due, next(self._seq), timer))
+            self.live += 1
+            if (len(heap) >= EventKernel.COMPACT_MIN
+                    and self.live * 2 < len(heap)):
+                heap[:] = [e for e in heap if e[2].fn is not None]
+                heapq.heapify(heap)
+            if self._thread is None:
+                self._thread = threading.Thread(
+                    target=self._run, name=f"tcp-timer-{self.node.address}",
+                    daemon=True,
+                )
+                self._thread.start()
+            elif heap[0][2] is timer:
+                self._cond.notify()  # due before whatever the thread awaits
+        return timer
+
+    def cancel(self, timer: _Timer) -> None:
+        with self._cond:
+            if timer.fn is not None:
+                timer.fn = None
+                self.live -= 1
+
+    def _run(self) -> None:
+        cond, heap = self._cond, self.heap
+        while True:
+            with cond:
+                while True:
+                    if self._closed:
+                        return
+                    if not heap:
+                        cond.wait()
+                        continue
+                    due, _seq, timer = heap[0]
+                    if timer.fn is None:
+                        heapq.heappop(heap)
+                        continue
+                    wait = due - time.monotonic()
+                    if wait > 0:
+                        cond.wait(wait)
+                        continue
+                    heapq.heappop(heap)
+                    fn, timer.fn = timer.fn, None
+                    self.live -= 1
+                    break
+            self.node.post(fn)
+
+    def close(self) -> None:
+        """Drop every armed timer and end the thread; idempotent."""
+        with self._cond:
+            self._closed = True
+            for _due, _seq, timer in self.heap:
+                timer.fn = None
+            self.heap.clear()
+            self.live = 0
+            self._cond.notify()
+            thread = self._thread
+        if thread is not None and thread is not threading.current_thread():
+            thread.join(_TIMER_JOIN_TIMEOUT)
+
+
 class TcpNode(Node):
     """A component endpoint on a real socket."""
 
@@ -289,7 +406,7 @@ class TcpNode(Node):
         #: counted under ``lock``, like the dispatch it precedes
         self.messages_delivered = 0
         self.messages_dropped = 0
-        self._timers: list[threading.Timer] = []
+        self._timers = _TimerHeap(self)
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((transport.bind_ip, port))
@@ -354,22 +471,10 @@ class TcpNode(Node):
         self.bytes_sent += nbytes
         self.transport._frame_bytes.observe(nbytes)
 
-    def call_after(self, delay: float, fn: Callable[[], None]):
+    def call_after(self, delay: float, fn: Callable[[], None]) -> _Timer:
         if not self.alive:
             raise TransportClosed(f"node {self.address!r} is down")
-
-        def guarded() -> None:
-            with self.lock:
-                if self.alive:
-                    fn()
-
-        timer = threading.Timer(delay, guarded)
-        timer.daemon = True
-        timer.start()
-        self._timers.append(timer)
-        if len(self._timers) > 64:
-            self._timers = [t for t in self._timers if t.is_alive()]
-        return _TimerHandle(timer)
+        return self._timers.arm(delay, fn)
 
     def compute(
         self,
@@ -394,17 +499,21 @@ class TcpNode(Node):
             except Exception as exc:
                 result = exc
             elapsed = time.perf_counter() - t0
-            with self.lock:
-                if self.alive:
-                    done(result, elapsed)
+            self.post(lambda: done(result, elapsed))
 
         self._compute_pool.submit(run)
 
     def post(self, fn: Callable[[], None]) -> None:
-        """Run ``fn`` under the node lock (foreign-thread completions)."""
+        """Run ``fn`` under the node lock while the node is alive (timer
+        fires and foreign-thread completions); an exception out of it is
+        counted, not raised."""
         with self.lock:
-            if self.alive:
+            if not self.alive:
+                return
+            try:
                 fn()
+            except Exception:
+                self.transport._count_handler_error()
 
     def sample_workload(self) -> float:
         """100 x the 1-minute UNIX load average of this machine."""
@@ -427,10 +536,11 @@ class TcpNode(Node):
 
         Runs ``on_restart`` under the node lock, serialized against
         message delivery and timer fires — the operational "the daemon
-        hiccuped, reset it" path.  Old ``threading.Timer``\\ s armed
-        before the restart may still fire afterwards; restart-safe
-        periodics supersede them by generation, which is exactly what
-        the crash/revive lifecycle tests pin down.
+        hiccuped, reset it" path.  Timers armed before the restart may
+        still fire afterwards (one already popped for firing can even
+        race a cancel); restart-safe periodics supersede them by
+        generation, which is exactly what the crash/revive lifecycle
+        tests pin down.
         """
         with self.lock:
             if not self.alive:
@@ -503,7 +613,13 @@ class TcpNode(Node):
                         if not self.alive or self.component is None:
                             return
                         self.messages_delivered += 1
-                        self.component.on_message(src, msg)
+                        try:
+                            self.component.on_message(src, msg)
+                        except Exception:
+                            # a handler fault: count it and drop the
+                            # connection, as for a malformed frame
+                            self.transport._count_handler_error()
+                            return
         finally:
             with self._inbound_lock:
                 self._inbound.discard(conn)
@@ -511,9 +627,7 @@ class TcpNode(Node):
     def shutdown(self) -> None:
         with self.lock:
             self.alive = False
-        for t in self._timers:
-            t.cancel()
-        self._timers.clear()
+        self._timers.close()
         if self.component is not None:
             # release component-owned resources (executor pools, stores)
             # before the transport's own; on_shutdown is idempotent
@@ -552,22 +666,14 @@ class TcpNode(Node):
             _close_quietly(conn)
 
 
-class _TimerHandle:
-    __slots__ = ("_timer",)
-
-    def __init__(self, timer: threading.Timer):
-        self._timer = timer
-
-    def cancel(self) -> None:
-        self._timer.cancel()
-
-
 class TcpTransport:
     """A directory of TCP nodes on this machine."""
 
     METRICS = WIRE_METRICS + (
         Metric("server.pool_saturated", "pool_saturated",
                "compute submissions that found every pool worker busy"),
+        Metric("wire.handler_errors", "handler_errors",
+               "exceptions that escaped a component entry point"),
     )
     messages_sent = _node_total("messages_sent")
     bytes_sent = _node_total("bytes_sent")
@@ -609,6 +715,12 @@ class TcpTransport:
         # envelope, decode failure): the connection dies, the node stays
         with self._lock:
             self.messages_malformed += 1
+
+    def _count_handler_error(self) -> None:
+        # an exception out of a message handler, timer callback or
+        # compute completion: counted, and the thread that ran it lives
+        with self._lock:
+            self.handler_errors += 1
 
     # ------------------------------------------------------------------
     def add_node(

@@ -11,8 +11,9 @@ executed, so tests can assert the guard did its job.
 
 Timers themselves are never re-used: superseding a slot cancels the old
 node timer *and* bumps the generation, covering both the sim transport
-(lazy cancellation in the event kernel) and the TCP transport (a
-``threading.Timer`` that may already be past the point of no return).
+(lazy cancellation in the event kernel) and the TCP transport (a timer
+its node's timer thread has already popped, waiting for the node lock
+to fire, is past the point of no return).
 
 :class:`RetryChain` builds the NetSolve resend loop on top of a single
 deadline slot: send, wait, resend up to an attempt budget, then give

@@ -6,8 +6,8 @@ lacked is idempotent restart — ``start()`` *supersedes* any previous
 chain by bumping a generation stamp, so calling it again (``on_restart``
 delegating to ``on_bind``, say) leaves exactly one live chain.  On the
 sim transport a crash cancels node timers anyway; on the TCP transport
-the old ``threading.Timer`` may still fire, and the stamp is what turns
-that fire into a counted no-op instead of a duplicate chain.
+an old timer already popped for firing may still fire, and the stamp is
+what turns that fire into a counted no-op instead of a duplicate chain.
 
 Ticks preserve the seed components' body-then-rearm order, so any
 timers the body arms keep their position in the event kernel's

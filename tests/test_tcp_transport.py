@@ -702,3 +702,189 @@ def test_pool_counters_exact_under_concurrent_sends():
         for w in workers:
             w.join()
         assert pool.dials + pool.reuses == threads * sends
+
+
+# ----------------------------------------------------------------------
+# timers: one heap and one thread per node
+# ----------------------------------------------------------------------
+def _timer_threads(address):
+    import threading
+
+    return [t for t in threading.enumerate()
+            if t.name == f"tcp-timer-{address}" and t.is_alive()]
+
+
+def test_timers_fire_in_due_order():
+    fired = []
+    with TcpTransport() as transport:
+        node = transport.add_node("t", _Sink())
+        with node.lock:
+            for delay in (0.12, 0.03, 0.09, 0.0, 0.06):
+                node.call_after(delay, lambda d=delay: fired.append(d))
+        assert wait_for(lambda: len(fired) == 5)
+    assert fired == [0.0, 0.03, 0.06, 0.09, 0.12]
+
+
+def test_a_timer_cancelled_before_it_is_due_never_fires():
+    fired = []
+    with TcpTransport() as transport:
+        node = transport.add_node("t", _Sink())
+        with node.lock:
+            doomed = node.call_after(0.05, lambda: fired.append("doomed"))
+            node.call_after(0.15, lambda: fired.append("kept"))
+            doomed.cancel()
+            doomed.cancel()  # idempotent
+        assert wait_for(lambda: fired == ["kept"])
+        assert node._timers.live == 0
+    assert fired == ["kept"]
+
+
+def test_timer_heap_compaction_keeps_the_heap_bounded():
+    from repro.simnet.kernel import EventKernel
+
+    # a deadline table cancels almost every timer it arms; dead entries
+    # far in the future must not pile up in the heap
+    with TcpTransport() as transport:
+        node = transport.add_node("t", _Sink())
+        timers = node._timers
+        peak = 0
+        with node.lock:
+            keeper = node.call_after(60.0, lambda: None)
+            for _ in range(8 * EventKernel.COMPACT_MIN):
+                node.call_after(60.0, lambda: None).cancel()
+                peak = max(peak, len(timers.heap))
+        assert timers.live == 1
+        assert peak <= EventKernel.COMPACT_MIN
+        assert len(timers.heap) < EventKernel.COMPACT_MIN
+        keeper.cancel()
+        assert timers.live == 0
+
+
+def test_timer_counts_stay_exact_under_concurrent_arm_cancel_and_fire():
+    import collections
+    import sys
+    import threading
+
+    # four arming threads and the timer thread share the heap and its
+    # live count; a lost update leaves ``live`` off zero at the end
+    threads, per = 4, 250
+    fired = collections.Counter()
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with TcpTransport() as transport:
+            node = transport.add_node("t", _Sink())
+            start = threading.Barrier(threads)
+
+            def churn(k):
+                start.wait(timeout=10)
+                for i in range(per):
+                    key = (k, i)
+                    with node.lock:
+                        if i % 3:
+                            node.call_after(0.001 * (i % 4),
+                                            lambda key=key: fired.update([key]))
+                        else:
+                            node.call_after(
+                                30.0, lambda key=key: fired.update([key])
+                            ).cancel()
+
+            workers = [threading.Thread(target=churn, args=(k,))
+                       for k in range(threads)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(30)
+            assert not any(w.is_alive() for w in workers)
+            kept = {(k, i) for k in range(threads) for i in range(per) if i % 3}
+            assert wait_for(lambda: set(fired) == kept)
+            assert node._timers.live == 0
+            assert set(fired.values()) == {1}
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_a_raising_timer_callback_is_counted_and_later_timers_fire():
+    from repro.trace.instruments import MetricsRegistry
+
+    fired = []
+
+    def boom():
+        raise RuntimeError("callback bug")
+
+    metrics = MetricsRegistry()
+    with TcpTransport(metrics=metrics) as transport:
+        node = transport.add_node("t", _Sink())
+        with node.lock:
+            node.call_after(0.0, boom)
+            node.call_after(0.05, lambda: fired.append(1))
+        assert wait_for(lambda: fired == [1])
+        with node.lock:
+            node.call_after(0.0, lambda: fired.append(2))
+        assert wait_for(lambda: fired == [1, 2])
+        assert transport.handler_errors == 1
+        assert metrics.get("wire.handler_errors").value == 1
+
+
+def test_shutdown_ends_the_timer_thread_and_refuses_new_timers():
+    from repro.errors import TransportClosed
+
+    fired = []
+    with TcpTransport() as transport:
+        node = transport.add_node("t", _Sink())
+        assert not _timer_threads("t")  # no timer armed, no thread
+        with node.lock:
+            node.call_after(30.0, lambda: fired.append(1))
+        assert len(_timer_threads("t")) == 1
+        node.shutdown()
+        assert not _timer_threads("t")
+        with pytest.raises(TransportClosed):
+            node.call_after(0.0, lambda: fired.append(2))
+    assert fired == []
+
+
+@pytest.mark.parametrize("probe", ["solve-reply-to", "store-key"])
+def test_a_handler_fault_is_counted_and_the_server_keeps_serving(probe):
+    # hostile values the codec lets through: SolveRequest(reply_to=3)
+    # blows up in the compute completion, StoreObject(key=5) in the
+    # message handler on the connection's reader thread.  Either way
+    # the fault is counted once and the next valid request is answered
+    import socket
+
+    from repro.protocol.messages import SolveReply, SolveRequest, StoreObject
+    from repro.trace.instruments import MetricsRegistry
+
+    a, b = np.eye(3) * 2.0, np.ones(3)
+    hostile = {
+        "solve-reply-to": SolveRequest(
+            request_id=1, problem="linsys/dgesv", inputs=(a, b), reply_to=3
+        ),
+        "store-key": StoreObject(key=5, value=np.ones(3)),
+    }[probe]
+    metrics = MetricsRegistry()
+    with TcpTransport(metrics=metrics) as transport:
+        server = ComputationalServer(
+            server_id="s0",
+            agent_address="agent",  # unresolvable: registrations drop
+            registry=builtin_registry().subset(("linsys/dgesv",)),
+            mflops=100.0,
+            host=transport.host_name,
+        )
+        node = transport.add_node("server/s0", server)
+        catcher = _Catcher()
+        transport.add_node("rx", catcher)
+        with socket.create_connection(("127.0.0.1", node.port)) as conn:
+            conn.sendall(_enveloped(hostile))
+            assert wait_for(lambda: transport.handler_errors == 1)
+        with socket.create_connection(("127.0.0.1", node.port)) as conn:
+            conn.sendall(_enveloped(SolveRequest(
+                request_id=2, problem="linsys/dgesv", inputs=(a, b),
+                reply_to="rx",
+            )))
+            assert wait_for(lambda: len(catcher.got) == 1)
+        (reply,) = catcher.got
+        assert isinstance(reply, SolveReply) and reply.ok
+        assert np.allclose(reply.outputs[0], 0.5)
+        assert node.alive
+        assert transport.handler_errors == 1
+        assert metrics.get("wire.handler_errors").value == 1
