@@ -9,12 +9,13 @@ single large ``A`` over a slow (10 Mb/s) client link:
 * brokered: every request re-ships A (the agent may also bounce the
   work between servers),
 * sequenced: A is stored once on the agent's top pick; each request
-  carries only the vector and an object reference.
+  is pinned there and carries only the vector and the ``DataHandle``
+  the store returned (plus, client-side only, A as a recovery payload
+  should the server lose it).
 """
 
 import numpy as np
 
-from repro.sequencing import open_sequence
 from repro.simnet.rng import RngStreams
 from repro.testbed import standard_testbed
 from repro.trace.metrics import format_table
@@ -47,15 +48,18 @@ def run_brokered():
 def run_sequenced():
     tb, a, xs = build()
     client = tb.client("c0")
+    wait = tb.transport.run_until
     start = tb.kernel.now
-    seq = open_sequence(
-        client, "blas/dgemv", {"m": N, "n": N}, wait=tb.transport.run_until
-    )
-    seq.store("A", a)
+    best = wait(client.query_candidates("blas/dgemv", {"m": N, "n": N}))[0]
+    a_ref = wait(client.store(best.address, "A", a))
     for x in xs:
-        (y,) = seq.solve("blas/dgemv", [seq.ref("A"), x])
+        handle = client.submit_pinned(
+            "blas/dgemv", [a_ref, x], best.address,
+            server_id=best.server_id, payloads={"A": a},
+        )
+        (y,) = wait(handle.promise)
         assert np.allclose(y, a @ x)
-    seq.release()
+    wait(client.delete_stored(best.address, "A"))
     bytes_sent = tb.transport.node("client/c0").bytes_sent
     return tb.kernel.now - start, bytes_sent
 

@@ -4,15 +4,16 @@
 The workload: estimate the top three eigenvalues of a large symmetric
 matrix by power iteration with deflation — dozens of matrix-vector
 products against the *same* matrix.  Brokering each product separately
-would re-ship the matrix every call; a sequence ships it once to the
-agent's best server and references it thereafter.
+would re-ship the matrix every call; a sequence asks the agent once for
+its best server, stores the matrix there, and pins every product to it
+with the ``DataHandle`` the store returned.
 
 Run:  python examples/request_sequencing.py
 """
 
 import numpy as np
 
-from repro import open_sequence, standard_testbed
+from repro import standard_testbed
 
 
 def main() -> None:
@@ -28,10 +29,10 @@ def main() -> None:
     spectrum = np.concatenate([[50.0, 30.0, 18.0], rng.uniform(0.1, 5.0, n - 3)])
     a = (q * spectrum) @ q.T
 
-    seq = open_sequence(client, "blas/dgemv", {"m": n, "n": n}, wait=wait)
-    print(f"sequence pinned to server {seq.server_id!r}")
-    nbytes = seq.store("A", a)
-    print(f"matrix shipped once: {nbytes / 1e6:.2f} MB\n")
+    best = wait(client.query_candidates("blas/dgemv", {"m": n, "n": n}))[0]
+    print(f"sequence pinned to server {best.server_id!r}")
+    a_ref = wait(client.store(best.address, "A", a))
+    print(f"matrix shipped once: {a_ref.nbytes / 1e6:.2f} MB\n")
 
     start = tb.kernel.now
     eigenvalues = []
@@ -44,7 +45,11 @@ def main() -> None:
             for v_known in basis:
                 x -= (v_known @ x) * v_known
             x /= np.linalg.norm(x)
-            (y,) = seq.solve("blas/dgemv", [seq.ref("A"), x])  # remote matvec
+            handle = client.submit_pinned(  # remote matvec
+                "blas/dgemv", [a_ref, x], best.address,
+                server_id=best.server_id, payloads={"A": a},
+            )
+            (y,) = wait(handle.promise)
             lam = float(x @ y)
             x = y
         x /= np.linalg.norm(x)
@@ -60,9 +65,9 @@ def main() -> None:
           f"(sequenced)")
     print(f"re-shipping the matrix each call would have spent "
           f"~{resend_cost:.0f} s on the wire alone")
-    seq.release()
-    print("sequence released; server cache empty:",
-          tb.server(seq.server_id).cached_objects == 0)
+    wait(client.delete_stored(best.address, "A"))
+    print("matrix deleted; server cache empty:",
+          tb.server(best.server_id).cached_objects == 0)
 
 
 if __name__ == "__main__":

@@ -37,7 +37,6 @@ from .errors import NetSolveError
 from .farming import FarmResult, submit_farm
 from .matlab import MatlabNetSolve
 from .problems import builtin_registry
-from .sequencing import ServerSequence, open_sequence
 from .testbed import (
     AGENT_ADDRESS,
     ClientDef,
@@ -70,8 +69,6 @@ __all__ = [
     "submit_farm",
     "MatlabNetSolve",
     "builtin_registry",
-    "ServerSequence",
-    "open_sequence",
     "Testbed",
     "build_testbed",
     "standard_testbed",

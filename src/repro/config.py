@@ -141,7 +141,8 @@ class ServerConfig:
     max_queue: int = 0
     #: re-register with the agent at this interval (seconds); 0 disables
     reregister_interval: float = 0.0
-    #: byte budget of the request-sequencing object cache
+    #: byte budget of the resident-object store (client-stored operands
+    #: and kept results)
     object_cache_bytes: int = 256 * 1024 * 1024
     #: compute-pool threads on threaded transports; 0 = match
     #: max_concurrent (the pool never needs more threads than slots)

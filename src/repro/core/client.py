@@ -44,7 +44,7 @@ from ..problems.spec import ProblemSpec, validate_inputs
 from ..protocol.messages import (
     Busy, Candidate, DagNodeDone, DagReply, DataHandle, DeleteObject,
     DescribeProblem, FailureReport, FetchObject, FetchResult, ListProblems,
-    ObjectPayload, ObjectRef, ProblemDescription, ProblemList, QueryReply,
+    ObjectPayload, ProblemDescription, ProblemList, QueryReply,
     QueryRequest, ResultStatus, SolveReply, SolveRequest, StoreAck,
     StoreObject, SubmitDag, TransferReport,
 )
@@ -140,11 +140,10 @@ class _Call:
     """
 
     __slots__ = ("key", "target", "msg", "attempts", "interval", "give_up",
-                 "waiters", "sent", "behind", "on_node", "want_handle")
+                 "waiters", "sent", "behind", "on_node")
 
     def __init__(self, key: Hashable, target: str, msg, attempts: int,
-                 interval: float, give_up: str, waiter, on_node=None,
-                 want_handle: bool = False):
+                 interval: float, give_up: str, waiter, on_node=None):
         self.key = key
         self.target = target
         self.msg = msg
@@ -156,8 +155,6 @@ class _Call:
         self.behind: list[_Call] = []
         #: DAG progress callback, given each DagNodeDone
         self.on_node = on_node
-        #: a store that resolves with the ack's DataHandle, not its size
-        self.want_handle = want_handle
 
 
 #: calls that change server state: two of them never share one answer
@@ -340,21 +337,18 @@ class NetSolveClient(DispatchComponent):
     ) -> RequestHandle:
         """Submit directly to one server, bypassing the agent.
 
-        This is the execution half of request sequencing: arguments may
-        contain :class:`ObjectRef` placeholders (or :class:`DataHandle`
-        stubs) for operands previously :meth:`store`\\ d there.  No
-        fail-over — a pinned request lives and dies with its server (the
-        sequence's data is there).  ``keep_result`` and ``payloads``
-        behave as in :meth:`submit`: the one recovery a pinned request
-        does get is re-sending *to the same server* with ``payloads``
-        inlined when it answers that a referenced key is gone.
+        Arguments may contain :class:`DataHandle` references to operands
+        previously :meth:`store`\\ d there.  No fail-over — a pinned
+        request lives and dies with its server (the referenced data is
+        there).  ``keep_result`` and ``payloads`` behave as in
+        :meth:`submit`: the one recovery a pinned request does get is
+        re-sending *to the same server* with ``payloads`` inlined when
+        it answers that a referenced key is gone.
         """
         req = self._open(problem, args, server_address, keep_result,
                          payloads, "")
         spec = self._specs.get(problem)
-        if spec is None or any(
-            isinstance(a, (ObjectRef, DataHandle)) for a in args
-        ):
+        if spec is None or any(isinstance(a, DataHandle) for a in args):
             # refs resolve server-side; validation happens there
             req.inputs = tuple(args)
         elif not self._validate(req, spec):
@@ -412,7 +406,8 @@ class NetSolveClient(DispatchComponent):
         Resolves with ``list[Candidate]`` (possibly after the agent notes
         an assignment to the head — exactly as a real query would);
         rejects with :class:`RequestFailed` on unknown problems, empty
-        pools, or agent silence.  Used by sequencing to pick a pin.
+        pools, or agent silence.  The head is the server to pin a run of
+        :meth:`submit_pinned` calls to.
         """
         # negative tags cannot collide with request ids (always >= 1)
         tag = -next(self._rids)
@@ -430,29 +425,18 @@ class NetSolveClient(DispatchComponent):
         )
 
     def store(self, server_address: str, key: str, value: Any) -> Promise:
-        """Cache ``value`` under ``key`` on a specific server.
+        """Pin ``value`` under ``key`` on a specific server.
 
-        The promise resolves with the stored byte count, or rejects if
-        the server refuses (cache full) or never answers.
+        The promise resolves with the :class:`DataHandle` the ack
+        carries — digest, size and shape metadata included — so the
+        stored operand can be referenced or fetched with no further
+        round trip.  It rejects if the server refuses (cache full) or
+        never answers.
         """
         return self._call(
             ("store", server_address, key), server_address,
             StoreObject(key=key, value=value), 1, self.cfg.server_timeout,
             f"server {server_address!r} did not ack object {key!r}",
-        )
-
-    def store_handle(
-        self, server_address: str, key: str, value: Any,
-    ) -> Promise:
-        """Like :meth:`store`, but resolve with the :class:`DataHandle`
-        the ack carries — digest, size and shape metadata included — so
-        the stored operand can be referenced or fetched with no further
-        round trip."""
-        return self._call(
-            ("store", server_address, key), server_address,
-            StoreObject(key=key, value=value), 1, self.cfg.server_timeout,
-            f"server {server_address!r} did not ack object {key!r}",
-            want_handle=True,
         )
 
     def delete_stored(self, server_address: str, key: str) -> Promise:
@@ -465,27 +449,24 @@ class NetSolveClient(DispatchComponent):
         )
 
     def fetch(
-        self, handle: "DataHandle | ObjectRef | str", *, address: str = ""
+        self, handle: "DataHandle | str", *, address: str = ""
     ) -> Promise:
         """Pull a server-resident object's bytes on demand.
 
         The read half of the reference path: a ``keep_result`` solve (or
         a DAG with keep nodes) answers with :class:`DataHandle` stubs;
         this turns one back into the value.  ``address`` overrides the
-        handle's home (required when ``handle`` is a bare key or an
-        :class:`ObjectRef`, which carry none).  The promise resolves
-        with the object's value; it rejects with
-        :class:`MissingObjectError` when the key is no longer resident
-        (TTL lapse, eviction, server restarted the hard way) and
-        :class:`RequestFailed` when the server never answers.
+        handle's home (required when ``handle`` is a bare key, or a
+        handle that carries none).  The promise resolves with the
+        object's value; it rejects with :class:`MissingObjectError` when
+        the key is no longer resident (TTL lapse, eviction, server
+        restarted the hard way) and :class:`RequestFailed` when the
+        server never answers.
         """
-        if isinstance(handle, (DataHandle, ObjectRef)):
-            key = handle.key
+        if isinstance(handle, DataHandle):
+            key, target = handle.key, address or handle.address
         else:
-            key = str(handle)
-        target = address or (
-            handle.address if isinstance(handle, DataHandle) else ""
-        )
+            key, target = str(handle), address
         if not target:
             return self._settled(NetSolveError(
                 f"fetch of {key!r} needs a server address "
@@ -745,7 +726,8 @@ class NetSolveClient(DispatchComponent):
             return
         self._answer(key, RequestFailed(0, msg.detail or "store refused")
                      if not msg.ok
-                     else msg.handle if call.want_handle else msg.nbytes)
+                     else msg.handle if isinstance(call.msg, StoreObject)
+                     else msg.nbytes)
 
     @handles(ObjectPayload)
     def _on_object_payload(self, src: str, msg: ObjectPayload) -> None:
@@ -1152,8 +1134,7 @@ class NetSolveClient(DispatchComponent):
             gone = set(msg.missing)
             req.inputs = tuple(
                 req.payloads[value.key]
-                if isinstance(value, (ObjectRef, DataHandle))
-                and value.key in gone
+                if isinstance(value, DataHandle) and value.key in gone
                 else value
                 for value in req.inputs
             )

@@ -64,6 +64,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from hashlib import blake2b
 from math import ceil
 from typing import Optional, Sequence
 
@@ -84,7 +85,6 @@ from ..protocol.messages import (
     FetchResult,
     NodeOutput,
     ObjectPayload,
-    ObjectRef,
     Ping,
     Pong,
     RegisterAck,
@@ -126,7 +126,7 @@ def _batch_signature(values) -> tuple:
 
 def _has_refs(msg: SolveRequest) -> bool:
     """True when an input names resident data instead of carrying it."""
-    return any(isinstance(v, (ObjectRef, DataHandle)) for v in msg.inputs)
+    return any(isinstance(v, DataHandle) for v in msg.inputs)
 
 
 def _batchable(msg: SolveRequest) -> bool:
@@ -251,7 +251,7 @@ class ComputationalServer(DispatchComponent):
         Metric("server.stale_drops", "stale_completions",
                "compute completions from a previous incarnation dropped"),
         Metric("server.stores", "objects_stored",
-               "objects stored in the sequencing cache"),
+               "client-stored objects (pinned until deleted)"),
         Metric("server.store_rejects", "store_rejects",
                "stores rejected (cache full / codec)"),
         Metric("server.deletes", "object_deletes", "stored-object deletions"),
@@ -344,7 +344,7 @@ class ComputationalServer(DispatchComponent):
         #: opt-in process executor, created on first use (thread lanes
         #: belong to the transport node, not the server)
         self._process_pool: Optional[ProcessPool] = None
-        #: resident-object store behind ObjectRef/DataHandle references:
+        #: resident-object store behind DataHandle references:
         #: pinned client stores plus refcounted, TTL-bounded keep_result
         #: outputs.  Survives on_restart (in-process hiccup), cleared by
         #: on_shutdown (process death).
@@ -537,7 +537,7 @@ class ComputationalServer(DispatchComponent):
         self.node.send(src, Pong(nonce=msg.nonce))
 
     # ------------------------------------------------------------------
-    # resident-object store (ObjectRef / DataHandle)
+    # resident-object store (DataHandle references)
     # ------------------------------------------------------------------
     @property
     def cached_objects(self) -> int:
@@ -554,7 +554,7 @@ class ComputationalServer(DispatchComponent):
     def _store_object(self, src: str, msg: StoreObject) -> None:
         try:
             # client-stored operands are *pinned*: immune to TTL and
-            # eviction until an explicit delete (the sequencing contract)
+            # eviction until an explicit delete (ship once, refer after)
             obj = self.objects.put(msg.key, msg.value, pin=True)
         except NetSolveError as exc:
             self.store_rejects += 1
@@ -621,7 +621,7 @@ class ComputationalServer(DispatchComponent):
         resolved = []
         missing = []
         for value in inputs:
-            if isinstance(value, (ObjectRef, DataHandle)):
+            if isinstance(value, DataHandle):
                 obj = self.objects.entry(value.key)
                 if obj is None:
                     missing.append(value.key)
@@ -662,12 +662,10 @@ class ComputationalServer(DispatchComponent):
         msg = job.msg
         if not _has_refs(msg):
             return solve_digest(msg.problem, job.coerced, job.env)
-        # normalize both ref flavours to ObjectRef so the folded digest
-        # depends on the resident *content*, not on which reference type
-        # (or possibly-stale carried digest) named it
+        # references stay references; the resolver folds in the digest
+        # of the resident *content*, not a possibly-stale carried one
         folded = [
-            ObjectRef(orig.key)
-            if isinstance(orig, (ObjectRef, DataHandle)) else value
+            orig if isinstance(orig, DataHandle) else value
             for orig, value in zip(msg.inputs, job.coerced)
         ]
         return solve_digest(
@@ -687,8 +685,12 @@ class ComputationalServer(DispatchComponent):
         kept = []
         for index, value in enumerate(outputs):
             key = f"res/{reply_to}/{request_id}/{index}"
-            if len(key) > 128:  # pragma: no cover - absurd address
-                key = key[:96] + format(abs(hash(key)), "x")
+            if len(key) > 128:
+                # a fixed-width hash of the whole key: the same in every
+                # process, and at most 96 + 32 = 128 chars
+                key = key[:96] + blake2b(
+                    key.encode("utf-8"), digest_size=16
+                ).hexdigest()
             try:
                 obj = self.objects.put(key, value)
             except NetSolveError:

@@ -283,7 +283,7 @@ def validate_inputs(
     shape metadata bind nothing — any symbols they alone would pin stay
     unbound and the server re-validates after resolving residents).
     """
-    from ..protocol.messages import DataHandle, ObjectRef
+    from ..protocol.messages import DataHandle
     if len(args) != len(spec.inputs):
         raise BadArgumentsError(
             f"problem {spec.name!r} takes {len(spec.inputs)} argument(s), "
@@ -304,9 +304,9 @@ def validate_inputs(
             )
 
     for obj, raw in zip(spec.inputs, args):
-        if isinstance(raw, (DataHandle, ObjectRef)):
+        if isinstance(raw, DataHandle):
             coerced.append(raw)
-            shape = tuple(getattr(raw, "shape", ()) or ())
+            shape = tuple(raw.shape or ())
             if (
                 obj.kind in (ObjectKind.MATRIX, ObjectKind.VECTOR)
                 and len(shape) == obj.kind.rank

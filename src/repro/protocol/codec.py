@@ -50,7 +50,7 @@ import numpy as np
 from ..errors import CodecError
 from .messages import (
     MESSAGE_TYPES, WIRE_DICT_TAG, WIRE_STR_TAG, DataHandle, Message,
-    NodeOutput, ObjectRef, field_plan,
+    NodeOutput, field_plan,
 )
 
 __all__ = [
@@ -82,7 +82,7 @@ _T_LIST = 6
 _T_DICT = WIRE_DICT_TAG
 _T_NDARRAY = 8
 _T_COMPLEX = 9
-_T_OBJREF = 10
+# 10 is retired (it was a bare object key): decoders reject it
 _T_HANDLE = 11
 _T_NODEOUT = 12
 
@@ -296,7 +296,6 @@ _ENCODERS = {
     str: _enc_str,
     bytes: _enc_bytes, bytearray: _enc_bytes, memoryview: _enc_bytes,
     np.ndarray: _enc_ndarray,
-    ObjectRef: lambda v, b: _enc_str(v.key, b, _T_OBJREF),
     DataHandle: _enc_handle,
     NodeOutput: _enc_node,
     tuple: _enc_seq, list: _enc_seq,
@@ -377,7 +376,6 @@ _SIZERS = {
     bytes: lambda v: 5 + len(v), bytearray: lambda v: 5 + len(v),
     memoryview: lambda v: 5 + v.nbytes,
     np.ndarray: _size_ndarray,
-    ObjectRef: lambda v: _size_str(v.key),
     DataHandle: _size_handle,
     NodeOutput: lambda v: _size_str(v.node) + 8,
     tuple: _size_seq, list: _size_seq,
@@ -497,8 +495,6 @@ def _decode(reader: _Reader, depth: int = 0) -> Any:
             # BLAS call (unaligned loads are ~2x slower than one memcpy)
             arr = arr.copy()
         return arr
-    if tag == _T_OBJREF:
-        return ObjectRef(reader.text(" in object key"))
     if tag == _T_HANDLE:
         key, digest, server_id, address, dtype = (
             reader.text(" in handle") for _ in range(5)

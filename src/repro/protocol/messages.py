@@ -75,7 +75,6 @@ __all__ = [
     "SyncDigest",
     "SyncPull",
     "SyncState",
-    "ObjectRef",
     "DataHandle",
     "NodeOutput",
     "StoreObject",
@@ -367,8 +366,8 @@ class SolveRequest(Message):
     request_id: int
     problem: str
     #: coerced input objects, in spec order; entries may be
-    #: :class:`ObjectRef`/:class:`DataHandle` references to objects
-    #: already resident on the target server instead of payloads
+    #: :class:`DataHandle` references to objects already resident on
+    #: the target server instead of payloads
     inputs: tuple
     reply_to: str = ""
     #: True: leave the outputs resident on the server and reply with
@@ -554,35 +553,19 @@ class FailureReport(Message):
 
 
 @dataclass(frozen=True)
-class ObjectRef:
-    """Placeholder for an operand previously stored on the target server.
-
-    Appears *inside* ``SolveRequest.inputs``; the server swaps it for the
-    cached object before validation.  This is the data-locality half of
-    request sequencing: ship a large operand once, reference it in every
-    later request of the sequence.
-    """
-
-    key: str
-
-    def __post_init__(self) -> None:
-        if not self.key or len(self.key) > 128:
-            raise ProtocolError(f"bad object key {self.key!r}")
-
-
-@dataclass(frozen=True)
 class DataHandle:
-    """First-class reference to a server-resident object.
+    """The one reference to a server-resident object.
 
-    Where :class:`ObjectRef` is a bare pinned-store key, a handle also
-    names *where* the object lives (``server_id``/``address``), *what*
-    it is (``digest`` of the stored value's canonical encoding,
-    ``nbytes`` of its wire form, array ``shape``/``dtype`` metadata) —
-    enough for a client to validate and size a request, and for the
-    agent to charge transfer cost only for non-resident operands,
-    without anyone shipping the payload.  Appears inside
-    ``SolveRequest.inputs`` and, with ``keep_result=True``, inside
-    ``SolveReply.outputs``.
+    Only ``key`` is required: a bare-key handle names an object on the
+    server the request goes to.  A handle the server minted (a
+    ``StoreAck``, a ``keep_result`` reply) also names *where* the object
+    lives (``server_id``/``address``) and *what* it is (``digest`` of
+    the stored value's canonical encoding, ``nbytes`` of its wire form,
+    array ``shape``/``dtype`` metadata) — enough for a client to
+    validate and size a request, and for the agent to charge transfer
+    cost only for non-resident operands, without anyone shipping the
+    payload.  Appears inside ``SolveRequest.inputs`` and, with
+    ``keep_result=True``, inside ``SolveReply.outputs``.
     """
 
     key: str
@@ -696,8 +679,7 @@ class SubmitDag(Message):
         {"id": str, "problem": str, "inputs": tuple,
          "keep": bool, "emit": bool}
 
-    Node inputs may carry payloads, :class:`ObjectRef`/:class:`DataHandle`
-    references, or :class:`NodeOutput` edges naming a predecessor's
+    Node inputs may carry payloads, :class:`DataHandle` references, or :class:`NodeOutput` edges naming a predecessor's
     output.  The server executes nodes in dependency order through its
     normal admission machinery, resolving each edge from the
     predecessor's result without the data ever leaving the server;

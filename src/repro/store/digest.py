@@ -11,8 +11,7 @@ bytes (and hence the digest).  The hash is folded incrementally over the
 scatter/gather parts, so a megabyte matrix is hashed straight out of its
 own buffer — no serialization pass, no copy.
 
-Reference folding: an input that is a :class:`DataHandle` (or an
-:class:`ObjectRef` the caller can resolve to a stored digest) does not
+Reference folding: an input that is a :class:`DataHandle` does not
 make the request un-addressable.  Its position contributes the *stored
 content digest* of the referenced object — a constant-size marker — so a
 handle-bearing request digests in O(1) of the referenced payload and
@@ -30,7 +29,7 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 
 from ..errors import CodecError
 from ..protocol.codec import encoded_parts
-from ..protocol.messages import DataHandle, ObjectRef
+from ..protocol.messages import DataHandle
 
 __all__ = ["solve_digest"]
 
@@ -49,16 +48,13 @@ class _Unresolvable(Exception):
 
 
 def _fold(value: Any, resolve: Optional[Callable[[str], Optional[str]]]):
-    """``value`` with every reference replaced by its digest marker."""
+    """``value`` with every reference replaced by its digest marker.
+
+    A resolver, when given, names the digest of what is resident *now*,
+    so it wins over the (possibly stale) digest a handle carries.
+    """
     if isinstance(value, DataHandle):
-        digest = value.digest
-        if not digest and resolve is not None:
-            digest = resolve(value.key)
-        if not digest:
-            raise _Unresolvable
-        return (_REF_MARK, digest)
-    if isinstance(value, ObjectRef):
-        digest = resolve(value.key) if resolve is not None else None
+        digest = resolve(value.key) if resolve is not None else value.digest
         if not digest:
             raise _Unresolvable
         return (_REF_MARK, digest)
@@ -79,13 +75,13 @@ def solve_digest(
     """Hex digest keying ``(problem, inputs, env)``, or ``None``.
 
     Inputs containing references digest by *folding*: a
-    :class:`DataHandle` contributes the content digest it carries (or
-    the one ``resolve_ref`` returns for its key), an :class:`ObjectRef`
-    the digest ``resolve_ref`` returns.  Returns ``None`` when the
-    request is not content-addressable: a reference whose digest is not
-    in hand (no resolver, or the resolver answers ``None`` — e.g. the
-    key is not resident), or values the codec cannot encode.  Callers
-    must treat ``None`` as "do not cache".
+    :class:`DataHandle` contributes the digest ``resolve_ref`` returns
+    for its key or, with no resolver, the content digest it carries.
+    Returns ``None`` when the request is not content-addressable: a
+    reference whose digest is not in hand (none carried and no
+    resolver, or the resolver answers ``None`` — e.g. the key is not
+    resident), or values the codec cannot encode.  Callers must treat
+    ``None`` as "do not cache".
 
     Dict iteration order is part of the encoding, so the env is re-keyed
     in sorted order before hashing — two envs with the same bindings

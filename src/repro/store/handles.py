@@ -1,15 +1,14 @@
 """Server-resident object store behind :class:`~repro.protocol.messages.DataHandle`.
 
-Promotes the old ``{key: (value, nbytes)}`` sequencing dict into a real
-store with the semantics handles need:
+A keyed store with the semantics handles need:
 
 * **digests** — every object is content-digested at insert time (blake2b
   over its canonical wire encoding, the same scheme ``solve_digest``
   uses), so handle-bearing requests can fold the *stored* digest into
   their request digest instead of re-hashing megabytes per call;
 * **pins** — client-``store``d operands are pinned: immune to TTL and
-  eviction, released only by an explicit delete (the PR 1..7 sequencing
-  contract, unchanged);
+  eviction, released only by an explicit delete (ship once, refer
+  after);
 * **refcounts + TTL** — unpinned entries (``keep_result`` outputs, DAG
   intermediates) are reclaimable: a positive refcount (an executing DAG
   holding an edge) blocks reclamation, and once released the entry lives

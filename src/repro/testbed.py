@@ -216,11 +216,10 @@ class Testbed:
         """Blocking store of an operand on a server; returns its
         :class:`~repro.protocol.messages.DataHandle` (digest, size and
         shape metadata included) for referencing or fetching later."""
-        client = self.client(client_id)
-        promise = client.store_handle(server_address(server_id), key, value)
-        handle = self.transport.run_until(promise, limit=limit)
-        assert handle is not None  # a successful ack always carries one
-        return handle
+        promise = self.client(client_id).store(
+            server_address(server_id), key, value
+        )
+        return self.transport.run_until(promise, limit=limit)
 
     def fetch(
         self, client_id: str, handle, *, address: str = "",

@@ -77,7 +77,7 @@ def test_back_to_back_stores_both_apply(tb):
     big = client.store(S0, "k", np.full(1000, 7.0))
     settle(tb, small, big)
     assert len(of_type(sent, StoreObject)) == 2
-    assert small.result() < big.result()
+    assert small.result().nbytes < big.result().nbytes
     fetched = tb.fetch("c0", "k", address=S0)
     assert fetched.shape == (1000,) and fetched[0] == 7.0
     assert tb.client("c0").store_ops == 2
@@ -92,7 +92,7 @@ def test_store_then_delete_leaves_nothing_resident(tb):
     assert [type(m) for m in of_type(sent, (StoreObject, DeleteObject))] == [
         StoreObject, DeleteObject,
     ]
-    assert deleted.result() == stored.result()  # the bytes it freed
+    assert deleted.result() == stored.result().nbytes  # the bytes it freed
     assert tb.server("s0").cached_objects == 0
     with pytest.raises(MissingObjectError):
         tb.fetch("c0", "j", address=S0)
@@ -100,14 +100,15 @@ def test_store_then_delete_leaves_nothing_resident(tb):
 
 def test_each_operation_resolves_with_its_own_ack(tb):
     client = tb.client("c0")
-    handle = client.store_handle(S0, "h", np.ones(3))
-    size = client.store(S0, "h", np.ones(6))
+    small = client.store(S0, "h", np.ones(3))
+    big = client.store(S0, "h", np.ones(6))
     gone = client.delete_stored(S0, "h")
     again = client.delete_stored(S0, "h")
-    settle(tb, handle, size, gone, again)
-    assert handle.result().key == "h" and handle.result().shape == (3,)
-    assert size.result() > handle.result().nbytes
-    assert gone.result() == size.result()
+    settle(tb, small, big, gone, again)
+    assert small.result().key == "h" and small.result().shape == (3,)
+    assert big.result().shape == (6,)
+    assert big.result().nbytes > small.result().nbytes
+    assert gone.result() == big.result().nbytes
     assert again.result() == 0
 
 

@@ -6,8 +6,8 @@ with the request digest on (``c0``) and off (``c1``), ``keep_result``,
 handle inputs whose object is gone with ``payloads`` in hand (the
 missing-object re-submit), ``submit_pinned`` with and without
 references, ``query_candidates``, ``describe`` beside a ``submit`` of the
-same problem, ``list_problems``, ``store`` / ``store_handle`` /
-``delete_stored`` on distinct keys, ``fetch``, ``fetch_result`` and
+same problem, ``list_problems``, ``store`` / ``delete_stored`` on
+distinct keys, ``fetch``, ``fetch_result`` and
 ``submit_dag``.  Under it: 10% message loss, one server crashed and
 revived, and the primary agent killed for good.
 
@@ -44,7 +44,6 @@ from repro.protocol.messages import (
     Candidate,
     DataHandle,
     NodeOutput,
-    ObjectRef,
     ResultStatus,
 )
 from repro.simnet.rng import RngStreams
@@ -81,8 +80,6 @@ def _plain(value):
     if isinstance(value, DataHandle):
         return ["handle", value.key, value.nbytes, value.server_id,
                 value.address]
-    if isinstance(value, ObjectRef):
-        return ["ref", value.key]
     if isinstance(value, ResultStatus):
         return ["status", value.request_id, value.status, value.detail,
                 _plain(value.outputs)]
@@ -233,8 +230,7 @@ def script(ledger: Ledger, j: int, rng):
         stored["value"] = value
         watch("store a", client.store(home, f"{tag}/a", value))
         stored["handle"] = watch(
-            "store_handle b",
-            client.store_handle(other, f"{tag}/b", rng.standard_normal(5)),
+            "store b", client.store(other, f"{tag}/b", rng.standard_normal(5)),
         )
         watch("delete absent", client.delete_stored(home, f"{tag}/absent"))
 
@@ -323,7 +319,7 @@ def script(ledger: Ledger, j: int, rng):
         (7.0, pinned("pinned", home, "linsys/dgesv",
                      lambda: list(_system(rng, 9)))),
         (8.0, pinned("pinned ref", home, "blas/dgemv",
-                     lambda: [ObjectRef(f"{tag}/a"), np.ones(6)],
+                     lambda: [DataHandle(key=f"{tag}/a"), np.ones(6)],
                      lambda: {f"{tag}/a": stored["value"]})),
         (9.0, dag("dag home", home)),
         (12.0, fetch_kept),

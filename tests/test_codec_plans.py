@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import socket
+import struct
+import time
 from unittest import mock
 
 import numpy as np
@@ -24,7 +27,7 @@ from repro.protocol.codec import (
     encode_message_iov, encode_value, encoded_size, frame_size,
 )
 from repro.protocol.messages import (
-    _PLANS, MESSAGE_TYPES, DataHandle, Message, NodeOutput, ObjectRef,
+    _PLANS, MESSAGE_TYPES, DataHandle, Message, NodeOutput, SolveRequest,
 )
 
 CLASSES = sorted(MESSAGE_TYPES.values(), key=lambda c: c.TYPE_CODE)
@@ -65,7 +68,6 @@ _refs = st.one_of(
         dtype=st.sampled_from(["", "float64"]),
     ),
     st.builds(NodeOutput, node=_keys, index=st.integers(0, 9)),
-    st.builds(ObjectRef, key=_keys),
 )
 _leaves = st.one_of(
     st.none(), st.booleans(), _ints, _floats, _texts, _np_ints, _np_floats,
@@ -245,6 +247,69 @@ def test_truncated_and_mutated_frames_decode_alike(cls, data):
     mutated = bytearray(frame)
     mutated[at] ^= data.draw(st.integers(1, 255), label="xor")
     _assert_same_outcome(mutated)
+
+
+def _retired_tag_frame() -> bytes:
+    """A ``SolveRequest`` whose one input carries value tag 10 — the
+    retired bare-key reference, laid out as its sender would have."""
+    key = "A".encode("utf-8")
+    str_value = bytes([codec._T_STR]) + struct.pack("<I", len(key)) + key
+    frame = encode_message(
+        SolveRequest(request_id=7, problem="blas/dnrm2", inputs=("A",))
+    )
+    at = frame.rindex(str_value)
+    return frame[:at] + bytes([10]) + frame[at + 1:]
+
+
+def test_retired_reference_tag_is_rejected_alike():
+    frame = _retired_tag_frame()
+    for buffer in (frame, bytearray(frame)):
+        outcome = _outcome(decode_message, buffer)
+        assert outcome == (CodecError, "unknown tag 10")
+        assert outcome == _outcome(_reference_decode, buffer)
+
+
+def test_retired_reference_tag_is_a_counted_drop_over_tcp():
+    from repro.protocol.messages import Ping
+    from repro.protocol.tcp import TcpTransport
+    from repro.protocol.transport import Component
+    from repro.trace.instruments import MetricsRegistry
+
+    class Recorder(Component):
+        def __init__(self):
+            self.got = []
+
+        def on_message(self, src, msg):
+            self.got.append(msg)
+
+    def envelope(frame: bytes) -> bytes:
+        src, ret = b"raw-peer", b"127.0.0.1:9"
+        return (struct.pack("<I", len(src)) + src
+                + struct.pack("<I", len(ret)) + ret + frame)
+
+    def wait_for(predicate, timeout=10.0) -> bool:
+        deadline = time.monotonic() + timeout
+        while not predicate():
+            if time.monotonic() > deadline:
+                return False
+            time.sleep(0.01)
+        return True
+
+    metrics = MetricsRegistry()
+    with TcpTransport(metrics=metrics) as transport:
+        recorder = Recorder()
+        node = transport.add_node("a", recorder)
+        with socket.create_connection(("127.0.0.1", node.port)) as conn:
+            conn.sendall(envelope(_retired_tag_frame()))
+            conn.settimeout(5.0)
+            assert conn.recv(1) == b""  # connection dropped
+        assert wait_for(lambda: transport.messages_malformed == 1)
+        assert metrics.counter("wire.malformed").value == 1
+        assert node.alive and recorder.got == []
+        with socket.create_connection(("127.0.0.1", node.port)) as conn:
+            conn.sendall(envelope(encode_message(Ping(nonce=3))))
+            assert wait_for(lambda: recorder.got == [Ping(nonce=3)])
+        assert transport.messages_malformed == 1
 
 
 def test_reordered_and_surplus_fields_take_the_generic_path():

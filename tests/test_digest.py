@@ -14,7 +14,7 @@ slow) or — far worse — false hits.
 import numpy as np
 import pytest
 
-from repro.protocol.messages import ObjectRef
+from repro.protocol.messages import DataHandle
 from repro.store import solve_digest
 
 RNG = np.random.default_rng(20260808)
@@ -162,10 +162,24 @@ def test_scalar_and_mixed_operands():
 
 
 def test_object_refs_are_not_digestable():
-    """Sequenced requests name server-side state: their content is not
-    in the message, so they must never be cached by content."""
-    assert solve_digest("p", [ObjectRef(key="x"), np.ones(2)]) is None
-    assert solve_digest("p", [[ObjectRef(key="x")]]) is None
+    """A bare-key handle names server-side state and carries no digest:
+    with no resolver its content is not in hand, so the request must
+    never be cached by content."""
+    assert solve_digest("p", [DataHandle(key="x"), np.ones(2)]) is None
+    assert solve_digest("p", [[DataHandle(key="x")]]) is None
+
+
+def test_resolver_digest_wins_over_carried_digest():
+    """The server's resolver names what is resident now, so a handle
+    folds to the same key whatever (possibly stale) digest it carries,
+    and to none when the key is not resident."""
+    resident = {"x": "ab" * 20}
+    bare = solve_digest("p", [DataHandle(key="x")], resolve_ref=resident.get)
+    stale = DataHandle(key="x", digest="cd" * 20)
+    assert bare is not None
+    assert solve_digest("p", [stale], resolve_ref=resident.get) == bare
+    assert solve_digest("p", [stale]) != bare  # no resolver: carried wins
+    assert solve_digest("p", [stale], resolve_ref={}.get) is None
 
 
 def test_codec_rejected_values_are_not_digestable():

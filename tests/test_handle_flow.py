@@ -13,8 +13,7 @@ import pytest
 from repro.config import AgentConfig, ClientConfig, ServerConfig
 from repro.core.predictor import predict_batch
 from repro.errors import MissingObjectError, RequestFailed
-from repro.protocol.messages import DataHandle, ObjectRef
-from repro.sequencing import open_sequence
+from repro.protocol.messages import DataHandle
 from repro.simnet.rng import RngStreams
 from repro.testbed import server_address, standard_testbed
 
@@ -22,6 +21,22 @@ from repro.testbed import server_address, standard_testbed
 def linsys(n, seed=0):
     rng = RngStreams(seed).get("handles.data")
     return rng.standard_normal((n, n)) + n * np.eye(n), rng.standard_normal(n)
+
+
+def pin(tb, n):
+    """The agent's first choice for an ``n``-sized dgesv, to pin to."""
+    return tb.transport.run_until(
+        tb.client("c0").query_candidates("linsys/dgesv", {"n": n})
+    )[0]
+
+
+def pinned_solve(tb, best, args, payloads=None):
+    """Blocking ``submit_pinned`` to ``best``; returns the outputs."""
+    handle = tb.client("c0").submit_pinned(
+        "linsys/dgesv", args, best.address, server_id=best.server_id,
+        payloads=payloads,
+    )
+    return tb.transport.run_until(handle.promise)
 
 
 # ----------------------------------------------------------------------
@@ -82,16 +97,13 @@ def test_handle_repeat_hits_server_result_cache():
     tb.settle()
     server = tb.server("s0")
     a, b = linsys(40)
-    seq = open_sequence(
-        tb.client("c0"), "linsys/dgesv", {"n": 40},
-        wait=tb.transport.run_until,
-    )
-    seq.store("A", a)
-    first = seq.solve("linsys/dgesv", [seq.ref("A"), b])
+    best = pin(tb, 40)
+    a_ref = tb.store("c0", best.server_id, "A", a)
+    first = pinned_solve(tb, best, [a_ref, b])
     assert server.result_cache.hits == 0
-    second = seq.solve("linsys/dgesv", [seq.ref("A"), b])
-    # pre-fix, solve_digest returned None for ObjectRef inputs and the
-    # repeat recomputed; folding the stored digest makes it a cache hit
+    second = pinned_solve(tb, best, [DataHandle(key="A"), b])
+    # the folded digest is the stored content's, so a repeat hits
+    # whether it names the object by full or by bare-key handle
     assert server.result_cache.hits == 1
     assert np.array_equal(first[0], second[0])
 
@@ -123,14 +135,13 @@ def test_restore_after_content_change_misses_cache():
     server = tb.server("s0")
     a, b = linsys(40)
     a2 = a + np.eye(40)
-    seq = open_sequence(
-        tb.client("c0"), "linsys/dgesv", {"n": 40},
-        wait=tb.transport.run_until,
-    )
-    seq.store("A", a)
-    first = seq.solve("linsys/dgesv", [seq.ref("A"), b])
-    seq.store("A", a2)
-    second = seq.solve("linsys/dgesv", [seq.ref("A"), b])
+    best = pin(tb, 40)
+    a_ref = tb.store("c0", best.server_id, "A", a)
+    first = pinned_solve(tb, best, [a_ref, b])
+    tb.store("c0", best.server_id, "A", a2)
+    # the old handle still carries a's digest: the server folds in the
+    # digest of what is resident now, so the stale one cannot alias
+    second = pinned_solve(tb, best, [a_ref, b])
     assert server.result_cache.hits == 0
     assert not np.array_equal(first[0], second[0])
     assert np.allclose(second[0], np.linalg.solve(a2, b))
@@ -144,7 +155,7 @@ def test_missing_object_fails_fast_without_payloads():
     tb.settle()
     _, b = linsys(24)
     handle = tb.submit("c0", "linsys/dgesv",
-                       [ObjectRef("never-stored"), b])
+                       [DataHandle(key="never-stored"), b])
     # the pinned path is not needed: brokered requests may reference too
     with pytest.raises(RequestFailed):
         tb.transport.run_until(handle.promise)
@@ -171,22 +182,19 @@ def test_missing_object_recovers_with_payloads():
 
 
 def test_sequence_survives_hard_server_death():
-    # the PR 7 crash split: on_shutdown wipes residents; the sequence's
-    # client-side payload copies recover the request on the same server
+    # the crash split: on_shutdown wipes residents; the client-side
+    # payload copy recovers the request on the same server
     tb = standard_testbed(n_servers=1, seed=7)
     tb.settle()
     a, b = linsys(24)
-    seq = open_sequence(
-        tb.client("c0"), "linsys/dgesv", {"n": 24},
-        wait=tb.transport.run_until,
-    )
-    seq.store("A", a)
-    first = seq.solve("linsys/dgesv", [seq.ref("A"), b])
+    best = pin(tb, 24)
+    a_ref = tb.store("c0", best.server_id, "A", a)
+    first = pinned_solve(tb, best, [a_ref, b], payloads={"A": a})
     server = tb.server("s0")
     server.on_shutdown()   # process death: resident objects are gone
     server.on_restart()
     assert server.cached_objects == 0
-    second = seq.solve("linsys/dgesv", [seq.ref("A"), b])
+    second = pinned_solve(tb, best, [a_ref, b], payloads={"A": a})
     assert np.array_equal(first[0], second[0])
     record = tb.client("c0").records[-1]
     assert [att.outcome for att in record.attempts] == ["missing", "ok"]

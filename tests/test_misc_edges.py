@@ -1,11 +1,10 @@
-"""Edge-case sweep across session helpers, sequencing and tools."""
+"""Edge-case sweep across session helpers, candidate queries and tools."""
 
 import numpy as np
 import pytest
 
 from repro.capi import SimSession
-from repro.errors import NetSolveError, NoServerError, RequestFailed
-from repro.sequencing import ServerSequence, open_sequence
+from repro.errors import RequestFailed
 from repro.testbed import server_address, standard_testbed
 
 RNG = np.random.default_rng(93)
@@ -25,45 +24,21 @@ def test_sim_session_detects_drained_simulation():
     assert handle.done
 
 
-def test_open_sequence_unknown_problem_rejects():
+def test_query_candidates_unknown_problem_rejects():
     tb = standard_testbed(n_servers=1, seed=2)
     tb.settle()
+    promise = tb.client("c0").query_candidates("not/registered", {"n": 4})
     with pytest.raises(RequestFailed):
-        open_sequence(
-            tb.client("c0"), "not/registered", {"n": 4},
-            wait=tb.transport.run_until,
-        )
+        tb.transport.run_until(promise)
 
 
-def test_open_sequence_no_server_rejects():
+def test_query_candidates_no_server_rejects():
     tb = standard_testbed(n_servers=1, seed=3)
     tb.settle()
     tb.agent.table.mark_failed("s0")
-    with pytest.raises((NoServerError, RequestFailed)):
-        open_sequence(
-            tb.client("c0"), "linsys/dgesv", {"n": 4},
-            wait=tb.transport.run_until,
-        )
-
-
-def test_sequence_solve_without_waiter_raises():
-    tb = standard_testbed(n_servers=1, seed=4)
-    tb.settle()
-    seq = ServerSequence(
-        tb.client("c0"), server_address=server_address("s0"), server_id="s0"
-    )
-    with pytest.raises(NetSolveError, match="waiter"):
-        seq.solve("blas/ddot", [np.ones(2), np.ones(2)])
-
-
-def test_sequence_release_empty_is_noop():
-    tb = standard_testbed(n_servers=1, seed=5)
-    tb.settle()
-    seq = ServerSequence(
-        tb.client("c0"), server_address=server_address("s0"), server_id="s0",
-        wait=tb.transport.run_until,
-    )
-    assert seq.release() == []
+    promise = tb.client("c0").query_candidates("linsys/dgesv", {"n": 4})
+    with pytest.raises(RequestFailed):
+        tb.transport.run_until(promise)
 
 
 def test_demo_cli_reports_missing_problem(tmp_path):

@@ -92,9 +92,8 @@ def _legacy_encode_value(value, out: bytearray) -> None:
 
     from repro.protocol.codec import (
         _T_BOOL, _T_BYTES, _T_COMPLEX, _T_DICT, _T_FLOAT, _T_INT, _T_LIST,
-        _T_NDARRAY, _T_NONE, _T_OBJREF, _T_STR,
+        _T_NDARRAY, _T_NONE, _T_STR,
     )
-    from repro.protocol.messages import ObjectRef
 
     if value is None:
         out.append(_T_NONE)
@@ -132,11 +131,6 @@ def _legacy_encode_value(value, out: bytearray) -> None:
             out += struct.pack("<q", dim)
         raw = contig.tobytes()
         out += struct.pack("<Q", len(raw))
-        out += raw
-    elif isinstance(value, ObjectRef):
-        raw = value.key.encode("utf-8")
-        out.append(_T_OBJREF)
-        out += struct.pack("<I", len(raw))
         out += raw
     elif isinstance(value, (list, tuple)):
         out.append(_T_LIST)

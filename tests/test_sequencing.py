@@ -1,5 +1,5 @@
-"""Tests for the object store, pinned submits, request sequencing, and
-the learned-network feedback loop."""
+"""Tests for the object store, pinned submits, store-once sequences of
+pinned calls, and the learned-network feedback loop."""
 
 import numpy as np
 import pytest
@@ -12,8 +12,7 @@ from repro.core.predictor import (
 )
 from repro.core.request import RequestStatus
 from repro.errors import ConfigError, RequestFailed
-from repro.protocol.messages import ObjectRef
-from repro.sequencing import ServerSequence, open_sequence
+from repro.protocol.messages import DataHandle
 from repro.testbed import (
     ClientDef,
     HostDef,
@@ -44,12 +43,12 @@ def wait(world):
 def test_store_and_reference(tb):
     client = tb.client("c0")
     a = RNG.standard_normal((64, 64)) + 64 * np.eye(64)
-    nbytes = wait(tb)(client.store(server_address("s1"), "A", a))
-    assert nbytes > 64 * 64 * 8
+    a_ref = wait(tb)(client.store(server_address("s1"), "A", a))
+    assert a_ref.nbytes > 64 * 64 * 8
     assert tb.server("s1").cached_objects == 1
     x = RNG.standard_normal(64)
     handle = client.submit_pinned(
-        "blas/dgemv", [ObjectRef("A"), x], server_address("s1"),
+        "blas/dgemv", [DataHandle(key="A"), x], server_address("s1"),
         server_id="s1",
     )
     tb.wait_all([handle])
@@ -60,7 +59,7 @@ def test_store_and_reference(tb):
 def test_unknown_ref_is_structured_error(tb):
     client = tb.client("c0")
     handle = client.submit_pinned(
-        "blas/dgemv", [ObjectRef("never-stored"), np.ones(4)],
+        "blas/dgemv", [DataHandle(key="never-stored"), np.ones(4)],
         server_address("s0"), server_id="s0",
     )
     tb.wait_all([handle])
@@ -155,55 +154,31 @@ def test_pinned_validates_locally_when_no_refs(tb):
 
 
 # ----------------------------------------------------------------------
-# ServerSequence
+# a sequence: query once, store once, pinned calls by reference
 # ----------------------------------------------------------------------
-def test_open_sequence_picks_agent_choice(tb):
-    seq = open_sequence(
-        tb.client("c0"), "linsys/dgesv", {"n": 256}, wait=wait(tb)
+def test_query_candidates_pins_the_agent_choice(tb):
+    candidates = wait(tb)(
+        tb.client("c0").query_candidates("linsys/dgesv", {"n": 256})
     )
-    assert seq.server_id == "s1"  # the faster of the two
+    assert candidates[0].server_id == "s1"  # the faster of the two
 
 
 def test_sequence_store_solve_release(tb):
-    seq = open_sequence(
-        tb.client("c0"), "blas/dgemv", {"m": 32, "n": 32}, wait=wait(tb)
-    )
+    client = tb.client("c0")
+    best = wait(tb)(client.query_candidates("blas/dgemv", {"m": 32, "n": 32}))[0]
     a = RNG.standard_normal((32, 32))
-    seq.store("A", a)
+    a_ref = wait(tb)(client.store(best.address, "A", a))
     for _ in range(3):
         x = RNG.standard_normal(32)
-        (y,) = seq.solve("blas/dgemv", [seq.ref("A"), x])
+        handle = client.submit_pinned(
+            "blas/dgemv", [a_ref, x], best.address,
+            server_id=best.server_id, payloads={"A": a},
+        )
+        (y,) = wait(tb)(handle.promise)
         assert np.allclose(y, a @ x)
-    freed = seq.release()
-    assert freed and freed[0] > 0
-    assert tb.server(seq.server_id).cached_objects == 0
-
-
-def test_sequence_namespaces_are_isolated(tb):
-    client = tb.client("c0")
-    seq1 = ServerSequence(client, server_address=server_address("s0"),
-                          server_id="s0", wait=wait(tb))
-    seq2 = ServerSequence(client, server_address=server_address("s0"),
-                          server_id="s0", wait=wait(tb))
-    seq1.store("k", np.ones(4))
-    seq2.store("k", np.zeros(8))
-    assert tb.server("s0").cached_objects == 2
-    (r1,) = seq1.solve("blas/dnrm2", [seq1.ref("k")])
-    (r2,) = seq2.solve("blas/dnrm2", [seq2.ref("k")])
-    assert r1 == pytest.approx(2.0)
-    assert r2 == pytest.approx(0.0)
-
-
-def test_sequence_without_waiter_returns_promises(tb):
-    seq = ServerSequence(
-        tb.client("c0"), server_address=server_address("s0"), server_id="s0"
-    )
-    promise = seq.store("k", np.ones(4))
-    assert not promise.done
-    tb.run(until=tb.kernel.now + 5.0)
-    assert promise.result() > 0
-    with pytest.raises(Exception):
-        seq.solve("blas/dnrm2", [seq.ref("k")])
+    freed = wait(tb)(client.delete_stored(best.address, "A"))
+    assert freed == a_ref.nbytes > 0
+    assert tb.server(best.server_id).cached_objects == 0
 
 
 def test_query_candidates_api(tb):

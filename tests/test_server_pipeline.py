@@ -32,9 +32,9 @@ from repro.protocol.messages import (
     Busy,
     DagNodeDone,
     DagReply,
+    DataHandle,
     FetchResult,
     NodeOutput,
-    ObjectRef,
     ResultStatus,
     SolveReply,
     SolveRequest,
@@ -156,9 +156,9 @@ def traffic(seed):
         if kind == "unknown_problem":
             return request(linsys(rng, 4), problem="eigen/symm")
         if kind == "missing_ref":
-            return request((ObjectRef("ghost"), rhs))
+            return request((DataHandle(key="ghost"), rhs))
         if kind == "resident_ref":
-            return request((ObjectRef("resident"), rng.standard_normal(8)))
+            return request((DataHandle(key="resident"), rng.standard_normal(8)))
         if kind == "keep_result":
             return request(linsys(rng, 8), keep_result=True)
         if kind == "singular":
@@ -437,7 +437,7 @@ def test_missing_ref_is_counted_once(cache_entries):
         ServerConfig(cache_entries=cache_entries)
     )
     transport.node(CLIENT).send(
-        SERVER, solve(1, (ObjectRef("ghost"), np.ones(8)))
+        SERVER, solve(1, (DataHandle(key="ghost"), np.ones(8)))
     )
     kernel.run(until=5.0)
     (reply,) = probe.of_type(SolveReply)
@@ -467,7 +467,7 @@ def test_every_reply_kind_reaches_the_job_store(tmp_path):
     client.send(SERVER, solve(2, (a.copy(), b.copy())))
     client.send(SERVER, solve(3, (a,)))
     client.send(SERVER, solve(4, (a, b), problem="eigen/symm"))
-    client.send(SERVER, solve(5, (ObjectRef("ghost"), b)))
+    client.send(SERVER, solve(5, (DataHandle(key="ghost"), b)))
     kernel.run(until=20.0)
     # 6 runs, 7 queues, 8 is shed: Busy is not an outcome
     for rid in (6, 7, 8):

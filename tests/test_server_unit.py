@@ -8,9 +8,9 @@ from repro.core.server import ComputationalServer
 from repro.errors import NetSolveError
 from repro.problems.builtin import builtin_registry
 from repro.protocol.messages import (
+    DataHandle,
     DeleteObject,
     Message,
-    ObjectRef,
     Ping,
     Pong,
     RegisterAck,
@@ -253,7 +253,7 @@ def test_solve_with_ref_resolves_from_cache():
     kernel.run(until=1.0)
     msg = SolveRequest(
         request_id=4, problem="blas/ddot",
-        inputs=(ObjectRef("x"), x), reply_to="client-probe",
+        inputs=(DataHandle(key="x"), x), reply_to="client-probe",
     )
     transport.node("client-probe").send("server/sv", msg)
     kernel.run(until=5.0)
@@ -268,9 +268,55 @@ def test_solve_with_unknown_ref_fails_cleanly():
     )
     msg = SolveRequest(
         request_id=5, problem="blas/ddot",
-        inputs=(ObjectRef("ghost"), np.ones(3)), reply_to="client-probe",
+        inputs=(DataHandle(key="ghost"), np.ones(3)), reply_to="client-probe",
     )
     transport.node("client-probe").send("server/sv", msg)
     kernel.run(until=5.0)
     reply = client_probe.last(SolveReply)
     assert not reply.ok and "ghost" in reply.detail
+
+
+_KEPT_KEY_SCRIPT = """
+import numpy as np
+from repro.protocol.messages import SolveReply, SolveRequest
+from tests.test_server_unit import Probe, make_world
+
+kernel, transport, server, _agent, _client = make_world(problems=("blas/ddot",))
+reply_to = "client/" + "x" * 123
+probe = Probe()
+transport.add_node(reply_to, "ph", probe)
+transport.node(reply_to).send("server/sv", SolveRequest(
+    request_id=1, problem="blas/ddot", inputs=(np.ones(3), np.ones(3)),
+    reply_to=reply_to, keep_result=True,
+))
+kernel.run(until=5.0)
+(handle,) = probe.last(SolveReply).outputs
+print(handle.key)
+"""
+
+
+def test_long_kept_result_key_is_the_same_in_every_process():
+    """A kept output's key over 128 chars is shortened by a hash that
+    does not depend on the interpreter's per-process string salt, so
+    its handle (and the reply frame carrying it) is reproducible."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    keys = []
+    for seed in ("1", "2"):
+        env = dict(
+            os.environ, PYTHONHASHSEED=seed,
+            PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]),
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", _KEPT_KEY_SCRIPT], cwd=root, env=env,
+            capture_output=True, text=True, timeout=60, check=True,
+        )
+        keys.append(done.stdout.strip())
+    assert keys[0] == keys[1]
+    # "res/<130-char address>/1/0" is 138 chars: cut to 96 plus the hash
+    assert keys[0].startswith("res/client/xxx") and len(keys[0]) == 128
+    assert not keys[0].endswith("/1/0")

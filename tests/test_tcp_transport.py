@@ -274,9 +274,8 @@ def test_forged_envelope_length_dropped_without_allocation():
 
 
 def test_object_store_and_sequencing_over_tcp(deployment):
-    """The request-sequencing path (store + ObjectRef) over real sockets."""
-    from repro.protocol.messages import ObjectRef
-
+    """Store once, refer after (store + pinned DataHandle) over real
+    sockets."""
     _t, agent, _s, session = deployment
     assert wait_for(lambda: agent.registrations >= 2)
     client = session.client
@@ -285,21 +284,21 @@ def test_object_store_and_sequencing_over_tcp(deployment):
     a = RNG.standard_normal((40, 40)) + 40 * np.eye(40)
     with node.lock:
         store_promise = client.store("server/s1", "seq/A", a)
-    nbytes = store_promise.wait(WAIT)
-    assert nbytes > 40 * 40 * 8
+    a_ref = store_promise.wait(WAIT)
+    assert a_ref.key == "seq/A" and a_ref.address == "server/s1"
+    assert a_ref.nbytes > 40 * 40 * 8
 
     x = RNG.standard_normal(40)
     with node.lock:
         handle = client.submit_pinned(
-            "blas/dgemv", [ObjectRef("seq/A"), x], "server/s1",
-            server_id="s1",
+            "blas/dgemv", [a_ref, x], "server/s1", server_id="s1",
         )
     (y,) = handle.promise.wait(WAIT)
     assert np.allclose(y, a @ x)
 
     with node.lock:
         delete_promise = client.delete_stored("server/s1", "seq/A")
-    assert delete_promise.wait(WAIT) == nbytes
+    assert delete_promise.wait(WAIT) == a_ref.nbytes
 
 
 def _open_fds() -> int:
