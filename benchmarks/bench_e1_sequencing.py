@@ -53,8 +53,8 @@ def run_sequenced():
     best = wait(client.query_candidates("blas/dgemv", {"m": N, "n": N}))[0]
     a_ref = wait(client.store(best.address, "A", a))
     for x in xs:
-        handle = client.submit_pinned(
-            "blas/dgemv", [a_ref, x], best.address,
+        handle = client.submit(
+            "blas/dgemv", [a_ref, x], server=best.address,
             server_id=best.server_id, payloads={"A": a},
         )
         (y,) = wait(handle.promise)

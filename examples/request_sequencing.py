@@ -45,8 +45,8 @@ def main() -> None:
             for v_known in basis:
                 x -= (v_known @ x) * v_known
             x /= np.linalg.norm(x)
-            handle = client.submit_pinned(  # remote matvec
-                "blas/dgemv", [a_ref, x], best.address,
+            handle = client.submit(  # remote matvec
+                "blas/dgemv", [a_ref, x], server=best.address,
                 server_id=best.server_id, payloads={"A": a},
             )
             (y,) = wait(handle.promise)

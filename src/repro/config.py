@@ -64,8 +64,6 @@ class AgentConfig:
     liveness_timeout: float = 900.0
     #: scheduling policy name, resolved via :mod:`repro.core.scheduler`
     policy: str = "mct"
-    #: assumed workload (0-100 scale) for servers that never reported
-    default_workload: float = 0.0
     #: ping suspect servers this often so false suspects (e.g. a lost
     #: reply blamed on the server) rejoin quickly; 0 disables probing
     suspect_probe_interval: float = 30.0
@@ -102,7 +100,6 @@ class AgentConfig:
     def __post_init__(self) -> None:
         _require(self.candidate_list_length >= 1, "candidate_list_length must be >= 1")
         _require(self.liveness_timeout > 0, "liveness_timeout must be positive")
-        _require(self.default_workload >= 0, "default_workload must be >= 0")
         _require(
             self.suspect_probe_interval >= 0,
             "suspect_probe_interval must be >= 0",

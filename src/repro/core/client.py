@@ -301,26 +301,31 @@ class NetSolveClient(DispatchComponent):
         problem: str,
         args: Sequence[Any],
         *,
+        server: str = "",
+        server_id: str = "",
         keep_result: bool = False,
         payloads: Optional[dict] = None,
         qos: str = "",
     ) -> RequestHandle:
         """Non-blocking submit; returns a handle with a promise.
 
-        ``args`` may contain :class:`DataHandle` references to
-        server-resident operands — those ship as constant-size stubs and
-        the agent's ranking charges transfer only for what a candidate
-        does not already hold.  ``keep_result=True`` asks the winning
-        server to leave the outputs resident and answer with handles
-        (pull bytes later with :meth:`fetch`).  ``payloads`` maps handle
-        keys to their values: if the server answers that a referenced
-        key is no longer resident, the request re-submits once with
-        those operands inlined instead of failing.  ``qos`` names the
-        request class ("interactive" / "batch" / "background"; "" takes
-        ``cfg.default_qos``) — servers order admission and shed per
-        class (see :mod:`repro.core.qos`).
+        ``args`` may hold :class:`DataHandle` references to
+        server-resident operands: they ship as constant-size stubs, and
+        the agent charges transfer only for what a candidate lacks.
+        ``keep_result=True`` leaves the outputs resident on the server,
+        answered as handles (pull the bytes with :meth:`fetch`).
+        ``payloads`` maps handle keys to values: when a referenced key
+        is gone, the request re-sends once with them inlined.  ``qos``
+        names the class ("interactive" / "batch" / "background"; ""
+        takes ``cfg.default_qos``; see :mod:`repro.core.qos`).
+
+        ``server`` pins the request there (request sequencing), named
+        ``server_id`` in its attempt record: the spec is still described
+        and the arguments validated, but no agent is asked, and a
+        failure there fails the request: no fail-over, no agent report.
         """
-        req = self._open(problem, args, "", keep_result, payloads, qos)
+        req = self._open(problem, args, server, server_id, keep_result,
+                         payloads, qos)
         spec = self._specs.get(problem)
         if spec is not None:
             self._validate_and_query(req, spec)
@@ -328,36 +333,6 @@ class NetSolveClient(DispatchComponent):
             if req.span is not None:
                 req.span.begin_phase("describe", req.record.t_submit)
             self._describe(problem, req)
-        return req.handle
-
-    def submit_pinned(
-        self, problem: str, args: Sequence[Any], server_address: str,
-        *, server_id: str = "", keep_result: bool = False,
-        payloads: Optional[dict] = None,
-    ) -> RequestHandle:
-        """Submit directly to one server, bypassing the agent.
-
-        Arguments may contain :class:`DataHandle` references to operands
-        previously :meth:`store`\\ d there.  No fail-over — a pinned
-        request lives and dies with its server (the referenced data is
-        there).  ``keep_result`` and ``payloads`` behave as in
-        :meth:`submit`: the one recovery a pinned request does get is
-        re-sending *to the same server* with ``payloads`` inlined when
-        it answers that a referenced key is gone.
-        """
-        req = self._open(problem, args, server_address, keep_result,
-                         payloads, "")
-        spec = self._specs.get(problem)
-        if spec is None or any(isinstance(a, DataHandle) for a in args):
-            # refs resolve server-side; validation happens there
-            req.inputs = tuple(args)
-        elif not self._validate(req, spec):
-            return req.handle
-        req.candidates.append(Candidate(
-            server_id=server_id or server_address, address=server_address,
-            host="", predicted_seconds=0.0,
-        ))
-        self._try_next(req)
         return req.handle
 
     def known_problems(self) -> list[str]:
@@ -407,7 +382,7 @@ class NetSolveClient(DispatchComponent):
         an assignment to the head — exactly as a real query would);
         rejects with :class:`RequestFailed` on unknown problems, empty
         pools, or agent silence.  The head is the server to pin a run of
-        :meth:`submit_pinned` calls to.
+        ``submit(..., server=head.address)`` calls to.
         """
         # negative tags cannot collide with request ids (always >= 1)
         tag = -next(self._rids)
@@ -789,10 +764,10 @@ class NetSolveClient(DispatchComponent):
             self.trace.log(self.node.now(), self.node.address, kind, **fields)
 
     def _open(self, problem: str, args: Sequence[Any], server: str,
-              keep_result: bool, payloads, qos: str) -> _Active:
+              server_id: str, keep_result: bool, payloads,
+              qos: str) -> _Active:
         """Build and register one solve: brokered, or pinned to
-        ``server``.  The one constructor path, so a pinned submit gets
-        the configured default QoS class like any other."""
+        ``server``, its one candidate."""
         qos = normalize_qos(qos or self.cfg.default_qos)
         if qos == QOS_DEFAULT:
             qos = ""  # the default class rides the wire as "" (cheaper)
@@ -804,6 +779,8 @@ class NetSolveClient(DispatchComponent):
         self.records.append(record)
         self._active[rid] = req
         if server:
+            # no host and no prediction: nothing to learn, no timeout scale
+            req.candidates.append(Candidate(server_id or server, server, "", 0.0))
             self._trace("submit_pinned", request_id=rid, problem=problem,
                         server=server)
             self.pinned_submits += 1
@@ -852,6 +829,9 @@ class NetSolveClient(DispatchComponent):
 
     def _validate_and_query(self, req: _Active, spec: ProblemSpec) -> None:
         if not self._validate(req, spec):
+            return
+        if req.pinned:  # its one candidate is in hand: no agent
+            self._try_next(req)
             return
         if self.cfg.cache_digest:
             # digested over the coerced inputs + env — exactly what the
@@ -1162,9 +1142,9 @@ class NetSolveClient(DispatchComponent):
     def _report_transfer(self, req: _Active) -> None:
         """Tell the agent what the path actually delivered (NWS loop)."""
         attempt = req.attempt
-        spec = self._specs.get(req.problem)
-        if spec is None or attempt.elapsed is None or not req.current.host:
+        if attempt.elapsed is None or not req.current.host:
             return  # pinned submits carry no host; nothing to learn on
+        spec = self._specs[req.problem]  # every solve is validated first
         transfer_seconds = attempt.elapsed - attempt.compute_seconds
         nbytes = spec.input_bytes(req.env) + spec.output_bytes(req.env)
         for value in req.inputs or ():

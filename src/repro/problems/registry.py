@@ -85,12 +85,6 @@ class ProblemRegistry:
         self._problems[spec.name] = reg
         return reg
 
-    def register_many(
-        self, pairs: Iterable[tuple[ProblemSpec, Handler]]
-    ) -> None:
-        for spec, handler in pairs:
-            self.register(spec, handler)
-
     def unregister(self, name: str) -> None:
         if name not in self._problems:
             raise ProblemNotFoundError(name)

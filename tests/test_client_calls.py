@@ -10,15 +10,26 @@ operation:
   never sent and resolved with the first one's ack;
 * two ``fetch_result`` lookups of one request under different
   attributions shared one answer;
-* ``submit_pinned`` ignored ``ClientConfig.default_qos``.
+* a pinned submit ignored ``ClientConfig.default_qos``.
+
+The pinned-submit section also pins what a second entry point for
+pinned requests got wrong: it took no ``qos``, shipped handle-bearing
+arguments unvalidated, and shipped unknown problems undescribed.
 """
 
 import numpy as np
 import pytest
 
 from repro.config import ClientConfig, ServerConfig, SimConfig
-from repro.errors import MissingObjectError, NetSolveError, RequestFailed
+from repro.errors import (
+    BadArgumentsError,
+    MissingObjectError,
+    NetSolveError,
+    ProblemNotFoundError,
+    RequestFailed,
+)
 from repro.protocol.messages import (
+    DataHandle,
     DeleteObject,
     FetchResult,
     SolveRequest,
@@ -193,24 +204,56 @@ def test_identical_fetch_results_share_one_lookup(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# submit_pinned takes the configured default QoS class
+# a pinned submit is a submit: QoS, validation and describe included
 # ----------------------------------------------------------------------
 def test_pinned_submit_carries_default_qos():
-    tb = standard_testbed(
-        n_servers=1, seed=5,
-        client_cfg=ClientConfig(default_qos="interactive"),
+    # the configured default class, then an explicit one
+    for default_qos, qos in (("interactive", ""), ("", "interactive")):
+        tb = standard_testbed(
+            n_servers=1, seed=5,
+            client_cfg=ClientConfig(default_qos=default_qos),
+        )
+        tb.settle()
+        sent = sent_by(tb)
+        a = np.eye(4) * 4.0
+        brokered = tb.submit("c0", "linsys/dgesv", [a, np.ones(4)], qos=qos)
+        pinned = tb.client("c0").submit(
+            "linsys/dgesv", [a, np.ones(4)], server=S0, server_id="s0",
+            qos=qos,
+        )
+        tb.wait_all([brokered, pinned])
+        assert [m.qos for m in of_type(sent, SolveRequest)] == [
+            "interactive", "interactive",
+        ]
+
+
+def test_pinned_handle_with_the_wrong_shape_rejects_locally(tb):
+    client = tb.client("c0")
+    tb.transport.run_until(client.describe("blas/dgemv"))
+    node = tb.transport.node("client/c0")
+    before = node.bytes_sent
+    handle = client.submit(
+        "blas/dgemv",
+        [DataHandle(key="A", address=S0, shape=(6, 6)), np.ones(5)],
+        server=S0, server_id="s0",
     )
-    tb.settle()
+    assert handle.done
+    with pytest.raises(BadArgumentsError):
+        handle.result()
+    assert node.bytes_sent == before
+    assert client.attempts == 0
+
+
+def test_pinned_unknown_problem_is_described_not_shipped(tb):
+    client = tb.client("c0")
     sent = sent_by(tb)
-    a = np.eye(4) * 4.0
-    brokered = tb.submit("c0", "linsys/dgesv", [a, np.ones(4)])
-    pinned = tb.client("c0").submit_pinned(
-        "linsys/dgesv", [a, np.ones(4)], S0, server_id="s0"
-    )
-    tb.wait_all([brokered, pinned])
-    assert [m.qos for m in of_type(sent, SolveRequest)] == [
-        "interactive", "interactive",
-    ]
+    handle = client.submit("zzz/none", [np.ones(3)], server=S0,
+                           server_id="s0")
+    settle(tb, handle.promise)
+    with pytest.raises(ProblemNotFoundError):
+        handle.result()
+    assert of_type(sent, SolveRequest) == []
+    assert client.attempts == 0
 
 
 # ----------------------------------------------------------------------

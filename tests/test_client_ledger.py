@@ -4,10 +4,10 @@ A seeded sim fleet — two agents, three servers, two clients — carries
 every kind of traffic the client library starts: brokered ``submit``
 with the request digest on (``c0``) and off (``c1``), ``keep_result``,
 handle inputs whose object is gone with ``payloads`` in hand (the
-missing-object re-submit), ``submit_pinned`` with and without
-references, ``query_candidates``, ``describe`` beside a ``submit`` of the
-same problem, ``list_problems``, ``store`` / ``delete_stored`` on
-distinct keys, ``fetch``, ``fetch_result`` and
+missing-object re-submit), ``submit`` pinned to a ``server`` with
+and without references, ``query_candidates``, ``describe`` beside a
+``submit`` of the same problem, ``list_problems``, ``store`` /
+``delete_stored`` on distinct keys, ``fetch``, ``fetch_result`` and
 ``submit_dag``.  Under it: 10% message loss, one server crashed and
 revived, and the primary agent killed for good.
 
@@ -251,9 +251,9 @@ def script(ledger: Ledger, j: int, rng):
 
     def pinned(label, address, problem, args, payloads=lambda: None):
         def act():
-            handle = client.submit_pinned(
-                problem, args(), address, server_id=address.split("/")[1],
-                payloads=payloads(),
+            handle = client.submit(
+                problem, args(), server=address,
+                server_id=address.split("/")[1], payloads=payloads(),
             )
             watch(label, handle.promise)
         return act

@@ -145,8 +145,9 @@ def test_pinned_failure_not_reported_to_agent():
     client.install_spec(builtin_registry().spec("linsys/dgesv"))
     tb.transport.crash(server_address("s0"))
 
-    handle = client.submit_pinned(
-        "linsys/dgesv", list(linsys()), server_address("s0"), server_id="s0"
+    handle = client.submit(
+        "linsys/dgesv", list(linsys()), server=server_address("s0"),
+        server_id="s0",
     )
     tb.run(until=tb.kernel.now + 10.0)
 

@@ -31,9 +31,9 @@ def pin(tb, n):
 
 
 def pinned_solve(tb, best, args, payloads=None):
-    """Blocking ``submit_pinned`` to ``best``; returns the outputs."""
-    handle = tb.client("c0").submit_pinned(
-        "linsys/dgesv", args, best.address, server_id=best.server_id,
+    """Blocking ``submit`` pinned to ``best``; returns the outputs."""
+    handle = tb.client("c0").submit(
+        "linsys/dgesv", args, server=best.address, server_id=best.server_id,
         payloads=payloads,
     )
     return tb.transport.run_until(handle.promise)

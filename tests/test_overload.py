@@ -166,9 +166,9 @@ def saturate(tb, server_id, count=2, n=700):
     handles = []
     for _ in range(count):
         handles.append(
-            tb.client("c0").submit_pinned(
-                "linsys/dgesv", list(linsys(n)), server_address(server_id),
-                server_id=server_id,
+            tb.client("c0").submit(
+                "linsys/dgesv", list(linsys(n)),
+                server=server_address(server_id), server_id=server_id,
             )
         )
     return handles

@@ -112,7 +112,6 @@ def test_workload_policy_rejects(kwargs):
     [
         dict(candidate_list_length=0),
         dict(liveness_timeout=0.0),
-        dict(default_workload=-1.0),
     ],
 )
 def test_agent_config_rejects(kwargs):

@@ -47,8 +47,8 @@ def test_store_and_reference(tb):
     assert a_ref.nbytes > 64 * 64 * 8
     assert tb.server("s1").cached_objects == 1
     x = RNG.standard_normal(64)
-    handle = client.submit_pinned(
-        "blas/dgemv", [DataHandle(key="A"), x], server_address("s1"),
+    handle = client.submit(
+        "blas/dgemv", [DataHandle(key="A"), x], server=server_address("s1"),
         server_id="s1",
     )
     tb.wait_all([handle])
@@ -58,9 +58,9 @@ def test_store_and_reference(tb):
 
 def test_unknown_ref_is_structured_error(tb):
     client = tb.client("c0")
-    handle = client.submit_pinned(
+    handle = client.submit(
         "blas/dgemv", [DataHandle(key="never-stored"), np.ones(4)],
-        server_address("s0"), server_id="s0",
+        server=server_address("s0"), server_id="s0",
     )
     tb.wait_all([handle])
     assert handle.status is RequestStatus.FAILED
@@ -131,8 +131,8 @@ def test_pinned_request_no_failover():
     world.settle()
     world.transport.crash(server_address("s0"))
     a = RNG.standard_normal((8, 8)) + 8 * np.eye(8)
-    handle = world.client("c0").submit_pinned(
-        "linsys/dgesv", [a, np.ones(8)], server_address("s0"),
+    handle = world.client("c0").submit(
+        "linsys/dgesv", [a, np.ones(8)], server=server_address("s0"),
         server_id="s0",
     )
     world.wait_all([handle], limit=world.kernel.now + 120.0)
@@ -144,8 +144,8 @@ def test_pinned_validates_locally_when_no_refs(tb):
     # warm the spec cache
     a = RNG.standard_normal((8, 8)) + 8 * np.eye(8)
     tb.solve("c0", "linsys/dgesv", [a, np.ones(8)])
-    handle = client.submit_pinned(
-        "linsys/dgesv", [a, np.ones(9)], server_address("s0"),
+    handle = client.submit(
+        "linsys/dgesv", [a, np.ones(9)], server=server_address("s0"),
         server_id="s0",
     )
     tb.wait_all([handle])
@@ -170,8 +170,8 @@ def test_sequence_store_solve_release(tb):
     a_ref = wait(tb)(client.store(best.address, "A", a))
     for _ in range(3):
         x = RNG.standard_normal(32)
-        handle = client.submit_pinned(
-            "blas/dgemv", [a_ref, x], best.address,
+        handle = client.submit(
+            "blas/dgemv", [a_ref, x], server=best.address,
             server_id=best.server_id, payloads={"A": a},
         )
         (y,) = wait(tb)(handle.promise)

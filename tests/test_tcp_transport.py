@@ -290,8 +290,8 @@ def test_object_store_and_sequencing_over_tcp(deployment):
 
     x = RNG.standard_normal(40)
     with node.lock:
-        handle = client.submit_pinned(
-            "blas/dgemv", [a_ref, x], "server/s1", server_id="s1",
+        handle = client.submit(
+            "blas/dgemv", [a_ref, x], server="server/s1", server_id="s1",
         )
     (y,) = handle.promise.wait(WAIT)
     assert np.allclose(y, a @ x)
