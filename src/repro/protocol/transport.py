@@ -263,9 +263,12 @@ class SimNode(Node):
         self.host_name = host_name
         self.alive = True
         self.component: Component | None = None
-        self._timers: list[Timer] = []
+        #: armed timers and running jobs, in arming order; each forgets
+        #: itself when it fires or finishes, so a crash has only live
+        #: work to cancel
+        self._timers: dict[Timer, None] = {}
         self._timers_prune_at = 64
-        self._jobs: list = []
+        self._jobs: dict = {}
         self.messages_sent = 0
         self.bytes_sent = 0
 
@@ -283,21 +286,19 @@ class SimNode(Node):
             raise TransportClosed(f"node {self.address!r} is down")
 
         def guarded() -> None:
+            self._timers.pop(timer, None)
             if self.alive:
                 fn()
 
-        kernel = self.transport.kernel
-        timer = kernel.call_after(delay, guarded)
-        self._timers.append(timer)
+        timer = self.transport.kernel.call_after(delay, guarded)
+        self._timers[timer] = None
         if len(self._timers) > self._timers_prune_at:
-            # keep the teardown list to what is still armed: neither
-            # cancelled nor fired (a fired timer is never marked
-            # cancelled; its time is behind the clock).  The threshold
-            # doubles with the survivors so pruning stays amortized O(1)
-            self._timers = [
-                t for t in self._timers
-                if not t.cancelled and t.time >= kernel.now
-            ]
+            # a timer its owner cancelled never fires, so it stays until
+            # here.  The threshold doubles with the survivors so pruning
+            # stays amortized O(1)
+            self._timers = {
+                t: None for t in self._timers if not t.cancelled
+            }
             self._timers_prune_at = max(64, 2 * len(self._timers))
         return timer
 
@@ -319,9 +320,10 @@ class SimNode(Node):
         except Exception as exc:  # handler bug: still reply, don't wedge
             result = exc
         job = host.submit_job(flops, name=self.address)
-        self._jobs.append(job)
+        self._jobs[job] = None
 
         def finish(elapsed: float) -> None:
+            self._jobs.pop(job, None)
             if self.alive:
                 done(result, elapsed)
 

@@ -13,7 +13,7 @@ then measure how contention and overhead make reality deviate from it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from ..errors import SimulationError
 from .host import SimHost
@@ -31,16 +31,20 @@ class LinkStats:
     busy_seconds: float = 0.0
 
 
+def _check_link(label: str, latency: float, bandwidth: float) -> None:
+    if latency < 0:
+        raise SimulationError(f"link {label}: negative latency")
+    if bandwidth <= 0:
+        raise SimulationError(f"link {label}: bandwidth must be positive")
+
+
 class Link:
     """One direction of a point-to-point link."""
 
     __slots__ = ("src", "dst", "latency", "bandwidth", "busy_until", "stats")
 
     def __init__(self, src: str, dst: str, latency: float, bandwidth: float):
-        if latency < 0:
-            raise SimulationError(f"link {src}->{dst}: negative latency")
-        if bandwidth <= 0:
-            raise SimulationError(f"link {src}->{dst}: bandwidth must be positive")
+        _check_link(f"{src}->{dst}", latency, bandwidth)
         self.src = src
         self.dst = dst
         self.latency = float(latency)
@@ -76,6 +80,22 @@ class TransferPlan:
         return self.arrival - self.start
 
 
+class _Mesh(NamedTuple):
+    """One :meth:`Topology.connect_all` call, kept instead of its links."""
+
+    hosts: frozenset[str]
+    latency: float
+    bandwidth: float
+    #: sorted pairs that were already linked when the mesh was laid
+    skip: frozenset[tuple[str, str]]
+
+    def covers(self, lo: str, hi: str) -> bool:
+        return (
+            lo in self.hosts and hi in self.hosts
+            and (lo, hi) not in self.skip
+        )
+
+
 class Topology:
     """A set of named hosts and the directed links between them.
 
@@ -83,6 +103,11 @@ class Topology:
     implicit loopback with :attr:`loopback_latency` and effectively
     infinite bandwidth, so co-located components cost almost nothing —
     matching the original's use of Unix-domain loopback.
+
+    A :meth:`connect_all` mesh is recorded, not built: each of its
+    directed links comes into being the first time :meth:`link` asks
+    for it, so a topology holds links in proportion to the pairs that
+    carry traffic, not to the square of its hosts.
     """
 
     loopback_latency = 20e-6
@@ -95,6 +120,7 @@ class Topology:
         self.per_message_overhead = float(per_message_overhead)
         self.hosts: dict[str, SimHost] = {}
         self._links: dict[tuple[str, str], Link] = {}
+        self._meshes: list[_Mesh] = []
 
     # ------------------------------------------------------------------
     # construction
@@ -128,7 +154,9 @@ class Topology:
         bandwidth: float,
         symmetric: bool = True,
     ) -> None:
-        """Join hosts ``a`` and ``b``; bandwidth in bytes/second."""
+        """Join hosts ``a`` and ``b``; bandwidth in bytes/second.
+
+        Overrides a :meth:`connect_all` mesh for this pair."""
         for name in (a, b):
             if name not in self.hosts:
                 raise SimulationError(f"unknown host {name!r}")
@@ -139,28 +167,54 @@ class Topology:
             self._links[(b, a)] = Link(b, a, latency, bandwidth)
 
     def connect_all(self, *, latency: float, bandwidth: float) -> None:
-        """Add a full mesh among all current hosts (skips existing pairs)."""
-        names = sorted(self.hosts)
-        for i, a in enumerate(names):
-            for b in names[i + 1 :]:
-                if (a, b) not in self._links:
-                    self.add_link(a, b, latency=latency, bandwidth=bandwidth)
+        """Join every pair of current hosts that is not linked yet.
+
+        A pair counts as linked when its sorted direction ``(lo, hi)``
+        has a link; otherwise the mesh joins both directions, replacing
+        an asymmetric ``hi -> lo`` link.  Hosts added later are not in
+        the mesh.  No link is built here: :meth:`link` builds each
+        directed link on first use.
+        """
+        _check_link("mesh", latency, bandwidth)
+        hosts = frozenset(self.hosts)
+        skip = set()
+        for a, b in list(self._links):
+            if a == b or a not in hosts or b not in hosts:
+                continue
+            lo, hi = (a, b) if a < b else (b, a)
+            if (lo, hi) in self._links or self._mesh_for(lo, hi):
+                skip.add((lo, hi))
+            else:
+                del self._links[(a, b)]
+        self._meshes.append(
+            _Mesh(hosts, float(latency), float(bandwidth), frozenset(skip))
+        )
+
+    def _mesh_for(self, lo: str, hi: str) -> _Mesh | None:
+        for mesh in self._meshes:
+            if mesh.covers(lo, hi):
+                return mesh
+        return None
 
     def link(self, src: str, dst: str) -> Link:
-        """The directed link ``src -> dst`` (loopback links are implicit)."""
+        """The directed link ``src -> dst`` (loopback links are implicit,
+        mesh links are built here on first use)."""
+        link = self._links.get((src, dst))
+        if link is not None:
+            return link
         if src == dst:
-            key = (src, src)
-            if key not in self._links:
-                self._links[key] = Link(
-                    src, src, self.loopback_latency, self.loopback_bandwidth
-                )
-            return self._links[key]
-        try:
-            return self._links[(src, dst)]
-        except KeyError:
-            raise SimulationError(f"no link {src!r} -> {dst!r}") from None
+            link = Link(src, src, self.loopback_latency, self.loopback_bandwidth)
+        else:
+            mesh = self._mesh_for(*((src, dst) if src < dst else (dst, src)))
+            if mesh is None:
+                raise SimulationError(f"no link {src!r} -> {dst!r}")
+            link = Link(src, dst, mesh.latency, mesh.bandwidth)
+        self._links[(src, dst)] = link
+        return link
 
     def links(self) -> Iterable[Link]:
+        """The links built so far: explicit ones, and the loopback and
+        mesh links that :meth:`link` has been asked for."""
         return self._links.values()
 
     # ------------------------------------------------------------------

@@ -315,7 +315,9 @@ def build_testbed(
     ``default_link`` parameters (set ``default_link=None`` to require a
     fully explicit link list).  The agent's network table is loaded from
     the same link definitions — representing NetSolve's network
-    measurements — but never sees per-message overhead or contention.
+    measurements — but never sees per-message overhead or contention:
+    it holds the explicit links plus one default estimate, not a copy
+    per host pair.
     ``network_override`` replaces that oracle table entirely (e.g. a
     :class:`~repro.core.predictor.LearnedNetworkInfo` over a wrong prior
     for the measurement-loop experiments).  ``extra_agents`` adds
@@ -357,7 +359,15 @@ def build_testbed(
             else lambda addr: network_override
         )
     else:
-        static = StaticNetworkInfo()
+        # the explicit links, then one estimate for every other pair:
+        # connect_all has built no mesh link yet, so links() is exactly
+        # the explicit ones
+        static = StaticNetworkInfo(
+            default=None if default_link is None else LinkEstimate(
+                latency=float(default_link.latency),
+                bandwidth=float(default_link.bandwidth),
+            )
+        )
         for link_obj in topology.links():
             static.set(
                 link_obj.src,

@@ -14,6 +14,7 @@ from repro.core import FailureInjector
 from repro.core.request import RequestStatus
 from repro.errors import (
     BadArgumentsError,
+    ConfigError,
     ProblemNotFoundError,
     RequestFailed,
 )
@@ -386,3 +387,46 @@ def test_link_contention_slows_transfers():
     solo = run(False)
     contended = run(True)  # c1 queues behind c0 on the shared wire
     assert contended > solo
+
+
+def test_agent_link_table_matches_the_topology():
+    """The agent's table (explicit links plus one default) gives every
+    host pair the parameters of the link its messages travel."""
+    hosts = [HostDef(h, 50.0) for h in ("ah", "ch", "s1", "s2", "s3")]
+
+    def build(default_link, links):
+        return build_testbed(
+            hosts=hosts,
+            servers=[ServerDef("s1", "s1"), ServerDef("s2", "s2")],
+            clients=[ClientDef("c0", "ch")],
+            agent_host="ah",
+            links=links,
+            default_link=default_link,
+        )
+
+    links = [
+        LinkDef("s2", "ch", latency=5e-3, bandwidth=1e6),  # unsorted pair
+        LinkDef("ch", "s1", latency=1e-3, bandwidth=2e6),
+        LinkDef("s1", "ch", latency=2e-3, bandwidth=3e6),  # redefined: wins
+        LinkDef("ah", "s3", latency=0, bandwidth=4e6),  # int latency
+    ]
+    tb = build(LinkDef("*", "*", latency=7e-4, bandwidth=9e6), links)
+    names = [h.name for h in hosts]
+    for a in names:
+        for b in names:
+            if a == b:
+                continue
+            est = tb.agent.network.link(a, b)
+            link = tb.topology.link(a, b)
+            assert (est.latency, est.bandwidth) == (
+                link.latency, link.bandwidth
+            ), (a, b)
+            assert type(est.latency) is float
+    assert tb.agent.network.link("ch", "s1").latency == 2e-3
+
+    full = [LinkDef(a, b) for i, a in enumerate(names) for b in names[i + 1:]
+            if {a, b} != {"s2", "s3"}]
+    tb = build(None, full)
+    with pytest.raises(ConfigError):
+        tb.agent.network.link("s2", "s3")
+    assert tb.agent.network.link("s3", "ah").latency == LinkDef("", "").latency

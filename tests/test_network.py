@@ -143,25 +143,50 @@ def test_estimate_matches_uncontended_transfer():
 
 
 def test_connect_all_builds_full_mesh():
-    k = EventKernel()
-    net = Topology(k)
-    for name in ("a", "b", "c"):
-        net.add_host(name, 10.0)
-    net.connect_all(latency=0.001, bandwidth=1e6)
-    for src in ("a", "b", "c"):
-        for dst in ("a", "b", "c"):
-            if src != dst:
-                assert net.link(src, dst).latency == 0.001
+    for n_hosts in (3, 400):
+        k = EventKernel()
+        net = Topology(k)
+        names = [f"h{i:03d}" for i in range(n_hosts)]
+        for name in names:
+            net.add_host(name, 10.0)
+        net.connect_all(latency=0.001, bandwidth=1e6)
+        assert list(net.links()) == []  # laid on first use, not up front
+        for src, dst in [(names[0], names[1]), (names[1], names[0]),
+                         (names[-1], names[0])]:
+            net.transfer(src, dst, 100)
+        k.run()
+        assert len(list(net.links())) == 3
+        assert net.total_messages() == 3 and net.total_bytes() == 300
+        probe = names[:3] + names[3:][-2:]
+        for src in probe:
+            for dst in probe:
+                if src != dst:
+                    assert net.link(src, dst).latency == 0.001
+                    assert net.link(src, dst).bandwidth == 1e6
+        net.add_host("late", 10.0)  # added after the mesh: not in it
+        for src, dst in [(names[0], "late"), ("late", names[0])]:
+            with pytest.raises(SimulationError):
+                net.link(src, dst)
 
 
 def test_connect_all_preserves_existing_links():
-    k = EventKernel()
-    net = Topology(k)
-    net.add_host("a", 10.0)
-    net.add_host("b", 10.0)
-    net.add_link("a", "b", latency=0.5, bandwidth=1.0)
-    net.connect_all(latency=0.001, bandwidth=1e6)
-    assert net.link("a", "b").latency == 0.5
+    # an explicit link wins whether it comes before the mesh or after
+    for explicit_after_mesh in (False, True):
+        k = EventKernel()
+        net = Topology(k)
+        net.add_host("a", 10.0)
+        net.add_host("b", 10.0)
+        net.add_host("c", 10.0)
+        if explicit_after_mesh:
+            net.connect_all(latency=0.001, bandwidth=1e6)
+        net.add_link("a", "b", latency=0.5, bandwidth=1.0)
+        net.connect_all(latency=0.001, bandwidth=1e6)
+        assert net.link("a", "b").latency == 0.5
+        assert net.link("b", "a").latency == 0.5
+        assert net.link("a", "c").latency == 0.001
+        # a later mesh never replaces an earlier one's pairs
+        net.connect_all(latency=0.25, bandwidth=1e6)
+        assert net.link("c", "b").latency == 0.001
 
 
 def test_asymmetric_link():
@@ -173,6 +198,22 @@ def test_asymmetric_link():
     assert net.link("a", "b").latency == 0.1
     with pytest.raises(SimulationError):
         net.link("b", "a")
+    # a mesh checks the sorted direction only: a -> b is linked, so the
+    # pair is skipped and b -> a stays unlinked
+    net.connect_all(latency=0.001, bandwidth=1e6)
+    assert net.link("a", "b").latency == 0.1
+    with pytest.raises(SimulationError):
+        net.link("b", "a")
+    # with only c -> a linked, the mesh joins the pair and replaces it
+    net.add_host("c", 10.0)
+    net.add_link("c", "a", latency=0.1, bandwidth=1e6, symmetric=False)
+    net.connect_all(latency=0.002, bandwidth=1e6)
+    assert net.link("a", "c").latency == 0.002
+    assert net.link("c", "a").latency == 0.002
+    # one direction added after the mesh overrides that direction only
+    net.add_link("c", "b", latency=0.5, bandwidth=1e6, symmetric=False)
+    assert net.link("c", "b").latency == 0.5
+    assert net.link("b", "c").latency == 0.002
 
 
 def test_stats_accumulate():
@@ -202,3 +243,10 @@ def test_bad_link_parameters_rejected():
         net.add_link("a", "b", latency=-1.0, bandwidth=1e6)
     with pytest.raises(SimulationError):
         net.add_link("a", "b", latency=0.0, bandwidth=0.0)
+    # a mesh rejects them when it is laid, not on first use
+    with pytest.raises(SimulationError, match="negative latency"):
+        net.connect_all(latency=-1.0, bandwidth=1e6)
+    with pytest.raises(SimulationError, match="bandwidth must be positive"):
+        net.connect_all(latency=0.0, bandwidth=0.0)
+    with pytest.raises(SimulationError):
+        net.link("a", "b")  # a rejected mesh lays nothing

@@ -324,7 +324,8 @@ def test_sample_workload_reads_host():
 def test_fired_timers_do_not_pile_up_on_a_node():
     # regression: call_after pruned its teardown list with `not
     # t.cancelled`, but a timer that *fired* is never marked cancelled —
-    # past 64 entries every call rebuilt an ever-growing list
+    # past 64 entries every call rebuilt an ever-growing list.  A node
+    # now forgets a timer when it fires and a job when it finishes
     kernel, _, transport = make_world()
     node = transport.add_node("a", "h1", Collector())
     fired = []
@@ -332,7 +333,13 @@ def test_fired_timers_do_not_pile_up_on_a_node():
         node.call_after(0.001, lambda i=i: fired.append(i))
         kernel.run()  # sequential fire-and-forget: each fires before the next
     assert len(fired) == 10_000
-    assert len(node._timers) <= 128
+    assert len(node._timers) == 0
+    finished = []
+    for i in range(1_000):
+        node.compute(1e3, lambda i=i: i, lambda r, _e: finished.append(r))
+        kernel.run()
+    assert finished == list(range(1_000))
+    assert len(node._jobs) == 0
 
 
 def test_crash_cancels_every_armed_timer_after_pruning():
@@ -349,6 +356,6 @@ def test_crash_cancels_every_armed_timer_after_pruning():
     assert all(t in node._timers for t in armed)
     transport.crash("a")
     assert all(t.cancelled for t in armed)
-    assert node._timers == []
+    assert not node._timers
     kernel.run()
     assert fired == []
