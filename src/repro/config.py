@@ -91,11 +91,6 @@ class AgentConfig:
     #: servers so peers that missed a mirror pull the entries and heal;
     #: 0 disables replication repair entirely
     sync_interval: float = 60.0
-    #: seconds to wait for a peer to answer a SyncPull before resending
-    sync_pull_timeout: float = 15.0
-    #: SyncPull attempts per digest round before giving up (harmless:
-    #: the next digest round starts a fresh pull)
-    sync_pull_retries: int = 2
 
     def __post_init__(self) -> None:
         _require(self.candidate_list_length >= 1, "candidate_list_length must be >= 1")
@@ -116,10 +111,6 @@ class AgentConfig:
         _require(self.cache_ttl >= 0, "cache_ttl must be >= 0")
         _require(self.cache_entry_bytes >= 0, "cache_entry_bytes must be >= 0")
         _require(self.sync_interval >= 0, "sync_interval must be >= 0")
-        _require(
-            self.sync_pull_timeout > 0, "sync_pull_timeout must be positive"
-        )
-        _require(self.sync_pull_retries >= 1, "sync_pull_retries must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -171,13 +162,10 @@ class ServerConfig:
     #: agent address (only armed when the server was given more than one)
     register_timeout: float = 30.0
     #: seconds an *unpinned* resident object (``keep_result`` outputs,
-    #: DAG intermediates) lives after its last reference is released;
-    #: 0 = no expiry (byte budget only).  Pinned ``store``d operands
-    #: never expire.
+    #: request-DAG intermediates) lives after its last use; bounds one
+    #: whose delete was lost.  0 = no expiry (byte budget only).  Pinned
+    #: ``store``d operands never expire.
     handle_ttl: float = 600.0
-    #: admission cap on SubmitDag graphs (nodes per DAG); a larger graph
-    #: is rejected outright with a non-retryable DagReply
-    dag_max_nodes: int = 64
     #: per-class deadline offsets (seconds past arrival), indexed by
     #: :data:`repro.core.qos.QOS_CLASSES` — the queue drains earliest
     #: deadline first, so a tighter offset is a stronger claim on the
@@ -210,7 +198,6 @@ class ServerConfig:
             self.register_timeout > 0, "register_timeout must be positive"
         )
         _require(self.handle_ttl >= 0, "handle_ttl must be >= 0")
-        _require(self.dag_max_nodes >= 1, "dag_max_nodes must be >= 1")
         _require(
             len(self.qos_deadlines) == 3,
             "qos_deadlines must have one entry per class",
@@ -281,8 +268,6 @@ class SimConfig:
     """Global knobs of a simulated deployment."""
 
     seed: int = 0
-    #: stop the event loop at this virtual time (seconds); None = run dry
-    horizon: float | None = None
     #: per-message fixed software overhead added to every transfer (seconds);
     #: models protocol stack cost on 1996-era hosts
     per_message_overhead: float = 1e-3
@@ -294,8 +279,6 @@ class SimConfig:
 
     def __post_init__(self) -> None:
         _require(self.seed >= 0, "seed must be >= 0")
-        if self.horizon is not None:
-            _require(self.horizon > 0, "horizon must be positive")
         _require(self.per_message_overhead >= 0, "per_message_overhead must be >= 0")
 
 

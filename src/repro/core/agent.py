@@ -66,6 +66,11 @@ __all__ = ["Agent"]
 
 #: distinct problem catalogues an agent keeps parsed
 _CATALOGUES = 32
+#: seconds to wait for a peer to answer a SyncPull before resending
+_SYNC_PULL_TIMEOUT = 15.0
+#: SyncPull sends per digest round before giving up (harmless: the
+#: next digest round starts a fresh pull)
+_SYNC_PULL_ATTEMPTS = 2
 
 
 class Agent(DispatchComponent):
@@ -576,8 +581,8 @@ class Agent(DispatchComponent):
         RetryChain(
             self._deadlines,
             ("sync", src),
-            interval=self.cfg.sync_pull_timeout,
-            attempts=self.cfg.sync_pull_retries,
+            interval=_SYNC_PULL_TIMEOUT,
+            attempts=_SYNC_PULL_ATTEMPTS,
             send=lambda attempt: self.node.send(
                 src, SyncPull(server_ids=stale)
             ),

@@ -16,9 +16,11 @@ non-blocking submit/probe/wait triple (``netslnb``/``netslpr``/
 Everything in flight is one of two records.  A solve — brokered or
 pinned — is an ``_Active``, and ``_finish`` is the only code that
 settles one.  Every other exchange (describe, list, candidate query,
-store / delete, fetch, result lookup, DAG) is a ``_Call`` in one table,
+store / delete, fetch, result lookup) is a ``_Call`` in one table,
 keyed by what its reply is matched on — a GridRPC call id — and
-``_answer`` is the only code that settles one.
+``_answer`` is the only code that settles one.  A request DAG is a
+``_Call`` too, with no message of its own: its nodes are pinned solves,
+and ``_answer`` settles the graph once they have.
 
 Every request keeps a full :class:`~repro.core.request.RequestRecord`
 timeline, which is where the breakdown/fault experiments read from.
@@ -35,6 +37,7 @@ from collections import deque
 from typing import Any, Hashable, Optional, Sequence
 
 from ..config import ClientConfig
+from ..dag import NodeDone, NodeOutput, check_graph, node_refs
 from ..errors import (
     BadArgumentsError, MissingObjectError, NetSolveError,
     ProblemNotFoundError, RequestFailed,
@@ -42,11 +45,10 @@ from ..errors import (
 from ..problems.pdl import parse_pdl
 from ..problems.spec import ProblemSpec, validate_inputs
 from ..protocol.messages import (
-    Busy, Candidate, DagNodeDone, DagReply, DataHandle, DeleteObject,
-    DescribeProblem, FailureReport, FetchObject, FetchResult, ListProblems,
-    ObjectPayload, ProblemDescription, ProblemList, QueryReply,
-    QueryRequest, ResultStatus, SolveReply, SolveRequest, StoreAck,
-    StoreObject, SubmitDag, TransferReport,
+    Busy, Candidate, DataHandle, DeleteObject, DescribeProblem,
+    FailureReport, FetchObject, FetchResult, ListProblems, ObjectPayload,
+    ProblemDescription, ProblemList, QueryReply, QueryRequest, ResultStatus,
+    SolveReply, SolveRequest, StoreAck, StoreObject, TransferReport,
 )
 from ..protocol.transport import Promise
 from ..runtime import DeadlineTable, DispatchComponent, handles
@@ -140,10 +142,10 @@ class _Call:
     """
 
     __slots__ = ("key", "target", "msg", "attempts", "interval", "give_up",
-                 "waiters", "sent", "behind", "on_node")
+                 "waiters", "sent", "behind")
 
     def __init__(self, key: Hashable, target: str, msg, attempts: int,
-                 interval: float, give_up: str, waiter, on_node=None):
+                 interval: float, give_up: str, waiter):
         self.key = key
         self.target = target
         self.msg = msg
@@ -153,8 +155,54 @@ class _Call:
         self.waiters: list = [waiter]
         self.sent = 0
         self.behind: list[_Call] = []
-        #: DAG progress callback, given each DagNodeDone
-        self.on_node = on_node
+
+
+class _Graph:
+    """One request DAG in flight (``submit_dag``).
+
+    ``users`` counts, per node that feeds others, its consumers still to
+    settle; ``held`` keeps the outputs of such a node that is not
+    ``keep`` — resident on the server only as edges — until they are
+    deleted.  ``answer`` is the graph's answer once every node has
+    answered, and ``pulls`` its positions still being fetched.
+    """
+
+    __slots__ = ("key", "target", "on_node", "nodes", "users", "emit",
+                 "waiting", "outputs", "held", "unsettled", "ended",
+                 "answer", "pulls")
+
+    def __init__(self, graph: Sequence[dict], target: str, on_node):
+        #: the graph's entry in the call table
+        self.key = ("dag", id(self))
+        self.target, self.on_node = target, on_node
+        self.nodes = {node["id"]: node for node in graph}
+        self.users: dict[str, int] = {}
+        for node in graph:
+            for ref in node_refs(node["inputs"]):
+                self.users[ref] = self.users.get(ref, 0) + 1
+        #: whose outputs the graph answers with: the emit nodes, else
+        #: the terminal ones
+        self.emit = ([nid for nid, node in self.nodes.items() if node["emit"]]
+                     or [nid for nid in self.nodes if nid not in self.users])
+        self.waiting = list(self.nodes)
+        self.outputs: dict[str, tuple] = {}
+        self.held: dict[str, tuple] = {}
+        self.unsettled = len(self.nodes)
+        self.ended = False
+        self.answer: list = []
+        self.pulls: set[int] = set()
+
+    def substitute(self, value: Any) -> Any:
+        """``value`` with a node reference replaced by that output."""
+        if not isinstance(value, NodeOutput):
+            return value
+        outputs = self.outputs[value.node]
+        if not 0 <= value.index < len(outputs):
+            raise NetSolveError(
+                f"node {value.node!r} produced {len(outputs)} output(s); "
+                f"index {value.index} requested"
+            )
+        return outputs[value.index]
 
 
 #: calls that change server state: two of them never share one answer
@@ -201,7 +249,7 @@ class NetSolveClient(DispatchComponent):
         Metric("client.fetches", "fetches", "FetchResult lookups started"),
         Metric("client.object_fetches", "object_fetches",
                "FetchObject pulls started"),
-        Metric("client.dag_submits", "dag_submits", "SubmitDag graphs sent"),
+        Metric("client.dag_submits", "dag_submits", "request DAGs started"),
         Metric("client.payload_resubmits", "payload_resubmits",
                "missing-object errors answered by re-sending with payloads"),
         Metric("client.active_requests", "active_requests",
@@ -236,7 +284,6 @@ class NetSolveClient(DispatchComponent):
         track(self, metrics)
         self.spans = spans
         self._rids = itertools.count(1)
-        self._dag_ids = itertools.count(1)
         self._specs: dict[str, ProblemSpec] = {}
         #: every control exchange in flight, by the key its reply carries
         self._calls: dict[Hashable, _Call] = {}
@@ -485,34 +532,34 @@ class NetSolveClient(DispatchComponent):
         nodes: Sequence[dict],
         *,
         address: str = "",
-        dag_id: str = "",
-        timeout: Optional[float] = None,
         on_node=None,
     ) -> Promise:
-        """Submit a dependency graph of solves in one message.
+        """Run a dependency graph of solves (see :mod:`repro.dag`) on
+        one server; a bad graph rejects here, before anything is sent.
 
-        ``nodes`` is a sequence of dicts — ``{"id", "problem",
-        "inputs", "keep", "emit"}`` — where inputs may be values,
-        :class:`DataHandle` stubs, or :class:`NodeOutput` references to
-        a predecessor's output (see :mod:`repro.dag` for a builder that
-        validates the graph before anything hits the wire).  The server
-        resolves node inputs from its resident results and executes in
-        dependency order through its normal admission machinery.
+        Routing: ``address`` wins; otherwise the home of the first
+        :class:`DataHandle` found in a node's inputs.  Each node is a
+        ``submit`` pinned there, sent once its predecessors have
+        answered, with every reference replaced by the predecessor's
+        output.  A node that feeds others keeps its outputs resident, so
+        an edge is a handle; unless the node is ``keep``, they are
+        deleted once its consumers have settled.
 
-        Routing: ``address`` wins; otherwise the graph is sent to the
-        home of the first :class:`DataHandle` found in a node's inputs
-        (an iterative workload's DAG belongs where its data lives).
-        The promise resolves with the outputs tuple of the graph's
-        ``emit`` nodes (terminal nodes when none is marked); it rejects
-        with :class:`RequestFailed` naming the failed node, after
-        streaming each :class:`DagNodeDone` to ``on_node``.  ``timeout``
-        bounds the silence *between* node completions, not the whole
-        graph (default: ``cfg.server_timeout``).
+        The promise resolves with the outputs of the ``emit`` nodes in
+        node order (default: the terminal nodes; ``keep`` nodes answer
+        with handles).  It rejects with :class:`RequestFailed` at the
+        first failed node, carrying ``failed_node``, ``error_kind`` and
+        ``missing``; no node is sent after that.  ``on_node`` is handed
+        a :class:`~repro.dag.NodeDone` as each node settles.
         """
+        try:
+            graph = check_graph(nodes)
+        except NetSolveError as exc:
+            return self._settled(exc)
         target = address or next(
             (
                 value.address
-                for node in nodes for value in node.get("inputs", ())
+                for node in graph for value in node["inputs"]
                 if isinstance(value, DataHandle) and value.address
             ),
             "",
@@ -522,34 +569,131 @@ class NetSolveClient(DispatchComponent):
                 "submit_dag needs a server address (none given, and "
                 "no input handle carries one)"
             ))
-        dag_id = dag_id or f"{self.client_id}/dag{next(self._dag_ids)}"
-        if ("dag", dag_id) in self._calls:
-            return self._settled(
-                NetSolveError(f"dag id {dag_id!r} already in flight")
-            )
-        self._trace("dag_submitted", dag_id=dag_id, server=target,
-                    nodes=len(nodes))
+        run = _Graph(graph, target, on_node)
+        promise = self.node.promise()
+        # a call with no message of its own: the node solves drive it,
+        # and _answer settles it
+        self._calls[run.key] = _Call(run.key, target, None, 0, 0.0, "",
+                                     promise)
+        self._trace("dag_submitted", server=target, nodes=len(graph))
         self.dag_submits += 1
-        # one send, no resend (a graph is not idempotent); the deadline
-        # is a liveness window re-armed on every node completion
-        return self._call(
-            ("dag", dag_id), target,
-            SubmitDag(
-                dag_id=dag_id,
-                nodes=tuple(dict(node) for node in nodes),
-                reply_to=self.node.address,
-            ),
-            1, timeout if timeout is not None else self.cfg.server_timeout,
-            f"server {target!r} went silent on dag {dag_id!r}",
-            on_node=on_node,
-        )
+        self._dag_send_ready(run)
+        return promise
+
+    def _dag_send_ready(self, run: _Graph) -> None:
+        """Submit every waiting node whose predecessors have answered."""
+        waiting, run.waiting = run.waiting, []
+        for nid in waiting:
+            node = run.nodes[nid]
+            if run.ended or not node_refs(node["inputs"]) <= run.outputs.keys():
+                run.waiting.append(nid)  # not ready, or the graph ended
+                continue
+            try:
+                args = [run.substitute(v) for v in node["inputs"]]
+            except NetSolveError as exc:
+                self._dag_fail(run, nid, str(exc))
+                continue
+            handle = self.submit(node["problem"], args, server=run.target,
+                                 keep_result=node["keep"] or nid in run.users)
+            handle.promise.on_settled(
+                lambda _p, nid=nid, handle=handle:
+                self._dag_settled(run, nid, handle)
+            )
+
+    def _dag_settled(self, run: _Graph, nid: str,
+                     handle: RequestHandle) -> None:
+        run.unsettled -= 1
+        node, error = run.nodes[nid], handle.promise.error
+        if run.ended:  # in flight when the graph failed: drop its edges
+            if error is None and not node["keep"]:
+                self._dag_delete(run, handle.result())
+            return
+        attempt = (handle.record.attempts or [None])[-1]
+        if error is not None:
+            detail = attempt.detail if attempt and attempt.detail else str(error)
+            if run.on_node is not None:
+                run.on_node(NodeDone(nid, False, detail,
+                                     remaining=run.unsettled))
+            self._dag_fail(run, nid, detail,
+                           attempt.missing if attempt else ())
+            return
+        run.outputs[nid] = outputs = handle.result()
+        if nid in run.users and not node["keep"]:
+            run.held[nid] = outputs
+        self._trace("dag_node_done", node=nid, request_id=handle.request_id,
+                    remaining=run.unsettled)
+        if run.on_node is not None:
+            run.on_node(NodeDone(nid, True, "", attempt.compute_seconds,
+                                 attempt.cached, run.unsettled))
+        spent = node_refs(node["inputs"])
+        for dep in spent:
+            run.users[dep] -= 1
+        if run.unsettled:
+            self._dag_send_ready(run)
+        else:
+            # every node answered: fetch what an emitted node kept only
+            # as an edge, then answer
+            owners = [e for e in run.emit for _ in run.outputs[e]]
+            run.answer = [v for e in run.emit for v in run.outputs[e]]
+            run.pulls = {i for i, e in enumerate(owners) if e in run.held
+                         and isinstance(run.answer[i], DataHandle)}
+            for i in sorted(run.pulls):
+                self.fetch(run.answer[i]).on_settled(
+                    lambda p, i=i: self._dag_pulled(run, owners[i], i, p)
+                )
+            if not run.pulls:
+                self._dag_end(run, tuple(run.answer))
+        # after the sends: a delete must not delay the next node's request
+        for dep in spent:
+            if not run.users[dep] and dep not in run.emit:
+                self._dag_delete(run, run.held.pop(dep, ()))
+
+    def _dag_pulled(self, run: _Graph, nid: str, i: int,
+                    promise: Promise) -> None:
+        if run.ended:
+            return
+        if promise.error is not None:
+            self._dag_fail(run, nid, str(promise.error),
+                           getattr(promise.error, "keys", ()))
+            return
+        run.answer[i] = promise.result()
+        run.pulls.discard(i)
+        if not run.pulls:
+            self._dag_end(run, tuple(run.answer))
+
+    def _dag_fail(self, run: _Graph, nid: str, detail: str,
+                  missing: tuple = ()) -> None:
+        self._trace("dag_failed", failed_node=nid, detail=detail)
+        error = RequestFailed(0, f"dag failed at node {nid!r}: {detail}")
+        # typed context for callers that recover (re-store + retry)
+        error.failed_node = nid
+        error.error_kind = "missing_object" if missing else ""
+        error.missing = tuple(missing)
+        self._dag_end(run, error)
+
+    def _dag_end(self, run: _Graph, outcome) -> None:
+        """Answer the graph: nothing is sent for it after this, and the
+        edges still resident are deleted."""
+        run.ended = True
+        for outputs in run.held.values():
+            self._dag_delete(run, outputs)
+        run.held.clear()
+        if not isinstance(outcome, NetSolveError):
+            self._trace("dag_done", server=run.target)
+        self._answer(run.key, outcome)
+
+    def _dag_delete(self, run: _Graph, outputs: tuple) -> None:
+        # not awaited: nothing waits on a delete, and one that is lost
+        # leaves the object to the server's handle TTL
+        for value in outputs:
+            if isinstance(value, DataHandle):
+                self.delete_stored(run.target, value.key)
 
     # ------------------------------------------------------------------
     # the control-exchange lifecycle: _call -> _send / _expire -> _answer
     # ------------------------------------------------------------------
     def _call(self, key: Hashable, target: str, msg, attempts: int,
-              interval: float, give_up: str, waiter=None,
-              **extra) -> Promise:
+              interval: float, give_up: str, waiter=None) -> Promise:
         """Start the exchange ``msg`` on ``key``, or wait on one already
         asking exactly the same; returns the waiter's promise.
 
@@ -566,8 +710,7 @@ class NetSolveClient(DispatchComponent):
                 if call.msg == msg:
                     call.waiters.append(waiter)
                     return waiter
-        call = _Call(key, target, msg, attempts, interval, give_up, waiter,
-                     **extra)
+        call = _Call(key, target, msg, attempts, interval, give_up, waiter)
         if head is not None:
             head.behind.append(call)
         else:
@@ -616,12 +759,8 @@ class NetSolveClient(DispatchComponent):
         if call.sent < call.attempts:
             self._send(call)
             return
-        kind = call.key[0]
-        if kind == "store":
+        if call.key[0] == "store":
             self.store_timeouts += 1
-        elif kind == "dag":
-            self._trace("dag_timeout", dag_id=call.msg.dag_id,
-                        server=call.target)
         # a FetchResult names its request; every other give-up is request 0
         self._answer(call.key, RequestFailed(
             getattr(call.msg, "request_id", 0), call.give_up
@@ -719,38 +858,6 @@ class NetSolveClient(DispatchComponent):
         # the reply does not echo the attribution; it answers the one
         # lookup in flight on (server, request id)
         self._answer(("fetch", src, msg.request_id), msg)
-
-    @handles(DagNodeDone)
-    def _on_dag_node_done(self, src: str, msg: DagNodeDone) -> None:
-        call = self._calls.get(("dag", msg.dag_id))
-        if call is None:
-            return  # late progress for a dag we already gave up on
-        # progress resets the liveness window: a deep graph is allowed
-        # interval seconds per node, not per graph
-        self._arm(call)
-        self._trace("dag_node_done", dag_id=msg.dag_id, node=msg.node,
-                    ok=msg.ok, remaining=msg.remaining)
-        if call.on_node is not None:
-            call.on_node(msg)
-
-    @handles(DagReply)
-    def _on_dag_reply(self, src: str, msg: DagReply) -> None:
-        key = ("dag", msg.dag_id)
-        if key not in self._calls:
-            return
-        if msg.ok:
-            self._trace("dag_done", dag_id=msg.dag_id)
-            self._answer(key, tuple(msg.outputs))
-            return
-        self._trace("dag_failed", dag_id=msg.dag_id,
-                    failed_node=msg.failed_node, detail=msg.detail)
-        at = f" at node {msg.failed_node!r}" if msg.failed_node else ""
-        error = RequestFailed(0, f"dag {msg.dag_id!r} failed{at}: {msg.detail}")
-        # typed context for callers that recover (re-store + retry)
-        error.error_kind = msg.error_kind
-        error.missing = tuple(msg.missing)
-        error.failed_node = msg.failed_node
-        self._answer(key, error)
 
     # ------------------------------------------------------------------
     # the solve lifecycle: _open -> _query -> _try_next -> _finish
@@ -1088,6 +1195,7 @@ class NetSolveClient(DispatchComponent):
             self._report_transfer(req)
             self._finish(req, None, tuple(msg.outputs))
             return
+        attempt.missing = tuple(msg.missing)
         if msg.error_kind != "missing_object":
             self._end_attempt(req, "error", msg.detail, "attempt_error",
                               detail=msg.detail)

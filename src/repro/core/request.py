@@ -44,6 +44,8 @@ class AttemptRecord:
     compute_seconds: float = 0.0
     #: the server answered from its result cache (no kernel ran)
     cached: bool = False
+    #: keys the server reported not resident (outcome "missing")
+    missing: tuple = ()
 
     @property
     def elapsed(self) -> Optional[float]:

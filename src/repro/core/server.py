@@ -18,8 +18,8 @@ or a start-time cache hit, join an identical running compute, else run),
 stacked batch) and *settled* (``_settle``: the only place that counts,
 traces, keeps outputs, builds the ``SolveReply``, publishes and
 records).  ``_drain`` is the only loop; ``_start`` and ``_settle`` return
-to it instead of re-entering it.  Single, batched, coalesced, cached and
-DAG-node requests differ only in the data on the job — the table is in
+to it instead of re-entering it.  Single, batched, coalesced and cached
+requests differ only in the data on the job — the table is in
 docs/architecture.md, "Server request lifecycle".
 
 Overload protection and QoS: waiting requests sit in an earliest-
@@ -77,13 +77,10 @@ from ..protocol.codec import decode_value, encode_value, encoded_size
 from ..protocol.messages import (
     Busy,
     CacheInsert,
-    DagNodeDone,
-    DagReply,
     DataHandle,
     DeleteObject,
     FetchObject,
     FetchResult,
-    NodeOutput,
     ObjectPayload,
     Ping,
     Pong,
@@ -94,7 +91,6 @@ from ..protocol.messages import (
     SolveRequest,
     StoreAck,
     StoreObject,
-    SubmitDag,
     WorkloadReport,
 )
 from ..runtime import DeadlineTable, DispatchComponent, Periodic, handles
@@ -134,54 +130,11 @@ def _batchable(msg: SolveRequest) -> bool:
     return not (msg.keep_result or _has_refs(msg))
 
 
-#: transport-level source of DAG-internal solve requests; replies whose
-#: ``reply_to`` starts with the prefix route back into the DAG executor
-#: instead of the wire
-_DAG_SRC = "@dag"
-_DAG_PREFIX = "@dag/"
-
-
-def _node_refs(value):
-    """Every :class:`NodeOutput` reachable inside ``value`` (nested too)."""
-    refs = []
-
-    def walk(item):
-        if isinstance(item, NodeOutput):
-            refs.append(item)
-        elif isinstance(item, (list, tuple)):
-            for sub in item:
-                walk(sub)
-        elif isinstance(item, dict):
-            for sub in item.values():
-                walk(sub)
-
-    walk(value)
-    return refs
-
-
-def _substitute(value, results):
-    """``value`` with each :class:`NodeOutput` replaced by the produced
-    output (a raw value, or the :class:`DataHandle` of a keep node)."""
-    if isinstance(value, NodeOutput):
-        outputs = results[value.node]
-        if value.index >= len(outputs):
-            raise NetSolveError(
-                f"node {value.node!r} produced {len(outputs)} output(s); "
-                f"index {value.index} requested"
-            )
-        return outputs[value.index]
-    if isinstance(value, (list, tuple)):
-        return tuple(_substitute(item, results) for item in value)
-    if isinstance(value, dict):
-        return {key: _substitute(item, results) for key, item in value.items()}
-    return value
-
-
 class _Job:
     """One admitted solve request on its way through the pipeline.
 
-    Single, batched, coalesced, cached and DAG-node requests are all
-    this object; they differ only in the data on it.  The lower half is
+    Single, batched, coalesced and cached requests are all this
+    object; they differ only in the data on it.  The lower half is
     filled by :meth:`ComputationalServer._prepare`, once.
     """
 
@@ -192,7 +145,7 @@ class _Job:
 
     def __init__(self, src: str, msg: SolveRequest):
         self.msg = msg
-        #: reply route: a client address, or ``@dag/<token>/<node>``
+        #: the client address the reply goes to
         self.reply_to = msg.reply_to or src
         self.t_queued = 0.0
         #: ``msg.inputs`` with every reference swapped for its resident
@@ -206,33 +159,6 @@ class _Job:
         #: typed pre-compute failure (not installed, invalid, missing
         #: object) — the request settles with it instead of running
         self.error: Optional[NetSolveError] = None
-
-
-class _DagRun:
-    """Execution state of one accepted request DAG."""
-
-    __slots__ = (
-        "token", "dag_id", "reply_to", "nodes", "order", "deps", "succs",
-        "results", "unfinished", "retained", "started",
-    )
-
-    def __init__(self, token, dag_id, reply_to, nodes, order, deps, succs):
-        self.token = token
-        self.dag_id = dag_id
-        self.reply_to = reply_to
-        #: node id -> normalized node dict
-        self.nodes = nodes
-        #: submission (and topological tie-break) order of node ids
-        self.order = order
-        self.deps = deps
-        self.succs = succs
-        #: node id -> outputs tuple (values, or handles for keep nodes)
-        self.results: dict[str, tuple] = {}
-        self.unfinished = set(order)
-        #: handle keys refcounted on behalf of this run (released at end)
-        self.retained: list[str] = []
-        #: nodes whose internal SolveRequest has been issued
-        self.started: set[str] = set()
 
 
 class ComputationalServer(DispatchComponent):
@@ -291,9 +217,6 @@ class ComputationalServer(DispatchComponent):
                "FetchObject payload pulls served"),
         Metric("server.missing_objects", "objects.misses",
                "referenced keys that were not resident (typed retryable error)"),
-        Metric("server.dags", "dags_accepted", "SubmitDag graphs accepted"),
-        Metric("server.dag_nodes", "dag_nodes_done",
-               "DAG nodes executed to completion"),
     )
 
     def __init__(
@@ -353,12 +276,6 @@ class ComputationalServer(DispatchComponent):
             ttl=cfg.handle_ttl,
             clock=lambda: self.node.now(),
         )
-        #: accepted request DAGs by run token (cleared on restart: the
-        #: client times out and re-submits, like any lost in-flight work)
-        self._dag_runs: dict[int, _DagRun] = {}
-        self._dag_tokens = itertools.count(1)
-        #: request ids for DAG-internal solves (never seen by clients)
-        self._dag_rids = itertools.count(1)
         #: content-addressed result cache: digest -> (outputs, nbytes).
         #: Clocked by the node so TTLs work under virtual time; the
         #: lambda is only called once the component is bound.
@@ -436,11 +353,6 @@ class ComputationalServer(DispatchComponent):
         # longer owns; their clients time out and retry, same as any
         # reply lost to the crash
         self._inflight.clear()
-        # in-flight DAGs die with their internal requests; releasing
-        # their retained handle keys keeps refcounts generation-safe
-        # (the *objects* survive — a restart is an in-process hiccup,
-        # not a memory loss)
-        self._abandon_dags()
         # the old generation's in-flight process jobs are stale by the
         # bump above; releasing the pool stops a restart storm from
         # accumulating orphaned children (it reopens lazily on use)
@@ -461,18 +373,10 @@ class ComputationalServer(DispatchComponent):
         # resident objects are process memory: pins, refcounts and all
         # die here.  Clients re-submit with payloads when they next hit
         # the typed missing_object error.
-        self._abandon_dags()
         self.objects.clear()
         if self._store is not None:
             self._store.close()
             self._store = None
-
-    def _abandon_dags(self) -> None:
-        """Drop every in-flight DAG run, releasing its handle refs."""
-        for run in self._dag_runs.values():
-            for key in run.retained:
-                self.objects.release(key)
-        self._dag_runs.clear()
 
     def _register(self) -> None:
         # with a fleet, an unacked registration rotates to the next agent
@@ -868,9 +772,7 @@ class ComputationalServer(DispatchComponent):
         if self._executing >= self.cfg.max_concurrent:
             depth = len(self._queue)
             ci = qos_index(msg.qos)
-            # DAG-internal requests bypass the shed: their graph was
-            # admitted as a whole, and a Busy would have nowhere to go
-            if src != _DAG_SRC and self.cfg.max_queue > 0:
+            if self.cfg.max_queue > 0:
                 # bounded admission: refuse instead of queueing forever;
                 # the client falls through to its next candidate.  A
                 # class may claim at most its configured share of the
@@ -1120,12 +1022,7 @@ class ComputationalServer(DispatchComponent):
             error_kind=error_kind,
             missing=missing,
         )
-        if job.reply_to.startswith(_DAG_PREFIX):
-            # a DAG node: straight back into the DAG executor, no
-            # transport involved
-            self._on_dag_internal_reply(job.reply_to, reply)
-        else:
-            self.node.send(job.reply_to, reply)
+        self.node.send(job.reply_to, reply)
         self._record(job, outputs, detail, elapsed, publish=not cached)
 
     # ------------------------------------------------------------------
@@ -1226,244 +1123,6 @@ class ComputationalServer(DispatchComponent):
             job = heapq.heappop(self._queue)[2]
             self._dequeued(job)
             self._start(job)
-
-    # ------------------------------------------------------------------
-    # request DAGs
-    # ------------------------------------------------------------------
-    @handles(SubmitDag)
-    def _handle_submit_dag(self, src: str, msg: SubmitDag) -> None:
-        """Admit a dependency graph of solves.
-
-        Validation is all-or-nothing (bad shape, unknown/self/cyclic
-        references, size cap) — a rejected DAG never executes a node.
-        Accepted nodes run through the ordinary ``_enqueue`` machinery
-        (cache probe, admission, batching, generation stamps) with an
-        internal reply route, so every single-request behaviour — result
-        caching, coalescing, typed missing-object errors — applies per
-        node unchanged.
-        """
-        reply_to = msg.reply_to or src
-
-        def reject(detail: str) -> None:
-            self._trace("dag_rejected", dag_id=msg.dag_id, detail=detail)
-            self.node.send(
-                reply_to,
-                DagReply(dag_id=msg.dag_id, ok=False, detail=detail),
-            )
-
-        if not msg.nodes:
-            reject("empty dag")
-            return
-        if len(msg.nodes) > self.cfg.dag_max_nodes:
-            reject(
-                f"dag too large ({len(msg.nodes)} > "
-                f"{self.cfg.dag_max_nodes} nodes)"
-            )
-            return
-        nodes: dict[str, dict] = {}
-        order: list[str] = []
-        for raw in msg.nodes:
-            if not isinstance(raw, dict):
-                reject("node is not a mapping")
-                return
-            node_id = raw.get("id")
-            problem = raw.get("problem")
-            if not isinstance(node_id, str) or not node_id:
-                reject("node without an id")
-                return
-            if node_id in nodes:
-                reject(f"duplicate node id {node_id!r}")
-                return
-            if not isinstance(problem, str) or not problem:
-                reject(f"node {node_id!r} without a problem")
-                return
-            nodes[node_id] = {
-                "id": node_id,
-                "problem": problem,
-                "inputs": tuple(raw.get("inputs") or ()),
-                "keep": bool(raw.get("keep", False)),
-                "emit": bool(raw.get("emit", False)),
-            }
-            order.append(node_id)
-        deps = {nid: set() for nid in order}
-        for nid in order:
-            for ref in _node_refs(nodes[nid]["inputs"]):
-                if ref.node not in nodes:
-                    reject(
-                        f"node {nid!r} references unknown node {ref.node!r}"
-                    )
-                    return
-                if ref.node == nid:
-                    reject(f"node {nid!r} references itself")
-                    return
-                deps[nid].add(ref.node)
-        succs = {nid: set() for nid in order}
-        for nid, ds in deps.items():
-            for dep in ds:
-                succs[dep].add(nid)
-        # Kahn's algorithm, for the cycle check only (execution order
-        # falls out of dependency-readiness at completion time)
-        indegree = {nid: len(deps[nid]) for nid in order}
-        frontier = [nid for nid in order if indegree[nid] == 0]
-        visited = 0
-        while frontier:
-            nid = frontier.pop()
-            visited += 1
-            for succ in succs[nid]:
-                indegree[succ] -= 1
-                if indegree[succ] == 0:
-                    frontier.append(succ)
-        if visited != len(order):
-            reject("dependency cycle")
-            return
-
-        token = next(self._dag_tokens)
-        run = _DagRun(token, msg.dag_id, reply_to, nodes, order, deps, succs)
-        self._dag_runs[token] = run
-        self.dags_accepted += 1
-        self._trace("dag_accepted", dag_id=msg.dag_id, nodes=len(order))
-        self._dag_schedule(run)
-
-    def _dag_schedule(self, run: _DagRun) -> None:
-        """Issue an internal SolveRequest for every newly ready node."""
-        for nid in run.order:
-            if (
-                nid in run.started
-                or nid not in run.unfinished
-                or any(dep in run.unfinished for dep in run.deps[nid])
-            ):
-                continue
-            run.started.add(nid)
-            node = run.nodes[nid]
-            try:
-                inputs = tuple(
-                    _substitute(value, run.results)
-                    for value in node["inputs"]
-                )
-            except NetSolveError as exc:
-                self._dag_fail(run, nid, detail=str(exc))
-                return
-            self._trace("dag_node_started", dag_id=run.dag_id, node=nid)
-            self._enqueue(
-                _DAG_SRC,
-                SolveRequest(
-                    request_id=next(self._dag_rids),
-                    problem=node["problem"],
-                    inputs=inputs,
-                    reply_to=f"{_DAG_PREFIX}{run.token}/{nid}",
-                    keep_result=node["keep"],
-                ),
-            )
-            if run.token not in self._dag_runs:
-                return  # a synchronous completion already ended the run
-
-    def _on_dag_internal_reply(self, reply_to: str, reply: SolveReply) -> None:
-        try:
-            _tag, token_text, node_id = reply_to.split("/", 2)
-            token = int(token_text)
-        except ValueError:  # pragma: no cover - addresses are our own
-            return
-        run = self._dag_runs.get(token)
-        if run is None or node_id not in run.unfinished:
-            # the run failed or was abandoned (restart/shutdown); this
-            # is a sibling's late completion — nothing owes a reply
-            return
-        if reply.ok:
-            self._dag_node_done(run, node_id, reply)
-        else:
-            self._dag_fail(
-                run, node_id,
-                detail=reply.detail,
-                error_kind=reply.error_kind,
-                missing=reply.missing,
-            )
-
-    def _dag_node_done(self, run: _DagRun, node_id: str, reply) -> None:
-        run.unfinished.discard(node_id)
-        run.results[node_id] = reply.outputs
-        for value in reply.outputs:
-            if isinstance(value, DataHandle):
-                # hold kept outputs for the rest of the run: a TTL lapse
-                # mid-graph must not strand a successor's inputs
-                try:
-                    self.objects.retain(value.key)
-                except MissingObjectError:  # pragma: no cover - same tick
-                    pass
-                else:
-                    run.retained.append(value.key)
-        self.dag_nodes_done += 1
-        self._trace("dag_node_done", dag_id=run.dag_id, node=node_id)
-        self.node.send(
-            run.reply_to,
-            DagNodeDone(
-                dag_id=run.dag_id,
-                node=node_id,
-                ok=True,
-                compute_seconds=reply.compute_seconds,
-                cached=reply.cached,
-                remaining=len(run.unfinished),
-            ),
-        )
-        if not run.unfinished:
-            self._dag_finish(run)
-        else:
-            self._dag_schedule(run)
-
-    def _dag_finish(self, run: _DagRun) -> None:
-        emits = [nid for nid in run.order if run.nodes[nid]["emit"]]
-        if not emits:
-            # default: the graph's terminal nodes carry the answer
-            emits = [nid for nid in run.order if not run.succs[nid]]
-        outputs: list = []
-        for nid in emits:
-            outputs.extend(run.results.get(nid, ()))
-        self._drop_run(run)
-        self._trace("dag_done", dag_id=run.dag_id)
-        self.node.send(
-            run.reply_to,
-            DagReply(dag_id=run.dag_id, ok=True, outputs=tuple(outputs)),
-        )
-
-    def _dag_fail(
-        self,
-        run: _DagRun,
-        node_id: str,
-        *,
-        detail: str,
-        error_kind: str = "",
-        missing: tuple = (),
-    ) -> None:
-        run.unfinished.discard(node_id)
-        self._trace(
-            "dag_failed", dag_id=run.dag_id, node=node_id, detail=detail
-        )
-        self.node.send(
-            run.reply_to,
-            DagNodeDone(
-                dag_id=run.dag_id,
-                node=node_id,
-                ok=False,
-                detail=detail,
-                remaining=len(run.unfinished),
-            ),
-        )
-        self._drop_run(run)
-        self.node.send(
-            run.reply_to,
-            DagReply(
-                dag_id=run.dag_id,
-                ok=False,
-                detail=detail,
-                failed_node=node_id,
-                error_kind=error_kind,
-                missing=tuple(missing),
-            ),
-        )
-
-    def _drop_run(self, run: _DagRun) -> None:
-        for key in run.retained:
-            self.objects.release(key)
-        self._dag_runs.pop(run.token, None)
 
     # ------------------------------------------------------------------
     @property

@@ -50,7 +50,7 @@ import numpy as np
 from ..errors import CodecError
 from .messages import (
     MESSAGE_TYPES, WIRE_DICT_TAG, WIRE_STR_TAG, DataHandle, Message,
-    NodeOutput, field_plan,
+    field_plan,
 )
 
 __all__ = [
@@ -84,7 +84,7 @@ _T_NDARRAY = 8
 _T_COMPLEX = 9
 # 10 is retired (it was a bare object key): decoders reject it
 _T_HANDLE = 11
-_T_NODEOUT = 12
+# 12 is retired (it was a request-DAG node reference): decoders reject it
 
 #: wire dtype name -> dtype
 _ALLOWED_DTYPES = {
@@ -215,9 +215,9 @@ def _enc_complex(value, b: _IovBuilder) -> None:
     b.scratch += _pack_tag_c128(_T_COMPLEX, cv.real, cv.imag)
 
 
-def _enc_str(value: str, b: _IovBuilder, tag: int = _T_STR) -> None:
+def _enc_str(value: str, b: _IovBuilder) -> None:
     raw = value.encode("utf-8")
-    b.scratch += _pack_tag_u32(tag, len(raw))
+    b.scratch += _pack_tag_u32(_T_STR, len(raw))
     b.scratch += raw
 
 
@@ -267,11 +267,6 @@ def _enc_handle(value: DataHandle, b: _IovBuilder) -> None:
         out += _pack_i64(int(dim))
 
 
-def _enc_node(value: NodeOutput, b: _IovBuilder) -> None:
-    _enc_str(value.node, b, _T_NODEOUT)
-    b.scratch += _pack_i64(value.index)
-
-
 def _enc_seq(value, b: _IovBuilder) -> None:
     b.scratch += _pack_tag_u32(_T_LIST, _check_len(value))
     for item in value:
@@ -297,7 +292,6 @@ _ENCODERS = {
     bytes: _enc_bytes, bytearray: _enc_bytes, memoryview: _enc_bytes,
     np.ndarray: _enc_ndarray,
     DataHandle: _enc_handle,
-    NodeOutput: _enc_node,
     tuple: _enc_seq, list: _enc_seq,
     dict: _enc_dict,
 }
@@ -377,7 +371,6 @@ _SIZERS = {
     memoryview: lambda v: 5 + v.nbytes,
     np.ndarray: _size_ndarray,
     DataHandle: _size_handle,
-    NodeOutput: lambda v: _size_str(v.node) + 8,
     tuple: _size_seq, list: _size_seq,
     dict: _size_dict,
 }
@@ -510,9 +503,6 @@ def _decode(reader: _Reader, depth: int = 0) -> Any:
             key=key, digest=digest, nbytes=nbytes, server_id=server_id,
             address=address, shape=shape, dtype=dtype,
         )
-    if tag == _T_NODEOUT:
-        node = reader.text(" in node reference")
-        return NodeOutput(node=node, index=reader.i64())
     if tag == _T_LIST:
         count = reader.u32()
         if count > _MAX_CONTAINER:

@@ -23,10 +23,6 @@ Protocol summary::
                       result by request id from the persistent store)
     client -> server: FetchObject -> ObjectPayload (pull the bytes of a
                       server-resident object named by a DataHandle)
-    client -> server: SubmitDag(nodes) -> DagNodeDone per node ->
-                      DagReply (dependency graph executed server-side;
-                      each node's inputs resolve from its predecessors'
-                      resident results)
     client -> agent : FailureReport (server misbehaved; agent marks
                       suspect — or, for kind="busy", applies a decaying
                       workload penalty instead)
@@ -41,6 +37,10 @@ Protocol summary::
                       directly-registered servers; a peer that missed a
                       mirror pulls the full entries and heals)
     any    -> any   : Ping -> Pong (liveness)
+
+A request DAG has no message of its own: the client runs it as pinned
+solves chained through ``keep_result`` handles (:mod:`repro.dag`).
+Type codes 28-30, the retired server-side DAG engine's, stay unused.
 """
 
 from __future__ import annotations
@@ -76,15 +76,11 @@ __all__ = [
     "SyncPull",
     "SyncState",
     "DataHandle",
-    "NodeOutput",
     "StoreObject",
     "StoreAck",
     "DeleteObject",
     "FetchObject",
     "ObjectPayload",
-    "SubmitDag",
-    "DagNodeDone",
-    "DagReply",
     "Ping",
     "Pong",
 ]
@@ -589,22 +585,6 @@ class DataHandle:
             raise ProtocolError(f"bad handle digest {self.digest!r}")
 
 
-@dataclass(frozen=True)
-class NodeOutput:
-    """Inside ``SubmitDag`` node inputs: output ``index`` of DAG node
-    ``node`` — the server substitutes the predecessor's resident result
-    when the edge's downstream node starts."""
-
-    node: str
-    index: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.node or len(self.node) > 128:
-            raise ProtocolError(f"bad node reference {self.node!r}")
-        if self.index < 0:
-            raise ProtocolError(f"bad node output index {self.index!r}")
-
-
 @_register
 @dataclass(frozen=True)
 class StoreObject(Message):
@@ -667,71 +647,6 @@ class ObjectPayload(Message):
     #: mirrors SolveReply.error_kind ("missing_object" when the key is
     #: not resident — e.g. expired, deleted, or lost to a crash)
     error_kind: str = ""
-
-
-@_register
-@dataclass(frozen=True)
-class SubmitDag(Message):
-    """Client -> server: a dependency graph of solves in one message.
-
-    ``nodes`` is a tuple of plain dicts, each::
-
-        {"id": str, "problem": str, "inputs": tuple,
-         "keep": bool, "emit": bool}
-
-    Node inputs may carry payloads, :class:`DataHandle` references, or :class:`NodeOutput` edges naming a predecessor's
-    output.  The server executes nodes in dependency order through its
-    normal admission machinery, resolving each edge from the
-    predecessor's result without the data ever leaving the server;
-    ``DagNodeDone`` streams per-node progress and ``DagReply`` carries
-    the outputs of every ``emit`` node (default: the terminal nodes).
-    """
-
-    TYPE_CODE: ClassVar[int] = 28
-
-    dag_id: str
-    nodes: tuple = ()
-    reply_to: str = ""
-
-
-@_register
-@dataclass(frozen=True)
-class DagNodeDone(Message):
-    """Server -> client: one DAG node finished (progress stream)."""
-
-    TYPE_CODE: ClassVar[int] = 29
-
-    dag_id: str
-    node: str
-    ok: bool
-    detail: str = ""
-    compute_seconds: float = 0.0
-    #: True when the node was answered from the result cache
-    cached: bool = False
-    #: nodes still unfinished after this one (0 = DagReply follows)
-    remaining: int = 0
-
-
-@_register
-@dataclass(frozen=True)
-class DagReply(Message):
-    """Server -> client: the whole DAG's outcome.
-
-    On success ``outputs`` concatenates the outputs of every node marked
-    ``emit`` (in node order; values, or :class:`DataHandle` references
-    for nodes marked ``keep``).  On failure ``failed_node`` names the
-    first node that failed; unfinished successors are abandoned.
-    """
-
-    TYPE_CODE: ClassVar[int] = 30
-
-    dag_id: str
-    ok: bool
-    outputs: tuple = ()
-    detail: str = ""
-    failed_node: str = ""
-    error_kind: str = ""
-    missing: tuple = ()
 
 
 @_register

@@ -9,10 +9,10 @@ A keyed store with the semantics handles need:
 * **pins** — client-``store``d operands are pinned: immune to TTL and
   eviction, released only by an explicit delete (ship once, refer
   after);
-* **refcounts + TTL** — unpinned entries (``keep_result`` outputs, DAG
-  intermediates) are reclaimable: a positive refcount (an executing DAG
-  holding an edge) blocks reclamation, and once released the entry lives
-  until its TTL lapses or the byte budget forces LRU eviction;
+* **refcounts + TTL** — unpinned entries (``keep_result`` outputs,
+  request-DAG intermediates) are reclaimable: a positive refcount blocks
+  reclamation, and once released the entry lives until its TTL lapses
+  or the byte budget forces LRU eviction;
 * **byte budget** — pinned inserts are *rejected* past the budget (the
   client hears a failed StoreAck, as before); unpinned inserts instead
   evict idle unpinned entries LRU-first and fail only if the object
@@ -249,8 +249,8 @@ class HandleStore:
 
     # ------------------------------------------------------------------
     def retain(self, key: str) -> None:
-        """Bump ``key``'s refcount: an executing consumer (a DAG edge)
-        blocks TTL expiry and eviction until :meth:`release`."""
+        """Bump ``key``'s refcount: an executing consumer blocks TTL
+        expiry and eviction until :meth:`release`."""
         obj = self._lookup(key)
         if obj is None:
             raise MissingObjectError(key)

@@ -90,13 +90,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "bytes to the agent's hot cache (0 = never)")
     parser.add_argument("--handle-ttl", type=float, default=600.0,
                         help="seconds an unpinned resident object "
-                             "(keep_result outputs, DAG intermediates) "
-                             "lives after its last reference is released "
+                             "(keep_result outputs, request-DAG "
+                             "intermediates) lives after its last use "
                              "(0 = byte budget only; stored operands "
                              "never expire)")
-    parser.add_argument("--dag-max-nodes", type=int, default=64,
-                        help="admission cap on SubmitDag graphs (nodes "
-                             "per DAG); larger graphs are rejected whole")
     parser.add_argument("--store", metavar="PATH", default="",
                         help="SQLite file for the persistent job store; "
                              "finished results survive restarts and are "
@@ -197,7 +194,6 @@ def main(argv: list[str] | None = None) -> int:
                 store_path=args.store,
                 register_timeout=args.register_timeout,
                 handle_ttl=args.handle_ttl,
-                dag_max_nodes=args.dag_max_nodes,
                 **qos_kwargs,
             ),
             metrics=metrics,

@@ -269,18 +269,6 @@ def test_unroutable_calls_reject_at_once(tb):
     assert client._calls == {}
 
 
-def test_duplicate_dag_id_rejected_while_in_flight(tb):
-    client = tb.client("c0")
-    nodes = [{"id": "n", "problem": "blas/ddot",
-              "inputs": (np.ones(2), np.ones(2))}]
-    first = client.submit_dag(nodes, address=S0, dag_id="d")
-    dup = client.submit_dag(nodes, address=S0, dag_id="d")
-    with pytest.raises(NetSolveError, match="already in flight"):
-        dup.result()
-    settle(tb, first)
-    assert first.result() == (2.0,)
-
-
 def test_describe_of_a_cached_spec_resolves_at_once(tb):
     client = tb.client("c0")
     spec = tb.transport.run_until(client.describe("blas/ddot"))

@@ -40,12 +40,8 @@ import pytest
 from repro.config import AgentConfig, ClientConfig, ServerConfig
 from repro.core.client import NetSolveClient
 from repro.problems.spec import ProblemSpec
-from repro.protocol.messages import (
-    Candidate,
-    DataHandle,
-    NodeOutput,
-    ResultStatus,
-)
+from repro.dag import NodeOutput
+from repro.protocol.messages import Candidate, DataHandle, ResultStatus
 from repro.simnet.rng import RngStreams
 from repro.testbed import client_address, fleet_testbed, server_address
 from repro.trace.instruments import MetricsRegistry, track

@@ -27,7 +27,7 @@ from repro.protocol.codec import (
     encode_message_iov, encode_value, encoded_size, frame_size,
 )
 from repro.protocol.messages import (
-    _PLANS, MESSAGE_TYPES, DataHandle, Message, NodeOutput, SolveRequest,
+    _PLANS, MESSAGE_TYPES, DataHandle, Message, SolveRequest,
 )
 
 CLASSES = sorted(MESSAGE_TYPES.values(), key=lambda c: c.TYPE_CODE)
@@ -60,14 +60,11 @@ def _arrays(draw):
     return arr
 
 
-_refs = st.one_of(
-    st.builds(
-        DataHandle, key=_keys, digest=st.text("0123456789abcdef", max_size=16),
-        nbytes=st.integers(0, 2**40), server_id=_texts, address=_texts,
-        shape=st.lists(st.integers(0, 99), max_size=3).map(tuple),
-        dtype=st.sampled_from(["", "float64"]),
-    ),
-    st.builds(NodeOutput, node=_keys, index=st.integers(0, 9)),
+_refs = st.builds(
+    DataHandle, key=_keys, digest=st.text("0123456789abcdef", max_size=16),
+    nbytes=st.integers(0, 2**40), server_id=_texts, address=_texts,
+    shape=st.lists(st.integers(0, 99), max_size=3).map(tuple),
+    dtype=st.sampled_from(["", "float64"]),
 )
 _leaves = st.one_of(
     st.none(), st.booleans(), _ints, _floats, _texts, _np_ints, _np_floats,
@@ -162,7 +159,7 @@ def test_compiled_codec_matches_generic(cls, data):
 
 
 def test_every_registered_class_is_covered():
-    assert len(CLASSES) == 30
+    assert len(CLASSES) == 27  # type codes 28-30 are retired
     assert set(codec._FRAME_CODECS) >= set(CLASSES)
     # a wire type the sizer knows and the encoder does not (or the
     # reverse) would size frames that cannot be sent: every type one
@@ -249,16 +246,45 @@ def test_truncated_and_mutated_frames_decode_alike(cls, data):
     _assert_same_outcome(mutated)
 
 
-def _retired_tag_frame() -> bytes:
-    """A ``SolveRequest`` whose one input carries value tag 10 — the
-    retired bare-key reference, laid out as its sender would have."""
+def _retired_tag_frame(tag: int = 10, tail: bytes = b"") -> bytes:
+    """A ``SolveRequest`` whose one input carries a retired value tag,
+    laid out as its sender would have: 10, the bare-key reference, or
+    12, the request-DAG node reference (its ``tail`` the output index)."""
     key = "A".encode("utf-8")
     str_value = bytes([codec._T_STR]) + struct.pack("<I", len(key)) + key
     frame = encode_message(
         SolveRequest(request_id=7, problem="blas/dnrm2", inputs=("A",))
     )
     at = frame.rindex(str_value)
-    return frame[:at] + bytes([10]) + frame[at + 1:]
+    end = at + len(str_value)
+    body = (frame[HEADER.size:at] + bytes([tag]) + frame[at + 1:end] + tail
+            + frame[end:])
+    return HEADER.pack(
+        MAGIC, PROTOCOL_VERSION, SolveRequest.TYPE_CODE, len(body)
+    ) + body
+
+
+def _retired_message_frame(type_code: int, fields: dict) -> bytes:
+    body = bytearray()
+    encode_value(fields, body)
+    return HEADER.pack(MAGIC, PROTOCOL_VERSION, type_code, len(body)) + body
+
+
+#: the request-DAG forms the server no longer speaks: the node-reference
+#: value tag and the three messages (type codes 28-30)
+RETIRED_DAG_FRAMES = {
+    "tag12": (lambda: _retired_tag_frame(12, struct.pack("<q", 0)),
+              "unknown tag 12"),
+    "code28": (lambda: _retired_message_frame(
+        28, {"dag_id": "d", "nodes": [], "reply_to": ""}),
+        "unknown message type code 28"),
+    "code29": (lambda: _retired_message_frame(
+        29, {"dag_id": "d", "node": "n", "ok": True}),
+        "unknown message type code 29"),
+    "code30": (lambda: _retired_message_frame(
+        30, {"dag_id": "d", "ok": True, "outputs": []}),
+        "unknown message type code 30"),
+}
 
 
 def test_retired_reference_tag_is_rejected_alike():
@@ -269,7 +295,19 @@ def test_retired_reference_tag_is_rejected_alike():
         assert outcome == _outcome(_reference_decode, buffer)
 
 
-def test_retired_reference_tag_is_a_counted_drop_over_tcp():
+@pytest.mark.parametrize("form", RETIRED_DAG_FRAMES)
+def test_retired_dag_forms_are_rejected_alike(form):
+    build, error = RETIRED_DAG_FRAMES[form]
+    frame = build()
+    for buffer in (frame, bytearray(frame)):
+        outcome = _outcome(decode_message, buffer)
+        assert outcome == (CodecError, error)
+        assert outcome == _outcome(_reference_decode, buffer)
+
+
+def _assert_counted_drop_over_tcp(frame: bytes) -> None:
+    """A TCP node drops the connection that sent ``frame``, counts one
+    ``wire.malformed``, and keeps serving the next connection."""
     from repro.protocol.messages import Ping
     from repro.protocol.tcp import TcpTransport
     from repro.protocol.transport import Component
@@ -300,7 +338,7 @@ def test_retired_reference_tag_is_a_counted_drop_over_tcp():
         recorder = Recorder()
         node = transport.add_node("a", recorder)
         with socket.create_connection(("127.0.0.1", node.port)) as conn:
-            conn.sendall(envelope(_retired_tag_frame()))
+            conn.sendall(envelope(frame))
             conn.settimeout(5.0)
             assert conn.recv(1) == b""  # connection dropped
         assert wait_for(lambda: transport.messages_malformed == 1)
@@ -310,6 +348,15 @@ def test_retired_reference_tag_is_a_counted_drop_over_tcp():
             conn.sendall(envelope(encode_message(Ping(nonce=3))))
             assert wait_for(lambda: recorder.got == [Ping(nonce=3)])
         assert transport.messages_malformed == 1
+
+
+def test_retired_reference_tag_is_a_counted_drop_over_tcp():
+    _assert_counted_drop_over_tcp(_retired_tag_frame())
+
+
+@pytest.mark.parametrize("form", RETIRED_DAG_FRAMES)
+def test_retired_dag_forms_are_counted_drops_over_tcp(form):
+    _assert_counted_drop_over_tcp(RETIRED_DAG_FRAMES[form][0]())
 
 
 def test_reordered_and_surplus_fields_take_the_generic_path():

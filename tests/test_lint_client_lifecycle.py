@@ -17,7 +17,8 @@ They were folded into two records: every control exchange is a
 * the folded waiter tables, closures and helpers stay deleted, and so
   does ``submit_pinned``: a pinned request is ``submit(..., server=)``,
   one entry point (the ``"submit_pinned"`` trace label is a string and
-  stays).
+  stays).  So do the handlers of the retired server-side DAG messages:
+  a request DAG is run by the client as pinned submits.
 
 The walk is syntactic, like ``test_lint_server_pipeline``: a call inside
 a nested ``def`` or ``lambda`` belongs to the enclosing method.  On the
@@ -42,7 +43,7 @@ DELETED = {
     "_object_fetches", "_queries", "_dags", "_DagState", "_store_op",
     "_arm_store_timeout", "_arm_dag_timeout", "_describe_exhausted",
     "_on_candidate_query_reply", "_agent_timed_out", "report_transfers",
-    "submit_pinned",
+    "submit_pinned", "_on_dag_node_done", "_on_dag_reply", "_dag_ids",
 }
 
 

@@ -4,7 +4,7 @@ One simulated server under the cross product of its pipeline-shaping
 knobs — cache, batching, job store, queue bound, slots — is fed a seeded
 random interleaving of every kind of request it knows (distinct,
 identical, batch-compatible, wrong-arity, unknown-problem, missing-ref,
-resident-ref, ``keep_result``, ``SubmitDag``), with a live restart
+resident-ref, ``keep_result``), with a live restart
 dropped in on some seeds.  At quiescence the books must balance: every
 request answered at most once (exactly once without a restart), the
 served/failed counters equal to the replies that left, every registry
@@ -30,16 +30,12 @@ from repro.core.server import ComputationalServer
 from repro.problems.builtin import builtin_registry
 from repro.protocol.messages import (
     Busy,
-    DagNodeDone,
-    DagReply,
     DataHandle,
     FetchResult,
-    NodeOutput,
     ResultStatus,
     SolveReply,
     SolveRequest,
     StoreObject,
-    SubmitDag,
 )
 from repro.protocol.transport import Component, SimTransport
 from repro.simnet.kernel import EventKernel
@@ -76,7 +72,7 @@ def make_world(cfg, *, host_mflops=0.25):
     server = ComputationalServer(
         server_id="sv",
         agent_address="agent-probe",
-        registry=builtin_registry().subset(("linsys/dgesv", "blas/ddot")),
+        registry=builtin_registry().subset(("linsys/dgesv",)),
         mflops=host_mflops,
         host="sh",
         cfg=cfg,
@@ -118,13 +114,12 @@ WINDOW = 0.12  # seconds of virtual time the arrivals are spread over
 
 
 def traffic(seed):
-    """``[(time, message)]`` plus the request and DAG ids it contains."""
+    """``[(time, message)]`` plus the request ids it contains."""
     rng = RngStreams(seed).get("pipeline.traffic")
     shared = linsys(rng, 8)
     rids = itertools.count(1)
-    dag_ids = (f"dag{i}" for i in itertools.count())
     qos_of = ("", "", "interactive", "background")
-    sent_rids, sent_dags = [], []
+    sent_rids = []
     # one pinned operand for the resident-ref kind, stored up front
     resident, rhs = linsys(rng, 8)
     schedule = [(0.0, StoreObject(key="resident", value=resident))]
@@ -134,15 +129,6 @@ def traffic(seed):
         sent_rids.append(rid)
         qos = qos_of[rng.integers(len(qos_of))]
         return solve(rid, inputs, qos=qos, **fields)
-
-    def dag(nodes):
-        dag_id = next(dag_ids)
-        sent_dags.append(dag_id)
-        return SubmitDag(dag_id=dag_id, nodes=tuple(nodes), reply_to=CLIENT)
-
-    def node(nid, inputs, **extra):
-        return {"id": nid, "problem": "linsys/dgesv",
-                "inputs": tuple(inputs), **extra}
 
     def make(kind):
         if kind == "distinct":
@@ -161,38 +147,13 @@ def traffic(seed):
             return request((DataHandle(key="resident"), rng.standard_normal(8)))
         if kind == "keep_result":
             return request(linsys(rng, 8), keep_result=True)
-        if kind == "singular":
-            return request((np.zeros((8, 8)), np.ones(8)))
-        if kind == "dag_chain":
-            a, b = linsys(rng, 8)
-            return dag([
-                node("x", (a, b), keep=True),
-                node("y", (a, NodeOutput(node="x"))),
-                node("z", (a, NodeOutput(node="y"))),
-            ])
-        if kind == "dag_diamond":
-            a, b = linsys(rng, 8)
-            return dag([
-                node("root", (a, b)),
-                node("left", (a, NodeOutput(node="root"))),
-                node("right", (shared[0], NodeOutput(node="root"))),
-                {"id": "join", "problem": "blas/ddot",
-                 "inputs": (NodeOutput(node="left"),
-                            NodeOutput(node="right"))},
-            ])
-        assert kind == "dag_bad_link"
-        a, b = linsys(rng, 8)
-        return dag([
-            node("ok", (a, b)),
-            node("bad", (np.ones((2, 3)), NodeOutput(node="ok"))),
-            node("never", (a, NodeOutput(node="bad"))),
-        ])
+        assert kind == "singular"
+        return request((np.zeros((8, 8)), np.ones(8)))
 
     kinds = (
         ["distinct"] * 3 + ["identical"] * 5 + ["batchable"] * 5
         + ["wrong_arity", "unknown_problem", "missing_ref", "resident_ref",
-           "keep_result", "singular", "dag_chain", "dag_diamond",
-           "dag_bad_link"]
+           "keep_result", "singular"]
     )
     t = 0.01
     for _ in range(N_MESSAGES):
@@ -200,10 +161,10 @@ def traffic(seed):
         if rng.random() < 0.3:
             t += rng.exponential(WINDOW / (0.3 * N_MESSAGES))
         schedule.append((t, make(kinds[rng.integers(len(kinds))])))
-    return schedule, sent_rids, sent_dags
+    return schedule, sent_rids
 
 
-def ledger_breaches(server, bystander, probe, obs, sent_rids, sent_dags, *,
+def ledger_breaches(server, bystander, probe, obs, sent_rids, *,
                     restarted, store_path):
     """Every broken invariant at quiescence, as labelled text."""
     bad = []
@@ -214,28 +175,18 @@ def ledger_breaches(server, bystander, probe, obs, sent_rids, sent_dags, *,
 
     solve_replies = probe.of_type(SolveReply)
     busies = probe.of_type(Busy)
-    dag_replies = probe.of_type(DagReply)
-    node_dones = probe.of_type(DagNodeDone)
 
     answered = [m.request_id for m in solve_replies + busies]
     check(len(answered) == len(set(answered)),
           f"a request id was answered twice: {sorted(answered)}")
     check(set(answered) <= set(sent_rids), "reply to an id never sent")
-    dags_done = [m.dag_id for m in dag_replies]
-    check(len(dags_done) == len(set(dags_done)), "a dag was answered twice")
     if not restarted:
         check(sorted(answered) == sorted(sent_rids),
               f"unanswered requests: {sorted(set(sent_rids) - set(answered))}")
-        check(sorted(dags_done) == sorted(sent_dags),
-              f"unanswered dags: {sorted(set(sent_dags) - set(dags_done))}")
 
-    # every traffic DAG is shaped so that each internal solve that
-    # settles produces exactly one DagNodeDone (no sibling outlives a
-    # failure), so the progress stream counts DAG-internal completions
     settled = server.requests_served + server.requests_failed
-    check(settled == len(solve_replies) + len(node_dones),
-          f"served+failed {settled} != {len(solve_replies)} replies + "
-          f"{len(node_dones)} dag nodes")
+    check(settled == len(solve_replies),
+          f"served+failed {settled} != {len(solve_replies)} replies")
     check(len(busies) == server.requests_shed, "Busy replies != requests_shed")
     check(sum(server.sheds_by_class.values()) == server.requests_shed,
           "sheds_by_class does not sum to requests_shed")
@@ -243,7 +194,6 @@ def ledger_breaches(server, bystander, probe, obs, sent_rids, sent_dags, *,
     check(server.executing == 0, f"executing {server.executing}")
     check(server.queue_depth == 0, f"queue_depth {server.queue_depth}")
     check(server._inflight == {}, f"_inflight {server._inflight}")
-    check(server._dag_runs == {}, f"_dag_runs {server._dag_runs}")
     check(server._queued_by_class == [0, 0, 0],
           f"_queued_by_class {server._queued_by_class}")
 
@@ -260,8 +210,6 @@ def ledger_breaches(server, bystander, probe, obs, sent_rids, sent_dags, *,
         "server.batched_requests": "batched_requests",
         "server.coalesced": "coalesced_requests",
         "server.stale_drops": "stale_completions",
-        "server.dags": "dags_accepted",
-        "server.dag_nodes": "dag_nodes_done",
         "server.missing_objects": "objects.misses",
     }
     for name, attr in reports.items():
@@ -315,14 +263,14 @@ def run_traffic(cfg, seed):
         request_id=1, problem="linsys/dgesv",
         inputs=linsys(RngStreams(seed).get("pipeline.bystander"), 8),
     ))
-    schedule, sent_rids, sent_dags = traffic(seed)
+    schedule, sent_rids = traffic(seed)
     client = transport.node(CLIENT)
     for when, msg in schedule:
         kernel.call_at(when, lambda msg=msg: client.send(SERVER, msg))
     if seed in RESTART_SEEDS:
         kernel.call_at(0.6 * WINDOW, server.on_restart)
     kernel.run(until=120.0)
-    return server, bystander, probe, obs, sent_rids, sent_dags
+    return server, bystander, probe, obs, sent_rids
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -330,7 +278,7 @@ def run_traffic(cfg, seed):
 def test_server_ledger_closes(tmp_path, cache, batch_max, store, max_queue,
                               slots, seed):
     store_path = str(tmp_path / "jobs.sqlite") if store else ""
-    server, bystander, probe, obs, sent_rids, sent_dags = run_traffic(
+    server, bystander, probe, obs, sent_rids = run_traffic(
         ServerConfig(
             cache_entries=cache, batch_max=batch_max, store_path=store_path,
             max_queue=max_queue, max_concurrent=slots,
@@ -338,7 +286,7 @@ def test_server_ledger_closes(tmp_path, cache, batch_max, store, max_queue,
         ), seed)
     try:
         breaches = ledger_breaches(
-            server, bystander, probe, obs, sent_rids, sent_dags,
+            server, bystander, probe, obs, sent_rids,
             restarted=seed in RESTART_SEEDS, store_path=store_path,
         )
     finally:
@@ -348,17 +296,17 @@ def test_server_ledger_closes(tmp_path, cache, batch_max, store, max_queue,
 
 def test_ledger_traffic_reaches_every_lifecycle():
     """Guard the guard: the corpus must actually exercise sheds,
-    batches, coalescing, cache hits, stale drops, failures, kept
-    results and DAG nodes."""
+    batches, coalescing, cache hits, stale drops, failures and kept
+    results."""
     seen = dict.fromkeys(
-        ("shed", "batches", "coalesced", "cache_hits", "stale", "dag_nodes",
-         "failed", "kept"), 0,
+        ("shed", "batches", "coalesced", "cache_hits", "stale", "failed",
+         "kept"), 0,
     )
     for cache, batch_max, max_queue, slots in (
         (8, 8, 4, 1), (8, 1, 0, 2), (0, 8, 0, 1),
     ):
         for seed in SEEDS:
-            server, _by, _probe, obs, _rids, _dags = run_traffic(ServerConfig(
+            server, _by, _probe, obs, _rids = run_traffic(ServerConfig(
                 cache_entries=cache, batch_max=batch_max,
                 max_queue=max_queue, max_concurrent=slots,
             ), seed)
@@ -368,7 +316,6 @@ def test_ledger_traffic_reaches_every_lifecycle():
             seen["coalesced"] += server.coalesced_requests
             seen["cache_hits"] += counters["server.cache_hits"]
             seen["stale"] += server.stale_completions
-            seen["dag_nodes"] += server.dag_nodes_done
             seen["failed"] += server.requests_failed
             seen["kept"] += counters["server.kept_results"]
     assert all(seen.values()), seen

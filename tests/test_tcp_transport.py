@@ -844,10 +844,12 @@ def test_shutdown_ends_the_timer_thread_and_refuses_new_timers():
 
 @pytest.mark.parametrize("probe", ["solve-reply-to", "store-key"])
 def test_a_handler_fault_is_counted_and_the_server_keeps_serving(probe):
-    # hostile values the codec lets through: SolveRequest(reply_to=3)
-    # blows up in the compute completion, StoreObject(key=5) in the
-    # message handler on the connection's reader thread.  Either way
-    # the fault is counted once and the next valid request is answered
+    # hostile values the codec lets through: SolveRequest(reply_to={...})
+    # blows up in the compute completion (an unhashable reply address;
+    # a plain int is an unknown address now, and its reply is dropped),
+    # StoreObject(key=5) in the message handler on the connection's
+    # reader thread.  Either way the fault is counted once and the next
+    # valid request is answered
     import socket
 
     from repro.protocol.messages import SolveReply, SolveRequest, StoreObject
@@ -856,7 +858,8 @@ def test_a_handler_fault_is_counted_and_the_server_keeps_serving(probe):
     a, b = np.eye(3) * 2.0, np.ones(3)
     hostile = {
         "solve-reply-to": SolveRequest(
-            request_id=1, problem="linsys/dgesv", inputs=(a, b), reply_to=3
+            request_id=1, problem="linsys/dgesv", inputs=(a, b),
+            reply_to={"to": 3},
         ),
         "store-key": StoreObject(key=5, value=np.ones(3)),
     }[probe]
