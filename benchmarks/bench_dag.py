@@ -138,9 +138,10 @@ def make_tcp_world():
 
 
 def tcp_call(session, method, *args, **kwargs):
-    """Start a client call under the node lock and wait for its value."""
-    with session.node.lock:
-        pending = getattr(session.client, method)(*args, **kwargs)
+    """Start a client call on the node's loop and wait for its value."""
+    pending = session.node.call(
+        lambda: getattr(session.client, method)(*args, **kwargs)
+    )
     return session.drive_result(pending)
 
 

@@ -2,8 +2,9 @@
 """A live NetSolve deployment over real TCP sockets.
 
 The exact same agent/server/client components that drive the simulation
-run here over localhost TCP: real listening sockets, one connection per
-message, threads for computation, and real wall-clock timing.  This is
+run here over localhost TCP: real listening sockets, pooled connections
+served by one I/O loop thread, worker threads for computation, and real
+wall-clock timing.  This is
 the configuration a multi-process deployment would use (each component
 could live in its own process; see ``TcpTransport.register_remote``).
 

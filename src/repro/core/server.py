@@ -268,7 +268,7 @@ class ComputationalServer(DispatchComponent):
         #: belong to the transport node, not the server)
         self._process_pool: Optional[ProcessPool] = None
         #: resident-object store behind DataHandle references:
-        #: pinned client stores plus refcounted, TTL-bounded keep_result
+        #: pinned client stores plus TTL-bounded keep_result
         #: outputs.  Survives on_restart (in-process hiccup), cleared by
         #: on_shutdown (process death).
         self.objects = HandleStore(
@@ -370,8 +370,8 @@ class ComputationalServer(DispatchComponent):
         re-warm from the persistent store, not from ghost memory."""
         self.shutdown_executors()
         self.result_cache.clear()
-        # resident objects are process memory: pins, refcounts and all
-        # die here.  Clients re-submit with payloads when they next hit
+        # resident objects are process memory: pinned ones too die
+        # here.  Clients re-submit with payloads when they next hit
         # the typed missing_object error.
         self.objects.clear()
         if self._store is not None:
@@ -1038,8 +1038,8 @@ class ComputationalServer(DispatchComponent):
         """Run one request on the opt-in child-process pool.
 
         Its completion fires on an executor-owned thread, so it is
-        marshalled back through ``node.post``: ``done`` then runs under
-        the node's lock like every other component entry point (or is
+        marshalled back through ``node.post``: ``done`` then runs on the
+        node's loop like every other component entry point (or is
         dropped when the node has gone down in the meantime).
         """
         pool = self._process_pool

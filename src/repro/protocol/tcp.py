@@ -1,26 +1,31 @@
 """Real-socket transport: the same components over localhost TCP.
 
-Each node owns a listening socket and an accept thread.  Outbound
-traffic rides a per-destination **persistent connection pool**: the
-first message to a peer dials it, later messages reuse the socket (idle
-connections expire, dead ones are detected and redialed, the pool is
-bounded).  A connection carries any number of messages, each framed as
-an envelope (sender's logical address + return endpoint) followed by
-one codec frame — the envelope bytes are precomputed once per node, and
-each message goes out with a single ``socket.sendmsg()`` scatter/gather
-call straight from the codec's iov parts, so large ndarray payloads are
-never concatenated into one big buffer.  Component entry points
-(message dispatch, timers, compute completions, and user-thread calls
-like ``client.submit``) are serialized by a per-node re-entrant lock,
-so the sans-IO state machines need no thread awareness of their own.
-An exception that escapes one is counted (``wire.handler_errors``), and
-the thread that ran it carries on.
+**Threads.**  Each :class:`TcpTransport` runs one I/O loop thread,
+``tcp-loop``: it owns every node's sockets, every timer, all message
+dispatch and all compute completions, so the sans-IO components run on
+one thread and hold no locks.  It waits in :mod:`selectors` until the
+next timer is due; timers sit on an
+:class:`~repro.simnet.kernel.EventKernel` that the loop advances to the
+monotonic clock.  Compute runs on each node's bounded
+:class:`~repro.core.executors.WorkerPool` (or a server's process pool),
+and completions come back through the loop's wake-up socket, as does
+any other thread's ``TcpNode.call(fn)`` (``TcpSession.submit`` uses
+it).  A process hosting one transport runs one loop thread plus the
+compute workers that ran.
 
-Threads are spent only where they buy parallelism or block on a socket:
-one accept thread per node, one reader per inbound connection, the
-compute pool, and one timer thread per node that fires every
-``call_after`` in due order off a deadline heap (started by the first
-timer, so nodes that never arm one run no timer thread).
+**Frames.**  Inbound, envelopes (sender's logical address + return
+endpoint) and codec headers are parsed in a reusable buffer, and each
+frame body is received straight into its own buffer, since decoded
+arrays may alias it; hostile lengths are rejected before allocating,
+and a peer stalled mid-frame for ``_CONNECT_TIMEOUT`` is dropped.
+Outbound, each destination has one persistent non-blocking connection:
+a message leaves in one ``sendmsg`` of the envelope and the codec's iov
+parts, and an unsent tail waits in the connection's outbox until the
+socket drains, so a multi-megabyte frame never blocks the loop.  Idle
+connections expire, dead ones are redialled on the next send, and the
+pool is bounded.  An exception out of a handler, timer or completion is
+counted (``wire.handler_errors``); a handler fault also drops its
+connection, as a malformed frame does (``wire.malformed``).
 
 This transport exists to prove the protocol is real: the integration
 tests run a full agent/server/client deployment over actual sockets and
@@ -29,10 +34,11 @@ get bit-identical results to the simulated runs.
 
 from __future__ import annotations
 
-import heapq
-import itertools
+import collections
+import errno
+import functools
 import os
-import select
+import selectors
 import socket
 import struct
 import threading
@@ -41,7 +47,7 @@ from typing import Any, Callable, Optional
 
 from ..core.executors import WorkerPool
 from ..errors import TransportClosed, TransportError
-from ..simnet.kernel import EventKernel
+from ..simnet.kernel import EventKernel, Timer
 from ..trace.instruments import Metric, MetricsRegistry, track
 from .codec import HEADER, MAX_BODY, decode_message, encode_message_iov
 from .messages import Message
@@ -54,7 +60,8 @@ _ENVELOPE = struct.Struct("<I")
 #: beyond this is a hostile or corrupt peer, dropped before allocating
 _MAX_ENVELOPE = 4096
 _ACCEPT_BACKLOG = 64
-#: dial timeout, and how long an inbound read may stall mid-frame
+#: how long a connection may stall mid-frame (inbound) or with unsent
+#: bytes, its dial included (outbound)
 _CONNECT_TIMEOUT = 5.0
 #: per-connection receive buffer: fits an envelope plus codec header
 _RECV_BUFFER = 1 << 16
@@ -68,8 +75,8 @@ _POOL_MAX = 32
 _SENDMSG_MAX_BUFFERS = 256
 #: compute-pool threads per node unless the deployment says otherwise
 _DEFAULT_COMPUTE_WORKERS = 4
-#: how long ``shutdown`` waits for a timer callback that is still running
-_TIMER_JOIN_TIMEOUT = 5.0
+#: how long ``close`` waits for the loop thread to finish
+_LOOP_JOIN_TIMEOUT = 5.0
 #: resolved once: ``os.getloadavg`` does not exist on non-UNIX builds,
 #: and the periodic workload sampler should not re-discover that (or
 #: re-run the import machinery) every tick
@@ -92,288 +99,289 @@ class ThreadPromise(Promise):
         return self.result()
 
 
-def _read_exact_into(conn: socket.socket, view: memoryview) -> None:
-    while view.nbytes:
-        got = conn.recv_into(view, view.nbytes)
-        if not got:
-            raise TransportError("peer closed mid-frame")
-        view = view[got:]
+def _read_exact_into(conn: socket.socket, view: memoryview) -> int:
+    """Receive what ``conn`` has ready (0 bytes for none); raises once
+    the peer has hung up."""
+    try:
+        got = conn.recv_into(view)
+    except BlockingIOError:
+        return 0
+    if not got:
+        raise TransportError("peer closed mid-frame")
+    return got
 
 
-def _read_exact(conn: socket.socket, n: int, prefix=b"") -> bytearray:
-    """A fresh ``n``-byte buffer: ``prefix``, then the rest off ``conn``."""
-    if len(prefix) == n:
-        return bytearray(prefix)
+def _read_exact(conn: socket.socket, n: int, prefix) -> tuple[bytearray, int]:
+    """A fresh ``n``-byte frame buffer: ``prefix``, then what ``conn`` has
+    ready of the rest; returns it and how much of it is filled."""
     buf = bytearray(n)
-    buf[:len(prefix)] = prefix
-    _read_exact_into(conn, memoryview(buf)[len(prefix):])
-    return buf
+    filled = len(prefix)
+    buf[:filled] = prefix
+    if filled < n:
+        filled += _read_exact_into(conn, memoryview(buf)[filled:])
+    return buf, filled
 
 
-def _sendmsg_all(conn: socket.socket, parts: list) -> int:
-    """Drain a buffer list through ``sendmsg``, handling short writes;
-    returns the bytes written."""
-    buffers = [memoryview(p).cast("B") if not isinstance(p, memoryview) else p
-               for p in parts]
+def _sendmsg_all(conn: socket.socket, buffers: list) -> int:
+    """``sendmsg`` until ``buffers`` are out or the socket would block;
+    written ones leave the list (a part cut short, its head)."""
     total = 0
     while buffers:
-        sent = conn.sendmsg(buffers[:_SENDMSG_MAX_BUFFERS])
+        try:
+            sent = conn.sendmsg(buffers[:_SENDMSG_MAX_BUFFERS])
+        except BlockingIOError:
+            break
         total += sent
-        while sent:
-            head = buffers[0]
-            if head.nbytes <= sent:
-                sent -= head.nbytes
-                buffers.pop(0)
-            else:
-                buffers[0] = head[sent:]
-                sent = 0
+        done = 0
+        for head in buffers:
+            if head.nbytes > sent:
+                break
+            sent -= head.nbytes
+            done += 1
+        del buffers[:done]
+        if sent:
+            buffers[0] = buffers[0][sent:]
     return total
 
 
+def _forget(selector: selectors.BaseSelector, sock: socket.socket) -> None:
+    try:  # a second call is a no-op
+        selector.unregister(sock)
+    except (KeyError, ValueError):
+        pass
+    sock.close()
+
+
+class _Outbound:
+    """A pooled connection.  Bytes the socket would not take yet wait in
+    ``outbox`` (as views of the sender's arrays) for ``EVENT_WRITE``."""
+
+    __slots__ = ("pool", "key", "sock", "outbox", "last")
+
+    def __init__(self, pool: "_ConnPool", key: tuple[str, int],
+                 sock: socket.socket):
+        self.pool, self.key, self.sock = pool, key, sock
+        self.outbox: list = []
+        self.last = time.monotonic()
+
+    def write(self, buffers: list) -> bool:
+        """Send or queue one message; False if the connection is dead."""
+        if self.outbox:
+            self.outbox += buffers  # behind the queued tail, in order
+            return True
+        self.last = time.monotonic()
+        pending = list(buffers)  # ``buffers`` stays whole for a redial
+        try:
+            _sendmsg_all(self.sock, pending)
+        except OSError:
+            self.close()
+            return False
+        if pending:
+            self.outbox = pending
+            self.pool.selector.modify(
+                self.sock, selectors.EVENT_READ | selectors.EVENT_WRITE, self
+            )
+        return True
+
+    def _ready(self, events: int) -> None:
+        try:
+            if events & selectors.EVENT_READ:
+                # peers never talk back on these one-way links: readable
+                # means EOF or reset, and the next send redials
+                raise ConnectionError("peer closed")
+            _sendmsg_all(self.sock, self.outbox)
+        except OSError:
+            self.close()
+            return
+        self.last = time.monotonic()
+        if not self.outbox:
+            self.pool.selector.modify(self.sock, selectors.EVENT_READ, self)
+
+    def expire(self, now: float) -> None:
+        if self.outbox and now - self.last > _CONNECT_TIMEOUT:
+            self.close()  # a stalled dial or receiver: drop what waits
+
+    def close(self) -> None:
+        if self.pool._conns.get(self.key) is self:
+            del self.pool._conns[self.key]
+        _forget(self.pool.selector, self.sock)
+
+
 class _ConnPool:
-    """Per-node cache of outbound sockets keyed by (ip, port).
+    """A node's outbound connections by (ip, port), least recent first."""
 
-    ``acquire`` checks a socket *out* (concurrent sends to one peer get
-    their own connections; surplus ones close on release), verifies the
-    peer has not hung up — on these one-way links readability can only
-    mean EOF or reset — and discards idle-expired entries.
-    """
-
-    def __init__(self, idle_timeout: float, max_size: int):
+    def __init__(self, selector: selectors.BaseSelector, idle_timeout: float,
+                 max_size: int):
+        self.selector = selector
         self.idle_timeout = idle_timeout
         self.max_size = max_size
-        self._lock = threading.Lock()
-        self._conns: dict[tuple[str, int], tuple[socket.socket, float]] = {}
+        self._conns: dict[tuple[str, int], _Outbound] = {}
         self.dials = 0
         self.reuses = 0
 
-    def acquire(self, key: tuple[str, int]) -> socket.socket | None:
-        with self._lock:
-            entry = self._conns.pop(key, None)
-        if entry is None:
+    def reuse(self, key: tuple[str, int]) -> _Outbound | None:
+        conn = self._conns.pop(key, None)
+        if conn is None:
             return None
-        conn, last_used = entry
-        if time.monotonic() - last_used > self.idle_timeout or not self._alive(conn):
-            _close_quietly(conn)
+        self._conns[key] = conn  # now the most recently used
+        if not conn.outbox and time.monotonic() - conn.last > self.idle_timeout:
+            conn.close()
             return None
-        with self._lock:  # concurrent senders share the counters
-            self.reuses += 1
+        self.reuses += 1
         return conn
 
-    @staticmethod
-    def _alive(conn: socket.socket) -> bool:
+    def dial(self, key: tuple[str, int]) -> _Outbound | None:
+        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        sock.setblocking(False)
         try:
-            readable, _, _ = select.select([conn], [], [], 0)
-        except (OSError, ValueError):
-            return False
-        return not readable  # peers never talk back: readable == closed
-
-    def release(self, key: tuple[str, int], conn: socket.socket) -> None:
-        with self._lock:
-            if key in self._conns:
-                extra = [conn]  # a concurrent send already parked one
-            else:
-                self._conns[key] = (conn, time.monotonic())
-                extra = []
-                while len(self._conns) > self.max_size:
-                    oldest_key = min(
-                        self._conns, key=lambda k: self._conns[k][1]
-                    )
-                    old, _t = self._conns.pop(oldest_key)
-                    extra.append(old)
-        for old in extra:
-            _close_quietly(old)
+            err = sock.connect_ex(key)
+        except OSError:
+            err = errno.EINVAL
+        if err not in (0, errno.EINPROGRESS):
+            sock.close()
+            return None
+        self.dials += 1
+        conn = self._conns[key] = _Outbound(self, key, sock)
+        self.selector.register(sock, selectors.EVENT_READ, conn)
+        idle = [c for c in self._conns.values()
+                if not c.outbox and c is not conn]
+        for old in idle[:max(0, len(self._conns) - self.max_size)]:
+            old.close()
+        return conn
 
     def close(self) -> None:
-        with self._lock:
-            conns = [c for c, _t in self._conns.values()]
-            self._conns.clear()
-        for conn in conns:
-            _close_quietly(conn)
+        for conn in list(self._conns.values()):
+            conn.close()
 
 
-def _close_quietly(conn: socket.socket) -> None:
-    try:
-        conn.close()
-    except OSError:  # pragma: no cover
-        pass
+class _Inbound:
+    """An accepted connection: envelopes and headers parsed in a reusable
+    buffer, each body received into its own buffer at its final size
+    (past ``_BODY_CHUNK``, grown chunk by chunk)."""
 
+    __slots__ = ("node", "sock", "buf", "pos", "end", "frame", "filled",
+                 "total", "src", "ret", "peer", "last")
 
-class _FrameReader:
-    """Buffered reader for one inbound connection: envelopes and headers
-    are parsed in place out of a reusable buffer; each frame gets its own
-    buffer at its final size, since decoded arrays may alias it."""
-
-    __slots__ = ("conn", "buf", "pos", "end")
-
-    def __init__(self, conn: socket.socket):
-        self.conn = conn
+    def __init__(self, node: "TcpNode", sock: socket.socket):
+        self.node, self.sock = node, sock
         self.buf = memoryview(bytearray(_RECV_BUFFER))
         self.pos = self.end = 0  # unread bytes are buf[pos:end]
+        self.frame: bytearray | None = None  # the body being received
+        self.filled = self.total = 0
+        self.src = self.ret = ""
+        self.peer: tuple[str, str] | None = None
+        self.last = time.monotonic()
 
-    def wait(self, idle_budget: float) -> bool:
-        """Block until the next message starts; False once the peer hangs
-        up or its socket timeouts add up past ``idle_budget``."""
-        if self.pos < self.end:
-            return True
-        self.pos = self.end = 0
-        idle_until = time.monotonic() + idle_budget
-        while True:
-            try:
-                self.end = self.conn.recv_into(self.buf)
-                return self.end > 0
-            except TimeoutError:
-                if time.monotonic() >= idle_until:
-                    return False
+    def _mid_frame(self) -> bool:
+        return self.frame is not None or self.pos < self.end
 
-    def _take(self, n: int) -> memoryview:
-        """The next ``n`` buffered bytes (``n`` fits the buffer)."""
-        while self.end - self.pos < n:
-            if self.pos + n > len(self.buf):  # slide the unread tail down
-                unread = self.end - self.pos
-                self.buf[:unread] = self.buf[self.pos:self.end]
-                self.pos, self.end = 0, unread
-            got = self.conn.recv_into(self.buf[self.end:])
+    def _ready(self, _events: int) -> None:
+        node = self.node
+        try:
+            self._receive()
+            while (message := self._message()) is not None:
+                if not node.alive or node.component is None:
+                    break
+                node.messages_delivered += 1
+                try:
+                    node.component.on_message(*message)
+                except Exception:
+                    # a handler fault: counted, and the connection dropped
+                    node.transport.handler_errors += 1
+                    break
+            else:
+                return
+        except BlockingIOError:
+            return
+        except Exception:
+            # a hang-up or reset, or a hostile length, bad envelope,
+            # undecodable or cut-short frame: mid-frame it counts as
+            # malformed, unless our own teardown cut it short
+            if node.alive and self._mid_frame():
+                node.transport.messages_malformed += 1
+        self.close()
+
+    def _receive(self) -> None:
+        """One read: into the frame being filled, else into the buffer."""
+        frame = self.frame
+        if frame is not None:
+            if self.filled == len(frame):
+                frame += bytes(min(self.total - self.filled, _BODY_CHUNK))
+            got = _read_exact_into(self.sock, memoryview(frame)[self.filled:])
+            self.filled += got
+        else:
+            unread = self.end - self.pos  # slide it down: room to read
+            self.buf[:unread] = self.buf[self.pos:self.end]
+            self.pos, self.end = 0, unread
+            got = self.sock.recv_into(self.buf[unread:])
             if not got:
-                raise TransportError("peer closed mid-frame")
+                raise TransportError("peer closed")
             self.end += got
-        self.pos += n
-        return self.buf[self.pos - n:self.pos]
+        if got:
+            self.last = time.monotonic()
 
-    def message(self) -> tuple[str, str, Message]:
-        """Read one enveloped frame: ``(src, return endpoint, message)``.
-        Raises on anything malformed, before allocating what a hostile
-        length asks for."""
-        (src_len,) = _ENVELOPE.unpack(self._take(_ENVELOPE.size))
-        if src_len > _MAX_ENVELOPE:
-            raise TransportError("envelope source length over limit")
-        src = str(self._take(src_len), "utf-8")
-        (ret_len,) = _ENVELOPE.unpack(self._take(_ENVELOPE.size))
-        if ret_len > _MAX_ENVELOPE:
-            raise TransportError("envelope return length over limit")
-        ret = str(self._take(ret_len), "ascii")
-        _magic, _ver, _type, length = HEADER.unpack(self._take(HEADER.size))
+    def _message(self) -> tuple[str, Message] | None:
+        """The next complete ``(src, message)``, or None for now."""
+        if self.frame is None and not self._start():
+            return None
+        if self.filled < self.total:
+            return None
+        # ndarrays alias the frame where aligned for their dtype, else copy
+        msg = decode_message(self.frame)
+        if (self.src, self.ret) != self.peer:
+            # learn the return path (no-op in-process)
+            ip, port_text = self.ret.rsplit(":", 1)
+            self.node.transport.learn_peer(self.src, ip, int(port_text))
+            self.peer = (self.src, self.ret)
+        self.frame = None
+        return self.src, msg
+
+    def _start(self) -> bool:
+        """Parse the next envelope and header in the buffer and allocate
+        the frame (False until they are in); hostile lengths raise."""
+        buf, at, end = self.buf, self.pos, self.end
+        fields = []
+        for _ in range(2):  # the source address, then the return endpoint
+            if end - at < _ENVELOPE.size:
+                return False
+            (n,) = _ENVELOPE.unpack_from(buf, at)
+            if n > _MAX_ENVELOPE:
+                raise TransportError("envelope length over limit")
+            at += _ENVELOPE.size + n
+            fields.append(buf[at - n:at])
+        if end - at < HEADER.size:
+            return False
+        length = HEADER.unpack_from(buf, at)[3]
         if length > MAX_BODY:
             raise TransportError("frame body length over limit")
-        total = HEADER.size + length
-        start = self.pos - HEADER.size
-        first = min(total, HEADER.size + _BODY_CHUNK)
-        self.pos = min(start + first, self.end)
-        frame = _read_exact(self.conn, first, self.buf[start:self.pos])
-        while len(frame) < total:
-            grown = len(frame)
-            frame += bytes(min(total - grown, _BODY_CHUNK))
-            _read_exact_into(self.conn, memoryview(frame)[grown:])
-        # ndarrays alias the frame where aligned for their dtype, else copy
-        return src, ret, decode_message(frame)
+        self.src, self.ret = str(fields[0], "utf-8"), str(fields[1], "ascii")
+        self.total = HEADER.size + length
+        first = min(self.total, HEADER.size + _BODY_CHUNK)
+        took = min(at + first, end)  # still unread if the read raises
+        self.frame, self.filled = _read_exact(self.sock, first, buf[at:took])
+        self.pos = took
+        return True
 
+    def expire(self, now: float) -> None:
+        if self._mid_frame():
+            if now - self.last > _CONNECT_TIMEOUT:
+                self.node.transport.messages_malformed += 1
+                self.close()
+        elif now - self.last > self.node.transport._idle_budget:
+            self.close()  # idle well past any pooled sender's timeout
 
-class _Timer:
-    """A timer armed on a node's heap; ``fn`` is ``None`` once it has
-    fired or been cancelled, so a dead entry pins no closure."""
-
-    __slots__ = ("fn", "_timers")
-
-    def __init__(self, fn: Callable[[], None], timers: "_TimerHeap"):
-        self.fn: Callable[[], None] | None = fn
-        self._timers = timers
-
-    def cancel(self) -> None:
-        self._timers.cancel(self)
-
-
-class _TimerHeap:
-    """One thread firing a node's timers in due order.
-
-    Entries are ``(due, seq, timer)`` on the monotonic clock; ``seq``
-    keeps timers due at the same instant in arming order.  A cancelled
-    entry stays until it reaches the top, or until the heap is rebuilt
-    by :class:`~repro.simnet.kernel.EventKernel`'s rule (at least
-    ``COMPACT_MIN`` entries, fewer than half of them live).  A fire pops
-    its entry and lets go of the heap lock before it takes the node
-    lock: ``call_after`` and ``cancel`` run under the node lock and take
-    this one inside it, so the order is always node, then heap.
-    """
-
-    def __init__(self, node: "TcpNode"):
-        self.node = node
-        self.heap: list[tuple[float, int, _Timer]] = []
-        #: entries in ``heap`` that are neither fired nor cancelled
-        self.live = 0
-        self._cond = threading.Condition(threading.Lock())
-        self._seq = itertools.count()
-        self._thread: threading.Thread | None = None
-        self._closed = False
-
-    def arm(self, delay: float, fn: Callable[[], None]) -> _Timer:
-        timer = _Timer(fn, self)
-        due = time.monotonic() + delay
-        with self._cond:
-            if self._closed:
-                raise TransportClosed(f"node {self.node.address!r} is down")
-            heap = self.heap
-            heapq.heappush(heap, (due, next(self._seq), timer))
-            self.live += 1
-            if (len(heap) >= EventKernel.COMPACT_MIN
-                    and self.live * 2 < len(heap)):
-                heap[:] = [e for e in heap if e[2].fn is not None]
-                heapq.heapify(heap)
-            if self._thread is None:
-                self._thread = threading.Thread(
-                    target=self._run, name=f"tcp-timer-{self.node.address}",
-                    daemon=True,
-                )
-                self._thread.start()
-            elif heap[0][2] is timer:
-                self._cond.notify()  # due before whatever the thread awaits
-        return timer
-
-    def cancel(self, timer: _Timer) -> None:
-        with self._cond:
-            if timer.fn is not None:
-                timer.fn = None
-                self.live -= 1
-
-    def _run(self) -> None:
-        cond, heap = self._cond, self.heap
-        while True:
-            with cond:
-                while True:
-                    if self._closed:
-                        return
-                    if not heap:
-                        cond.wait()
-                        continue
-                    due, _seq, timer = heap[0]
-                    if timer.fn is None:
-                        heapq.heappop(heap)
-                        continue
-                    wait = due - time.monotonic()
-                    if wait > 0:
-                        cond.wait(wait)
-                        continue
-                    heapq.heappop(heap)
-                    fn, timer.fn = timer.fn, None
-                    self.live -= 1
-                    break
-            self.node.post(fn)
-
-    def close(self) -> None:
-        """Drop every armed timer and end the thread; idempotent."""
-        with self._cond:
-            self._closed = True
-            for _due, _seq, timer in self.heap:
-                timer.fn = None
-            self.heap.clear()
-            self.live = 0
-            self._cond.notify()
-            thread = self._thread
-        if thread is not None and thread is not threading.current_thread():
-            thread.join(_TIMER_JOIN_TIMEOUT)
+    def close(self, *, abort: bool = False) -> None:
+        self.node._inbound.discard(self)
+        if abort:
+            # no TIME_WAIT holding the port, and senders' pooled sockets
+            # see the death instead of hanging half-open
+            self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                 struct.pack("ii", 1, 0))
+        _forget(self.node.transport._selector, self.sock)
 
 
 class TcpNode(Node):
-    """A component endpoint on a real socket."""
+    """A component endpoint on a real socket, served by the loop."""
 
     #: a real-socket node runs completions on OS threads, so a server
     #: may opt into the process-executor lane (the sim node cannot: its
@@ -393,7 +401,6 @@ class TcpNode(Node):
         self.host_name = transport.host_name
         self.component: Component | None = None
         self.alive = True
-        self.lock = threading.RLock()
         self.compute_workers = max(1, int(compute_workers))
         #: bounded compute pool; its threads start with the first
         #: compute(), so nodes that never run one (clients, agents) pay
@@ -403,31 +410,24 @@ class TcpNode(Node):
         )
         self.messages_sent = 0
         self.bytes_sent = 0
-        #: counted under ``lock``, like the dispatch it precedes
         self.messages_delivered = 0
         self.messages_dropped = 0
-        self._timers = _TimerHeap(self)
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         self._listener.bind((transport.bind_ip, port))
         self._listener.listen(_ACCEPT_BACKLOG)
+        self._listener.setblocking(False)
         self.port = self._listener.getsockname()[1]
-        self._pool = _ConnPool(transport.pool_idle_timeout, transport.pool_max)
-        self._inbound: set[socket.socket] = set()
-        self._inbound_lock = threading.Lock()
+        self._pool = _ConnPool(transport._selector, transport.pool_idle_timeout,
+                               transport.pool_max)
+        self._inbound: set[_Inbound] = set()
         # envelope prefix (our logical address + dial-back endpoint) is
         # identical on every message: build it exactly once
         src = self.address.encode("utf-8")
         ret = f"{transport.advertise_ip}:{self.port}".encode("ascii")
-        self._envelope = b"".join(
+        self._envelope = memoryview(b"".join(
             (_ENVELOPE.pack(len(src)), src, _ENVELOPE.pack(len(ret)), ret)
-        )
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name=f"tcp-accept-{address}", daemon=True
-        )
-
-    def start(self) -> None:
-        self._accept_thread.start()
+        ))
 
     # ------------------------------------------------------------------
     # Node API
@@ -435,46 +435,43 @@ class TcpNode(Node):
     def now(self) -> float:
         return time.monotonic() - self.transport.epoch
 
+    def call(self, fn: Callable[[], Any]) -> Any:
+        """:meth:`TcpTransport.call`: the way in for other threads."""
+        return self.transport.call(fn)
+
     def send(self, dest: str, msg: Message) -> None:
         if not self.alive:
+            return
+        if threading.get_ident() != self.transport._loop_id:
+            self.call(lambda: self.send(dest, msg))
             return
         try:
             key = self.transport.resolve(dest)
         except TransportError:
             return  # unknown destination: drop, like a bad DNS name
-        parts = [self._envelope, *encode_message_iov(msg)]
-        conn = self._pool.acquire(key)
-        if conn is not None:
-            try:
-                nbytes = _sendmsg_all(conn, parts)
-            except OSError:
-                _close_quietly(conn)  # stale peer: redial below
-            else:
-                self._pool.release(key, conn)
-                self._count_sent(nbytes)
-                return
-        try:
-            conn = socket.create_connection(key, timeout=_CONNECT_TIMEOUT)
-            with self._pool._lock:  # concurrent senders share the counters
-                self._pool.dials += 1
-            nbytes = _sendmsg_all(conn, parts)
-        except OSError:
-            if conn is not None:
-                _close_quietly(conn)
-            self.messages_dropped += 1
-            return  # unreachable peer == dropped message
-        self._pool.release(key, conn)
-        self._count_sent(nbytes)
-
-    def _count_sent(self, nbytes: int) -> None:
+        buffers = [self._envelope]
+        for part in encode_message_iov(msg):
+            buffers.append(part if isinstance(part, memoryview)
+                           else memoryview(part).cast("B"))
+        conn = self._pool.reuse(key)
+        if conn is None or not conn.write(buffers):  # none, or a stale peer
+            conn = self._pool.dial(key)
+            if conn is None or not conn.write(buffers):
+                self.messages_dropped += 1
+                return  # unreachable peer == dropped message
+        nbytes = sum(b.nbytes for b in buffers)
         self.messages_sent += 1
         self.bytes_sent += nbytes
         self.transport._frame_bytes.observe(nbytes)
 
-    def call_after(self, delay: float, fn: Callable[[], None]) -> _Timer:
+    def call_after(self, delay: float, fn: Callable[[], None]) -> Timer:
+        if threading.get_ident() != self.transport._loop_id:
+            return self.call(lambda: self.call_after(delay, fn))
         if not self.alive:
             raise TransportClosed(f"node {self.address!r} is down")
-        return self._timers.arm(delay, fn)
+        return self.transport.kernel.call_at(
+            self.now() + delay, functools.partial(self._guarded, fn)
+        )
 
     def compute(
         self,
@@ -482,13 +479,8 @@ class TcpNode(Node):
         thunk: Callable[[], Any],
         done: Callable[[Any, float], None],
     ) -> None:
-        """Run ``thunk`` on the node's bounded compute pool.
-
-        Replaces the old thread-per-request spawn: a burst now queues on
-        ``compute_workers`` pool threads instead of forking an unbounded
-        number of OS threads, and a submission that finds every worker
-        busy shows in ``server.pool_saturated`` (the pool's own count).
-        """
+        """Run ``thunk`` on the node's bounded pool; ``done`` runs on the
+        loop.  A submission finding every worker busy is counted."""
         if not self.alive:
             raise TransportClosed(f"node {self.address!r} is down")
 
@@ -504,16 +496,16 @@ class TcpNode(Node):
         self._compute_pool.submit(run)
 
     def post(self, fn: Callable[[], None]) -> None:
-        """Run ``fn`` under the node lock while the node is alive (timer
-        fires and foreign-thread completions); an exception out of it is
-        counted, not raised."""
-        with self.lock:
-            if not self.alive:
-                return
+        """Run ``fn`` on the loop while the node is alive (completions
+        from other threads); an exception out of it is counted."""
+        self.transport._post(functools.partial(self._guarded, fn))
+
+    def _guarded(self, fn: Callable[[], None]) -> None:
+        if self.alive:
             try:
                 fn()
             except Exception:
-                self.transport._count_handler_error()
+                self.transport.handler_errors += 1
 
     def sample_workload(self) -> float:
         """100 x the 1-minute UNIX load average of this machine."""
@@ -532,22 +524,16 @@ class TcpNode(Node):
         return f"{ip}:{port}"
 
     def restart_component(self) -> None:
-        """Drive the component's restart path on a live daemon.
-
-        Runs ``on_restart`` under the node lock, serialized against
-        message delivery and timer fires — the operational "the daemon
-        hiccuped, reset it" path.  Timers armed before the restart may
-        still fire afterwards (one already popped for firing can even
-        race a cancel); restart-safe periodics supersede them by
-        generation, which is exactly what the crash/revive lifecycle
-        tests pin down.
-        """
-        with self.lock:
+        """Run the component's ``on_restart`` on the loop (a live daemon's
+        "it hiccuped, reset it"); periodics supersede older timers."""
+        def restart() -> None:
             if not self.alive:
                 raise TransportClosed(f"node {self.address!r} is down")
             if self.component is None:
                 raise TransportError(f"node {self.address!r} has no component")
             self.component.on_restart()
+
+        self.call(restart)
 
     def learn_endpoint(self, address: str, endpoint: str) -> None:
         try:
@@ -560,114 +546,42 @@ class TcpNode(Node):
         return ThreadPromise()
 
     # ------------------------------------------------------------------
-    def _accept_loop(self) -> None:
-        while self.alive:
-            try:
-                conn, _peer = self._listener.accept()
-            except OSError:
-                return  # listener closed
-            # the mid-frame stall limit; idle time is budgeted on top of it
-            conn.settimeout(_CONNECT_TIMEOUT)
-            with self._inbound_lock:
-                if not self.alive:
-                    _close_quietly(conn)
-                    return
-                self._inbound.add(conn)
-            threading.Thread(
-                target=self._serve_conn,
-                args=(conn,),
-                name=f"tcp-conn-{self.address}",
-                daemon=True,
-            ).start()
-
-    def _serve_conn(self, conn: socket.socket) -> None:
-        # idle between messages is normal for a pooled sender; allow well
-        # past its idle timeout
-        idle_budget = self.transport.pool_idle_timeout * 2 + 1.0
-        reader, peer = _FrameReader(conn), None
+    def _ready(self, _events: int) -> None:
+        """The listener is readable: accept one connection."""
         try:
-            with conn:
-                # a connection carries a message stream: loop until the
-                # sender hangs up (or its pool expires the socket)
-                while True:
-                    try:
-                        if not reader.wait(idle_budget):
-                            return  # clean close or idle between messages
-                    except OSError:
-                        return
-                    try:
-                        src, ret, msg = reader.message()
-                        if (src, ret) != peer:
-                            # learn the return path (no-op in-process)
-                            ip, port_text = ret.rsplit(":", 1)
-                            self.transport.learn_peer(src, ip, int(port_text))
-                            peer = (src, ret)
-                    except Exception:
-                        # malformed peer (hostile length, bad envelope,
-                        # undecodable or cut-short frame): count it,
-                        # drop the connection, stay up
-                        if self.alive:  # our own teardown cuts reads short
-                            self.transport._count_malformed()
-                        return
-                    with self.lock:
-                        if not self.alive or self.component is None:
-                            return
-                        self.messages_delivered += 1
-                        try:
-                            self.component.on_message(src, msg)
-                        except Exception:
-                            # a handler fault: count it and drop the
-                            # connection, as for a malformed frame
-                            self.transport._count_handler_error()
-                            return
-        finally:
-            with self._inbound_lock:
-                self._inbound.discard(conn)
+            sock, _peer = self._listener.accept()
+        except OSError:
+            return
+        sock.setblocking(False)
+        conn = _Inbound(self, sock)
+        self._inbound.add(conn)
+        self.transport._selector.register(sock, selectors.EVENT_READ, conn)
 
     def shutdown(self) -> None:
-        with self.lock:
-            self.alive = False
-        self._timers.close()
+        """Drop timers and completions and close the sockets (inbound
+        ones abortively: the port is free at once).  Idempotent."""
+        try:
+            self.call(self._shutdown)
+        except TransportClosed:
+            pass  # the transport's close already shut every node
+
+    def _shutdown(self) -> None:
+        if not self.alive:
+            return
+        self.alive = False
         if self.component is not None:
             # release component-owned resources (executor pools, stores)
             # before the transport's own; on_shutdown is idempotent
             self.component.on_shutdown()
         self._compute_pool.shutdown()
         self._pool.close()
-        try:
-            # wake the blocked accept() so the close isn't deferred by
-            # the interpreter's in-use fd protection (the port must be
-            # genuinely free for an immediate restart)
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._listener.close()
-        except OSError:  # pragma: no cover
-            pass
-        with self._inbound_lock:
-            inbound = list(self._inbound)
-            self._inbound.clear()
-        for conn in inbound:
-            try:
-                # abortive close: no TIME_WAIT holding the port, and
-                # senders' pooled sockets see the death instead of
-                # hanging half-open
-                conn.setsockopt(
-                    socket.SOL_SOCKET, socket.SO_LINGER,
-                    struct.pack("ii", 1, 0),
-                )
-            except OSError:  # pragma: no cover
-                pass
-            try:
-                conn.shutdown(socket.SHUT_RDWR)  # wake the serve thread
-            except OSError:
-                pass
-            _close_quietly(conn)
+        _forget(self.transport._selector, self._listener)
+        for conn in list(self._inbound):
+            conn.close(abort=True)
 
 
 class TcpTransport:
-    """A directory of TCP nodes on this machine."""
+    """A directory of TCP nodes on this machine and their loop thread."""
 
     METRICS = WIRE_METRICS + (
         Metric("server.pool_saturated", "pool_saturated",
@@ -705,22 +619,104 @@ class TcpTransport:
             raise TransportError("pool_max must be >= 1")
         self.pool_idle_timeout = pool_idle_timeout
         self.pool_max = pool_max
+        #: inbound connections idle between messages this long close:
+        #: well past any pooled sender's own idle timeout
+        self._idle_budget = pool_idle_timeout * 2 + 1.0
         self.epoch = time.monotonic()
         self.nodes: dict[str, TcpNode] = {}
         self._directory: dict[str, tuple[str, int]] = {}
+        #: guards ``nodes`` against concurrent ``add_node``, and the call
+        #: queue against ``close``
         self._lock = threading.Lock()
+        #: every node's timers, in seconds since ``epoch``
+        self.kernel = EventKernel()
+        self.kernel.every(_CONNECT_TIMEOUT / 2, self._expire_connections)
+        self._selector = selectors.DefaultSelector()
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._wake_r.setblocking(False)
+        self._wake_w.setblocking(False)
+        self._selector.register(self._wake_r, selectors.EVENT_READ, self)
+        self._calls: collections.deque = collections.deque()
+        self._woken = self._closed = False
+        self._thread = threading.Thread(target=self._run, name="tcp-loop",
+                                        daemon=True)
+        self._thread.start()
+        self._loop_id = self._thread.ident
 
-    def _count_malformed(self) -> None:
-        # an inbound frame dropped as undecodable (hostile length, bad
-        # envelope, decode failure): the connection dies, the node stays
+    # ------------------------------------------------------------------
+    # the loop
+    # ------------------------------------------------------------------
+    def _run(self) -> None:
+        kernel, select, epoch = self.kernel, self._selector.select, self.epoch
+        while not self._closed:
+            try:
+                kernel.run(until=time.monotonic() - epoch)
+                due = kernel.peek()
+                wait = None if due is None else due - time.monotonic() + epoch
+                for key, events in select(wait):
+                    key.data._ready(events)
+            except Exception:  # pragma: no cover - every entry guards itself
+                self.handler_errors += 1
         with self._lock:
-            self.messages_malformed += 1
+            calls, self._calls = self._calls, collections.deque()
+        for fn in calls:  # queued before close: run, so no caller hangs
+            fn()
+        self._selector.close()
+        self._wake_r.close()
+        self._wake_w.close()
 
-    def _count_handler_error(self) -> None:
-        # an exception out of a message handler, timer callback or
-        # compute completion: counted, and the thread that ran it lives
+    def _ready(self, _events: int) -> None:
+        """The wake-up socket is readable: run what other threads queued."""
+        try:
+            self._wake_r.recv(4096)
+        except BlockingIOError:
+            pass
         with self._lock:
-            self.handler_errors += 1
+            self._woken = False
+        calls = self._calls
+        while calls:
+            calls.popleft()()
+
+    def _post(self, fn: Callable[[], None]) -> bool:
+        """Queue ``fn`` for the loop from any thread; False once closed."""
+        with self._lock:
+            if self._closed:
+                return False
+            self._calls.append(fn)
+            if self._woken:
+                return True
+            self._woken = True
+        self._wake_w.send(b"\0")  # one byte per wake-up: never blocks
+        return True
+
+    def call(self, fn: Callable[[], Any]) -> Any:
+        """Run ``fn`` on the loop thread and return its result (or raise
+        its exception); inline when already on the loop."""
+        if threading.get_ident() == self._loop_id:
+            return fn()
+        done, outcome = threading.Lock(), []
+        done.acquire()
+
+        def run() -> None:
+            try:
+                outcome.append((fn(), None))
+            except BaseException as exc:  # noqa: BLE001 - re-raised below
+                outcome.append((None, exc))
+            done.release()
+
+        if not self._post(run):
+            raise TransportClosed("transport is closed")
+        done.acquire()
+        value, error = outcome[0]
+        if error is not None:
+            raise error
+        return value
+
+    def _expire_connections(self) -> None:
+        now = time.monotonic()
+        for node in list(self.nodes.values()):
+            for conn in [*node._inbound, *node._pool._conns.values()]:
+                conn.expire(now)
 
     # ------------------------------------------------------------------
     def add_node(
@@ -738,37 +734,45 @@ class TcpTransport:
             self.nodes[address] = node
             self._directory[address] = (self.bind_ip, node.port)
         node.component = component
-        node.start()
-        with node.lock:
+
+        def start() -> None:
+            self._selector.register(node._listener, selectors.EVENT_READ, node)
             component.bind(node)
+
+        self.call(start)
         return node
 
     def register_remote(self, address: str, ip: str, port: int) -> None:
         """Add a node living in another process to the directory."""
-        with self._lock:
-            self._directory[address] = (ip, port)
+        self._directory[address] = (ip, port)
 
     def learn_peer(self, address: str, ip: str, port: int) -> None:
         """Record a sender's return path, never shadowing local nodes or
         explicit ``register_remote`` entries for local addresses."""
-        with self._lock:
-            if address in self.nodes:
-                return  # local node: the directory entry is already right
+        if address not in self.nodes:
             self._directory[address] = (ip, port)
 
     def resolve(self, address: str) -> tuple[str, int]:
-        with self._lock:
-            try:
-                return self._directory[address]
-            except KeyError:
-                raise TransportError(f"unknown address {address!r}") from None
+        try:
+            return self._directory[address]
+        except KeyError:
+            raise TransportError(f"unknown address {address!r}") from None
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        with self._lock:
-            nodes = list(self.nodes.values())
-        for node in nodes:
-            node.shutdown()
+        """Shut every node down and end the loop thread; idempotent."""
+        def shut_all() -> None:
+            for node in list(self.nodes.values()):
+                node._shutdown()
+            with self._lock:
+                self._closed = True  # the loop ends after this call
+
+        try:
+            self.call(shut_all)
+        except TransportClosed:
+            return
+        if threading.get_ident() != self._loop_id:
+            self._thread.join(_LOOP_JOIN_TIMEOUT)
 
     def __enter__(self) -> "TcpTransport":
         return self
@@ -778,11 +782,8 @@ class TcpTransport:
 
 
 def _describe_waited(promise) -> str:
-    """Human-readable identity of a waited-on promise for timeout errors.
-
-    A client :class:`RequestHandle` names its request id and problem;
-    anything else falls back to the object's class name.
-    """
+    """A waited-on promise for a timeout error: a client request by id
+    and problem, anything else by class."""
     record = getattr(promise, "record", None)
     if record is not None:
         return (
@@ -805,13 +806,13 @@ class TcpSession:
         self.timeout = timeout
 
     def submit(self, problem: str, args: list, *, qos: str = "") -> Any:
-        """Thread-safe submit through the node lock."""
-        with self.node.lock:
-            return self.client.submit(problem, args, qos=qos)
+        """Submit from any thread: the call runs on the node's loop."""
+        return self.node.call(
+            lambda: self.client.submit(problem, args, qos=qos)
+        )
 
     def list_problems(self, prefix: str = "") -> Any:
-        with self.node.lock:
-            return self.client.list_problems(prefix)
+        return self.node.call(lambda: self.client.list_problems(prefix))
 
     def drive_result(self, promise) -> Any:
         """Wait on a promise and return its value (CLI convenience)."""
@@ -819,18 +820,15 @@ class TcpSession:
         return promise.result()
 
     def drive(self, promise) -> None:
-        """Block until ``promise`` settles or the session timeout passes.
-
-        Accepts a bare :class:`~repro.protocol.transport.Promise` (any
-        flavour, not just :class:`ThreadPromise`) or a client
-        :class:`~repro.core.client.RequestHandle`.  The wait parks the
-        calling thread on a condition variable armed through
-        ``on_settled`` — no polling loop — and a timeout names the
-        request being waited on.
-        """
+        """Park on an event until ``promise`` (or a client request
+        handle's) settles; past the session timeout, name it and raise."""
         target = getattr(promise, "promise", promise)
         settled = threading.Event()
         target.on_settled(lambda _p: settled.set())
+        if target.done:
+            # settled on the loop while the callback went in: it may have
+            # landed after the loop took the callback list
+            settled.set()
         if not settled.wait(self.timeout):
             raise TransportError(
                 f"timed out after {self.timeout:g}s waiting on "

@@ -10,10 +10,11 @@ slot and returns silently on mismatch.  Stale fires are counted, not
 executed, so tests can assert the guard did its job.
 
 Timers themselves are never re-used: superseding a slot cancels the old
-node timer *and* bumps the generation, covering both the sim transport
-(lazy cancellation in the event kernel) and the TCP transport (a timer
-its node's timer thread has already popped, waiting for the node lock
-to fire, is past the point of no return).
+node timer *and* bumps the generation.  On both transports the cancel
+alone suffices (each fires timers off an event kernel with lazy
+cancellation, on the thread that cancels them); the generation covers
+nodes whose timers cannot be cancelled, and timers armed before a
+crash/revive cycle.
 
 :class:`RetryChain` builds the NetSolve resend loop on top of a single
 deadline slot: send, wait, resend up to an attempt budget, then give

@@ -11,7 +11,7 @@ Three small pieces, composed by the server/agent/client components:
   NEOS-style job database (request id -> digest -> solution blob) that
   survives server restarts;
 - :class:`~repro.store.handles.HandleStore` — the server-resident object
-  store behind ``DataHandle``: digest-at-insert, pin/refcount/TTL
+  store behind ``DataHandle``: digest-at-insert, pin/TTL
   semantics and a byte budget, surviving ``on_restart`` but not
   ``on_shutdown``.
 """

@@ -9,10 +9,9 @@ A keyed store with the semantics handles need:
 * **pins** — client-``store``d operands are pinned: immune to TTL and
   eviction, released only by an explicit delete (ship once, refer
   after);
-* **refcounts + TTL** — unpinned entries (``keep_result`` outputs,
-  request-DAG intermediates) are reclaimable: a positive refcount blocks
-  reclamation, and once released the entry lives until its TTL lapses
-  or the byte budget forces LRU eviction;
+* **TTL** — unpinned entries (``keep_result`` outputs, request-DAG
+  intermediates) are reclaimable: each lives until its TTL lapses or
+  the byte budget forces LRU eviction;
 * **byte budget** — pinned inserts are *rejected* past the budget (the
   client hears a failed StoreAck, as before); unpinned inserts instead
   evict idle unpinned entries LRU-first and fail only if the object
@@ -65,8 +64,8 @@ class StoredObject:
     """One resident object plus its handle metadata."""
 
     __slots__ = (
-        "key", "value", "nbytes", "digest", "pinned", "refcount",
-        "inserted", "shape", "dtype",
+        "key", "value", "nbytes", "digest", "pinned", "inserted", "shape",
+        "dtype",
     )
 
     def __init__(self, key, value, nbytes, digest, pinned, inserted):
@@ -75,7 +74,6 @@ class StoredObject:
         self.nbytes = nbytes
         self.digest = digest
         self.pinned = pinned
-        self.refcount = 0
         self.inserted = inserted
         if isinstance(value, np.ndarray):
             self.shape = tuple(int(d) for d in value.shape)
@@ -97,7 +95,7 @@ class StoredObject:
 
 
 class HandleStore:
-    """Key -> resident object map with pin/refcount/TTL/budget semantics."""
+    """Key -> resident object map with pin/TTL/budget semantics."""
 
     __slots__ = (
         "budget", "ttl", "_clock", "_data", "nbytes",
@@ -135,13 +133,10 @@ class HandleStore:
     def __contains__(self, key: str) -> bool:
         return self._lookup(key) is not None
 
-    def _reclaimable(self, obj: StoredObject) -> bool:
-        return not obj.pinned and obj.refcount == 0
-
     def _expired(self, obj: StoredObject, now: float) -> bool:
         return (
             self.ttl > 0
-            and self._reclaimable(obj)
+            and not obj.pinned
             and now - obj.inserted > self.ttl
         )
 
@@ -193,7 +188,6 @@ class HandleStore:
             self._clock(),
         )
         if old is not None:
-            obj.refcount = old.refcount
             del self._data[key]
         self._data[key] = obj
         self.nbytes += nbytes - old_bytes
@@ -208,7 +202,7 @@ class HandleStore:
             if freed >= needed:
                 break
             obj = self._data[key]
-            if key == skip or not self._reclaimable(obj):
+            if key == skip or obj.pinned:
                 continue
             del self._data[key]
             self.nbytes -= obj.nbytes
@@ -246,27 +240,6 @@ class HandleStore:
         self.nbytes -= obj.nbytes
         self.deletes += 1
         return obj.nbytes
-
-    # ------------------------------------------------------------------
-    def retain(self, key: str) -> None:
-        """Bump ``key``'s refcount: an executing consumer blocks TTL
-        expiry and eviction until :meth:`release`."""
-        obj = self._lookup(key)
-        if obj is None:
-            raise MissingObjectError(key)
-        obj.refcount += 1
-
-    def release(self, key: str) -> None:
-        """Drop one reference; the TTL clock restarts now, so an object
-        idles for a full ``ttl`` *after* its last consumer finished.
-        Releasing an absent key is a no-op (the entry may have been
-        deleted explicitly while referenced)."""
-        obj = self._data.get(key)
-        if obj is None or obj.refcount == 0:
-            return
-        obj.refcount -= 1
-        if obj.refcount == 0:
-            obj.inserted = self._clock()
 
     # ------------------------------------------------------------------
     def clear(self) -> None:

@@ -202,23 +202,21 @@ def main(argv: list[str] | None = None) -> int:
             f"server/{server_id}", server, port=args.port,
             compute_workers=args.workers or slots,
         )
-        try:
-            agent_list = ", ".join(
-                f"{name}@{host}:{port}" for name, host, port in agents
-            )
-            # the compute pool pins the BLAS when its first worker spawns
-            blas = (
-                "not controlled" if blas_threads() is None
-                else SLOT_BLAS_THREADS
-            )
-            run_forever(
-                f"netsolve server {server_id!r} on {args.bind}:{node.port} "
-                f"({len(registry)} problems, {args.mflops:g} Mflop/s, "
-                f"{slots} slot(s), BLAS threads per slot: {blas}, "
-                f"agent(s) {agent_list})"
-            )
-        finally:
-            server.shutdown_executors()
+        agent_list = ", ".join(
+            f"{name}@{host}:{port}" for name, host, port in agents
+        )
+        # the compute pool pins the BLAS when its first worker spawns
+        blas = (
+            "not controlled" if blas_threads() is None else SLOT_BLAS_THREADS
+        )
+        # closing the transport runs the server's on_shutdown on the
+        # loop, which releases its executors
+        run_forever(
+            f"netsolve server {server_id!r} on {args.bind}:{node.port} "
+            f"({len(registry)} problems, {args.mflops:g} Mflop/s, "
+            f"{slots} slot(s), BLAS threads per slot: {blas}, "
+            f"agent(s) {agent_list})"
+        )
     if metrics is not None:
         with open(args.metrics_json, "w", encoding="utf-8") as fh:
             fh.write(metrics.to_json())

@@ -460,6 +460,44 @@ def test_server_reregisters_with_backup_agent():
     }
 
 
+@pytest.mark.parametrize("register_timeout", [0.5, None], ids=["0.5s", "default"])
+def test_register_timeout_sets_when_a_server_tries_the_next_agent(
+    register_timeout,
+):
+    # the first agent drops every RegisterServer: the server is registered
+    # at the second by t = 1 s with a 0.5 s ack deadline, and still waits
+    # on the deaf one under the default 30 s
+    from repro.config import ServerConfig
+    from repro.core.server import ComputationalServer
+
+    kernel = EventKernel()
+    topo = Topology(kernel)
+    for h in ("ah", "bh", "sh"):
+        topo.add_host(h, 100.0)
+    topo.connect_all(latency=1e-4, bandwidth=1e9)
+    transport = SimTransport(topo)
+    deaf = Probe()
+    transport.add_node("agent", "ah", deaf)
+    backup = Agent(network=StaticNetworkInfo(
+        default=LinkEstimate(latency=1e-4, bandwidth=1e9)
+    ))
+    transport.add_node("agent-b", "bh", backup)
+    server = ComputationalServer(
+        server_id="s0", agent_address=["agent", "agent-b"],
+        registry=builtin_registry().subset(("linsys/dgesv",)),
+        mflops=100.0, host="sh",
+        cfg=ServerConfig() if register_timeout is None
+        else ServerConfig(register_timeout=register_timeout),
+    )
+    transport.add_node("server/s0", "sh", server)
+    kernel.run(until=1.0)
+    rotated = register_timeout is not None
+    assert deaf.count(RegisterServer) == 1
+    assert server.registered is rotated
+    assert server.agent_failovers == int(rotated)
+    assert ({e.server_id for e in backup.table.entries()} == {"s0"}) is rotated
+
+
 def test_single_agent_deployments_never_rotate():
     """The rotation machinery is inert with one agent — the pre-fleet
     timeout semantics (and their goldens) are untouched."""

@@ -1,7 +1,7 @@
 """Unit tests for the server-resident object store (HandleStore).
 
 The semantics under test are the data-handle contract: content digests
-at insert, pin immunity, refcount/TTL reclamation of unpinned entries,
+at insert, pin immunity, TTL reclamation of unpinned entries,
 byte-budget behaviour split by pin state, and the restart-vs-shutdown
 lifecycle split (an in-process hiccup keeps residents; process death
 clears them).
@@ -117,20 +117,20 @@ def test_unpinned_insert_evicts_unpinned_lru():
     assert store.stats()["evictions"] == 1
 
 
-def test_eviction_never_touches_pinned_or_retained():
+def test_eviction_never_touches_pinned():
     a = np.ones(64)
     per = encoded_size(a)
     store = HandleStore(2 * per + 8)
     store.put("pinned", a, pin=True)
-    store.put("held", np.ones(64))
-    store.retain("held")
+    store.put("also", np.ones(64), pin=True)
     with pytest.raises(NetSolveError):
         store.put("third", np.ones(64))  # nothing evictable
-    assert "pinned" in store and "held" in store
+    assert "pinned" in store and "also" in store
+    assert store.stats()["evictions"] == 0
 
 
 # ----------------------------------------------------------------------
-# refcounts + TTL (generation/virtual-time safe via the injected clock)
+# TTL (virtual-time safe via the injected clock)
 # ----------------------------------------------------------------------
 def test_ttl_expires_idle_unpinned_only():
     store, clock = make_store(ttl=10.0)
@@ -140,33 +140,6 @@ def test_ttl_expires_idle_unpinned_only():
     assert store.entry("tmp") is None       # lapsed
     assert store.entry("op") is not None    # pins never expire
     assert store.stats()["expirations"] == 1
-
-
-def test_retain_blocks_ttl_and_release_restarts_it():
-    store, clock = make_store(ttl=10.0)
-    store.put("x", np.ones(4))
-    store.retain("x")
-    clock.t = 50.0
-    assert store.entry("x") is not None     # held: TTL suspended
-    store.release("x")
-    clock.t = 59.0
-    assert store.entry("x") is not None     # clock restarted at release
-    clock.t = 61.0
-    assert store.entry("x") is None
-
-
-def test_release_of_absent_or_zero_refcount_is_noop():
-    store, _ = make_store()
-    store.release("ghost")
-    store.put("x", np.ones(2))
-    store.release("x")
-    assert store.entry("x") is not None
-
-
-def test_retain_missing_raises():
-    store, _ = make_store()
-    with pytest.raises(MissingObjectError):
-        store.retain("ghost")
 
 
 def test_sweep_reclaims_expired():
@@ -182,6 +155,5 @@ def test_clear_models_process_death():
     store, _ = make_store()
     store.put("a", np.ones(4), pin=True)
     store.put("b", np.ones(4))
-    store.retain("b")
     store.clear()
     assert len(store) == 0 and store.nbytes == 0

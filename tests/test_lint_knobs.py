@@ -30,12 +30,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SETTERS = ("tests", "benchmarks", "examples", "perf")
 
 #: field -> why it may go unset by every test, bench and example
-ALLOWED = {
-    "ServerConfig.register_timeout": (
-        "the operator's --register-timeout: only armed with more than "
-        "one agent address, and fleet tests run on the default"
-    ),
-}
+ALLOWED: dict[str, str] = {}
 
 
 def config_fields() -> dict[str, str]:

@@ -1,8 +1,8 @@
 """Integration tests over real localhost TCP sockets.
 
 The same agent/server/client components that run in simulation run here
-over actual sockets and threads — proving the protocol logic is
-transport-independent.
+over actual sockets and the transport's loop thread — proving the
+protocol logic is transport-independent.
 """
 
 import numpy as np
@@ -25,9 +25,8 @@ RNG = np.random.default_rng(101)
 WAIT = 30.0
 
 
-@pytest.fixture()
-def deployment():
-    transport = TcpTransport()
+def _deploy(transport):
+    """An agent, two servers and a client on ``transport``."""
     network = StaticNetworkInfo(default=LinkEstimate(latency=1e-4, bandwidth=1e9))
     agent = Agent(network=network)
     transport.add_node("agent", agent, port=0)
@@ -51,11 +50,13 @@ def deployment():
         cfg=ClientConfig(agent_timeout=10.0, timeout_floor=10.0),
     )
     client_node = transport.add_node("client/c0", client, port=0)
-    session = TcpSession(client_node, timeout=WAIT)
-    try:
-        yield transport, agent, servers, session
-    finally:
-        transport.close()
+    return agent, servers, TcpSession(client_node, timeout=WAIT)
+
+
+@pytest.fixture()
+def deployment():
+    with TcpTransport() as transport:
+        yield transport, *_deploy(transport)
 
 
 def wait_for(predicate, timeout=10.0):
@@ -282,22 +283,21 @@ def test_object_store_and_sequencing_over_tcp(deployment):
     node = session.node
 
     a = RNG.standard_normal((40, 40)) + 40 * np.eye(40)
-    with node.lock:
-        store_promise = client.store("server/s1", "seq/A", a)
+    store_promise = node.call(lambda: client.store("server/s1", "seq/A", a))
     a_ref = store_promise.wait(WAIT)
     assert a_ref.key == "seq/A" and a_ref.address == "server/s1"
     assert a_ref.nbytes > 40 * 40 * 8
 
     x = RNG.standard_normal(40)
-    with node.lock:
-        handle = client.submit(
-            "blas/dgemv", [a_ref, x], server="server/s1", server_id="s1",
-        )
+    handle = node.call(lambda: client.submit(
+        "blas/dgemv", [a_ref, x], server="server/s1", server_id="s1",
+    ))
     (y,) = handle.promise.wait(WAIT)
     assert np.allclose(y, a @ x)
 
-    with node.lock:
-        delete_promise = client.delete_stored("server/s1", "seq/A")
+    delete_promise = node.call(
+        lambda: client.delete_stored("server/s1", "seq/A")
+    )
     assert delete_promise.wait(WAIT) == a_ref.nbytes
 
 
@@ -375,8 +375,8 @@ def test_pool_closes_no_descriptor_leak():
             for i in range(5):
                 sender.send("rx", Ping(nonce=i))
             wait_for(lambda: True, timeout=0.05)
-    # serve threads notice the close asynchronously
-    assert wait_for(lambda: _open_fds() <= before + 1, timeout=5.0), (
+    # close shuts every socket, the loop's selector and its wake-up pair
+    assert wait_for(lambda: _open_fds() == before, timeout=5.0), (
         f"fds before={before} after={_open_fds()}"
     )
 
@@ -430,8 +430,7 @@ def test_large_payload_sendmsg_roundtrip():
 def test_describe_over_tcp(deployment):
     _t, agent, _s, session = deployment
     assert wait_for(lambda: agent.registrations >= 2)
-    with session.node.lock:
-        promise = session.client.describe("eigen/symm")
+    promise = session.node.call(lambda: session.client.describe("eigen/symm"))
     spec = promise.wait(WAIT)
     assert spec.name == "eigen/symm"
 
@@ -650,25 +649,27 @@ def test_reader_learns_each_new_return_path(listener):
     assert transport.resolve("raw-peer") == ("127.0.0.1", 10)
 
 
-def test_reader_sets_the_socket_timeout_once_per_connection(
-    listener, monkeypatch
-):
+def test_reader_stall_deadline_runs_from_the_last_bytes_received(monkeypatch):
+    # the stall deadline restarts with every read: a peer that trickles a
+    # frame out over several deadlines is slow, not stalled
     import socket
+    import time
 
-    _transport, node, catcher = listener
-    calls = []
-    settimeout = socket.socket.settimeout
+    from repro.protocol import tcp
 
-    def counting(sock, value):
-        calls.append(sock)
-        settimeout(sock, value)
-
-    monkeypatch.setattr(socket.socket, "settimeout", counting)
-    with socket.create_connection(("127.0.0.1", node.port)) as conn:
-        for i in range(20):
-            conn.sendall(_enveloped(Ping(nonce=i)))
-        assert wait_for(lambda: len(catcher.got) == 20)
-        assert len([s for s in calls if s is not conn]) == 1
+    monkeypatch.setattr(tcp, "_CONNECT_TIMEOUT", 0.2)
+    with TcpTransport() as transport:
+        catcher = _Catcher()
+        node = transport.add_node("rx", catcher)
+        data = _enveloped(Ping(nonce=7))
+        step = max(1, len(data) // 16)
+        with socket.create_connection(("127.0.0.1", node.port)) as conn:
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for i in range(0, len(data), step):
+                conn.sendall(data[i:i + step])
+                time.sleep(0.05)
+            assert wait_for(lambda: catcher.got == [Ping(nonce=7)])
+        assert transport.messages_malformed == 0
 
 
 def test_pool_counters_exact_under_concurrent_sends():
@@ -704,22 +705,18 @@ def test_pool_counters_exact_under_concurrent_sends():
 
 
 # ----------------------------------------------------------------------
-# timers: one heap and one thread per node
+# the loop: one thread per transport runs sockets, timers and dispatch
 # ----------------------------------------------------------------------
-def _timer_threads(address):
-    import threading
-
-    return [t for t in threading.enumerate()
-            if t.name == f"tcp-timer-{address}" and t.is_alive()]
-
-
 def test_timers_fire_in_due_order():
     fired = []
     with TcpTransport() as transport:
         node = transport.add_node("t", _Sink())
-        with node.lock:
+
+        def arm():
             for delay in (0.12, 0.03, 0.09, 0.0, 0.06):
                 node.call_after(delay, lambda d=delay: fired.append(d))
+
+        node.call(arm)
         assert wait_for(lambda: len(fired) == 5)
     assert fired == [0.0, 0.03, 0.06, 0.09, 0.12]
 
@@ -728,13 +725,17 @@ def test_a_timer_cancelled_before_it_is_due_never_fires():
     fired = []
     with TcpTransport() as transport:
         node = transport.add_node("t", _Sink())
-        with node.lock:
+        base = transport.kernel.pending()
+
+        def arm():
             doomed = node.call_after(0.05, lambda: fired.append("doomed"))
             node.call_after(0.15, lambda: fired.append("kept"))
             doomed.cancel()
             doomed.cancel()  # idempotent
+
+        node.call(arm)
         assert wait_for(lambda: fired == ["kept"])
-        assert node._timers.live == 0
+        assert transport.kernel.pending() == base
     assert fired == ["kept"]
 
 
@@ -742,21 +743,26 @@ def test_timer_heap_compaction_keeps_the_heap_bounded():
     from repro.simnet.kernel import EventKernel
 
     # a deadline table cancels almost every timer it arms; dead entries
-    # far in the future must not pile up in the heap
+    # far in the future must not pile up in the loop's kernel
     with TcpTransport() as transport:
         node = transport.add_node("t", _Sink())
-        timers = node._timers
-        peak = 0
-        with node.lock:
+        kernel = transport.kernel
+        base = kernel.pending()
+
+        def churn():
+            peak = 0
             keeper = node.call_after(60.0, lambda: None)
             for _ in range(8 * EventKernel.COMPACT_MIN):
                 node.call_after(60.0, lambda: None).cancel()
-                peak = max(peak, len(timers.heap))
-        assert timers.live == 1
+                peak = max(peak, len(kernel._heap))
+            return keeper, peak
+
+        keeper, peak = node.call(churn)
+        assert kernel.pending() == base + 1
         assert peak <= EventKernel.COMPACT_MIN
-        assert len(timers.heap) < EventKernel.COMPACT_MIN
-        keeper.cancel()
-        assert timers.live == 0
+        assert len(kernel._heap) < EventKernel.COMPACT_MIN
+        node.call(keeper.cancel)
+        assert kernel.pending() == base
 
 
 def test_timer_counts_stay_exact_under_concurrent_arm_cancel_and_fire():
@@ -764,8 +770,8 @@ def test_timer_counts_stay_exact_under_concurrent_arm_cancel_and_fire():
     import sys
     import threading
 
-    # four arming threads and the timer thread share the heap and its
-    # live count; a lost update leaves ``live`` off zero at the end
+    # four threads arm and cancel through the loop while it fires; a lost
+    # update leaves the kernel's live count off its baseline at the end
     threads, per = 4, 250
     fired = collections.Counter()
     switch = sys.getswitchinterval()
@@ -773,20 +779,22 @@ def test_timer_counts_stay_exact_under_concurrent_arm_cancel_and_fire():
     try:
         with TcpTransport() as transport:
             node = transport.add_node("t", _Sink())
+            base = transport.kernel.pending()
             start = threading.Barrier(threads)
+
+            def arm(i, key):
+                if i % 3:
+                    node.call_after(0.001 * (i % 4),
+                                    lambda: fired.update([key]))
+                else:
+                    node.call_after(
+                        30.0, lambda: fired.update([key])
+                    ).cancel()
 
             def churn(k):
                 start.wait(timeout=10)
                 for i in range(per):
-                    key = (k, i)
-                    with node.lock:
-                        if i % 3:
-                            node.call_after(0.001 * (i % 4),
-                                            lambda key=key: fired.update([key]))
-                        else:
-                            node.call_after(
-                                30.0, lambda key=key: fired.update([key])
-                            ).cancel()
+                    node.call(lambda i=i: arm(i, (k, i)))
 
             workers = [threading.Thread(target=churn, args=(k,))
                        for k in range(threads)]
@@ -797,7 +805,7 @@ def test_timer_counts_stay_exact_under_concurrent_arm_cancel_and_fire():
             assert not any(w.is_alive() for w in workers)
             kept = {(k, i) for k in range(threads) for i in range(per) if i % 3}
             assert wait_for(lambda: set(fired) == kept)
-            assert node._timers.live == 0
+            assert transport.kernel.pending() == base
             assert set(fired.values()) == {1}
     finally:
         sys.setswitchinterval(switch)
@@ -814,32 +822,141 @@ def test_a_raising_timer_callback_is_counted_and_later_timers_fire():
     metrics = MetricsRegistry()
     with TcpTransport(metrics=metrics) as transport:
         node = transport.add_node("t", _Sink())
-        with node.lock:
+
+        def arm():
             node.call_after(0.0, boom)
             node.call_after(0.05, lambda: fired.append(1))
+
+        node.call(arm)
         assert wait_for(lambda: fired == [1])
-        with node.lock:
-            node.call_after(0.0, lambda: fired.append(2))
+        node.call(lambda: node.call_after(0.0, lambda: fired.append(2)))
         assert wait_for(lambda: fired == [1, 2])
         assert transport.handler_errors == 1
         assert metrics.get("wire.handler_errors").value == 1
 
 
-def test_shutdown_ends_the_timer_thread_and_refuses_new_timers():
+def test_close_ends_the_loop_and_refuses_new_timers():
     from repro.errors import TransportClosed
 
     fired = []
-    with TcpTransport() as transport:
+    transport = TcpTransport()
+    try:
         node = transport.add_node("t", _Sink())
-        assert not _timer_threads("t")  # no timer armed, no thread
-        with node.lock:
-            node.call_after(30.0, lambda: fired.append(1))
-        assert len(_timer_threads("t")) == 1
+        node.call(lambda: node.call_after(30.0, lambda: fired.append(1)))
         node.shutdown()
-        assert not _timer_threads("t")
         with pytest.raises(TransportClosed):
-            node.call_after(0.0, lambda: fired.append(2))
+            node.call(lambda: node.call_after(0.0, lambda: fired.append(2)))
+    finally:
+        transport.close()
+    assert not transport._thread.is_alive()
+    with pytest.raises(TransportClosed):
+        node.call(lambda: None)
+    transport.close()  # idempotent
     assert fired == []
+
+
+def test_one_loop_thread_plus_the_compute_workers_that_ran():
+    import threading
+
+    before = set(threading.enumerate())
+    fds = _open_fds()
+    transport = TcpTransport()
+    try:
+        agent, _servers, session = _deploy(transport)
+        assert wait_for(lambda: agent.registrations >= 2)
+        for n in (12, 24, 36):
+            a = RNG.standard_normal((n, n)) + n * np.eye(n)
+            b = RNG.standard_normal(n)
+            status, (x,) = netsl(session, "linsys/dgesv", a, b)
+            assert status == NS_OK and np.allclose(a @ x, b, atol=1e-8)
+        started = {t for t in threading.enumerate() if t not in before}
+        workers = {t for node in transport.nodes.values()
+                   for t in node._compute_pool._threads}
+        assert workers, "no compute worker ran"
+        assert started == {transport._thread} | workers
+        assert transport._thread.name == "tcp-loop"
+    finally:
+        transport.close()
+    assert not transport._thread.is_alive()
+    assert wait_for(lambda: not any(t.is_alive() for t in started))
+    assert _open_fds() == fds
+
+
+def test_two_nodes_of_one_transport_swap_8mb_frames_at_once():
+    # both writes outrun the socket buffers and queue; the readers are the
+    # same loop, so a blocking write would deadlock here
+    from repro.protocol.messages import SolveRequest
+
+    big = {"a": RNG.standard_normal(1 << 20), "b": RNG.standard_normal(1 << 20)}
+    with TcpTransport() as transport:
+        catchers = {name: _Catcher() for name in "ab"}
+        nodes = {name: transport.add_node(name, catchers[name]) for name in "ab"}
+        seen_by_timer = []
+
+        def swap():
+            for src, dest in (("a", "b"), ("b", "a")):
+                nodes[src].send(dest, SolveRequest(
+                    request_id=1, problem="p", inputs=(big[src],)
+                ))
+            # fires on the loop's next turn, with both frames in flight
+            nodes["a"].call_after(0.0, lambda: seen_by_timer.append(
+                [len(c.got) for c in catchers.values()]
+            ))
+            return [conn.outbox != [] for node in nodes.values()
+                    for conn in node._pool._conns.values()]
+
+        assert nodes["a"].call(swap) == [True, True]
+        assert wait_for(
+            lambda: all(len(c.got) == 1 for c in catchers.values()),
+            timeout=WAIT,
+        )
+        assert seen_by_timer == [[0, 0]]
+        nodes["a"].send("b", Ping(nonce=3))  # the connections still serve
+        assert wait_for(lambda: len(catchers["b"].got) == 2)
+    assert catchers["b"].got[0].inputs[0].tobytes() == big["a"].tobytes()
+    assert catchers["a"].got[0].inputs[0].tobytes() == big["b"].tobytes()
+    assert transport.messages_malformed == 0
+
+
+def test_a_foreign_submit_and_a_loop_timer_never_run_together():
+    import time
+
+    class Probe(NetSolveClient):
+        """Counts entries into its critical section that found it busy."""
+
+        def __init__(self):
+            super().__init__(client_id="cp", agent_address="agent")
+            self.busy = False
+            self.overlaps = self.ticks = 0
+
+        def critical(self):
+            if self.busy:
+                self.overlaps += 1
+            self.busy = True
+            time.sleep(0.0005)  # lets any other thread in
+            self.busy = False
+
+        def on_bind(self):
+            super().on_bind()
+            self.node.call_after(0.0, self.tick)
+
+        def tick(self):
+            self.critical()
+            self.ticks += 1
+            if self.ticks < 200:
+                self.node.call_after(0.0, self.tick)
+
+        def submit(self, problem, args, *, qos=""):
+            self.critical()
+            return problem
+
+    with TcpTransport() as transport:
+        probe = Probe()
+        session = TcpSession(transport.add_node("client/cp", probe))
+        for _ in range(200):
+            assert session.submit("p", []) == "p"
+        assert wait_for(lambda: probe.ticks == 200)
+    assert probe.overlaps == 0
 
 
 @pytest.mark.parametrize("probe", ["solve-reply-to", "store-key"])
@@ -847,8 +964,8 @@ def test_a_handler_fault_is_counted_and_the_server_keeps_serving(probe):
     # hostile values the codec lets through: SolveRequest(reply_to={...})
     # blows up in the compute completion (an unhashable reply address;
     # a plain int is an unknown address now, and its reply is dropped),
-    # StoreObject(key=5) in the message handler on the connection's
-    # reader thread.  Either way the fault is counted once and the next
+    # StoreObject(key=5) in the message handler, where it also drops the
+    # connection.  Either way the fault is counted once and the next
     # valid request is answered
     import socket
 
