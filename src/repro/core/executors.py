@@ -26,8 +26,8 @@ lanes a server can execute on:
 * :class:`ProcessPool` — an opt-in lane over
   :class:`concurrent.futures.ProcessPoolExecutor` for GIL-bound
   handlers (pure-Python kernels that never release the lock).  Closures
-  do not pickle, so this lane ships ``(problem, inputs)`` pairs and the
-  child rebuilds the problem registry once from a module-level factory.
+  do not pickle, so this lane ships ``(problem, inputs)`` pairs, and each
+  child forks with the server's own problem registry already in memory.
   Real-socket transports only: results return on executor threads, and
   the simulated transport's virtual clock cannot account for them.
 
@@ -46,7 +46,7 @@ from typing import Any, Callable, Optional, Sequence
 from ..errors import NetSolveError
 from ..numerics.threads import pin_blas_threads
 
-__all__ = ["WorkerPool", "ProcessPool", "default_registry_factory"]
+__all__ = ["WorkerPool", "ProcessPool"]
 
 
 class WorkerPool:
@@ -179,17 +179,10 @@ class WorkerPool:
 _CHILD_REGISTRY = None
 
 
-def default_registry_factory():
-    """Child-side default: the full builtin catalogue."""
-    from ..problems.builtin import builtin_registry
-
-    return builtin_registry()
-
-
-def _child_init(factory) -> None:  # pragma: no cover - runs in the child
+def _child_init(registry) -> None:  # pragma: no cover - runs in the child
     global _CHILD_REGISTRY
     pin_blas_threads()  # each child is one slot
-    _CHILD_REGISTRY = factory()
+    _CHILD_REGISTRY = registry
 
 
 def _child_run(problem: str, inputs: Sequence[Any]):  # pragma: no cover
@@ -204,21 +197,17 @@ def _child_run(problem: str, inputs: Sequence[Any]):  # pragma: no cover
 class ProcessPool:
     """Opt-in process executor for GIL-bound problem handlers.
 
-    ``submit(problem, inputs, done)`` runs the named problem in a child
-    process built around ``registry_factory`` (a picklable module-level
-    callable returning a :class:`~repro.problems.registry.ProblemRegistry`)
-    and invokes ``done(result, elapsed)`` from an executor thread —
-    callers on a threaded transport must re-enter their own lock (the
-    server marshals through ``node.post``).  Exceptions travel as
-    values, matching ``Node.compute``.
+    ``submit(problem, inputs, done)`` runs the named problem of
+    ``registry`` (a :class:`~repro.problems.registry.ProblemRegistry`) in
+    a child process and invokes ``done(result, elapsed)`` from an
+    executor thread — callers on a threaded transport must re-enter
+    their own lock (the server marshals through ``node.post``).
+    Exceptions travel as values, matching ``Node.compute``.  Children
+    are forked, so each inherits the registry as it stood when it
+    forked, closures and all: nothing about it is pickled.
     """
 
-    def __init__(
-        self,
-        workers: int,
-        *,
-        registry_factory: Callable = default_registry_factory,
-    ):
+    def __init__(self, workers: int, registry):
         import concurrent.futures
         import multiprocessing
 
@@ -227,13 +216,15 @@ class ProcessPool:
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError:  # pragma: no cover - non-fork platforms
-            ctx = multiprocessing.get_context("spawn")
+            raise NetSolveError(
+                "the process lane needs the fork start method"
+            ) from None
         self.workers = int(workers)
         self._executor = concurrent.futures.ProcessPoolExecutor(
             max_workers=workers,
             mp_context=ctx,
             initializer=_child_init,
-            initargs=(registry_factory,),
+            initargs=(registry,),
         )
         self.submitted = 0
         self.completed = 0

@@ -1044,7 +1044,9 @@ class ComputationalServer(DispatchComponent):
         """
         pool = self._process_pool
         if pool is None:
-            pool = ProcessPool(self.cfg.workers or self.cfg.max_concurrent)
+            pool = ProcessPool(
+                self.cfg.workers or self.cfg.max_concurrent, self.registry
+            )
             self._process_pool = pool
 
         def marshal(result, elapsed: float) -> None:

@@ -4,10 +4,13 @@ A :class:`Periodic` owns one self-rescheduling timer chain: run the
 body, then re-arm.  The property the components' inlined versions
 lacked is idempotent restart — ``start()`` *supersedes* any previous
 chain by bumping a generation stamp, so calling it again (``on_restart``
-delegating to ``on_bind``, say) leaves exactly one live chain.  On the
-sim transport a crash cancels node timers anyway; on the TCP transport
-an old timer already popped for firing may still fire, and the stamp is
-what turns that fire into a counted no-op instead of a duplicate chain.
+delegating to ``on_bind``, say) leaves exactly one live chain.  Both
+transports hand back a cancellable timer, and cancelling it is enough:
+every timer runs on the one thread that cancels it (the sim kernel, or
+the TCP transport's loop).  The stamp covers nodes that return ``None``
+handles (bench and test harnesses): there the superseded chain's next
+tick still fires, and the stamp turns it into a counted no-op instead
+of a duplicate chain.
 
 Ticks preserve the seed components' body-then-rearm order, so any
 timers the body arms keep their position in the event kernel's

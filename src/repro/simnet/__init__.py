@@ -10,7 +10,7 @@ All randomness flows through named, seeded streams
 (:mod:`repro.simnet.rng`), so any (seed, config) pair replays exactly.
 """
 
-from .kernel import Event, EventKernel, Process, Timer
+from .kernel import Event, EventKernel, Timer, TimerGroup
 from .rng import RngStreams
 from .host import SimHost
 from .network import Link, LinkStats, Topology, TransferPlan
@@ -25,8 +25,8 @@ from .traffic import (
 __all__ = [
     "Event",
     "EventKernel",
-    "Process",
     "Timer",
+    "TimerGroup",
     "RngStreams",
     "SimHost",
     "Link",

@@ -36,7 +36,7 @@ import numpy as np
 
 from ..errors import SimulationError
 from .host import SimHost
-from .kernel import EventKernel, Timer
+from .kernel import EventKernel, TimerGroup
 
 __all__ = [
     "LoadGenerator",
@@ -53,11 +53,11 @@ __all__ = [
 
 
 class KernelGenerator:
-    """Base class: owns a kernel and a set of timers to cancel on stop."""
+    """Base class: owns a kernel and the timers to cancel on stop."""
 
     def __init__(self, kernel: EventKernel):
         self.kernel = kernel
-        self._timers: list[Timer] = []
+        self._timers = TimerGroup(kernel)
         self._running = False
 
     def start(self) -> "KernelGenerator":
@@ -69,25 +69,19 @@ class KernelGenerator:
 
     def stop(self) -> None:
         self._running = False
-        for t in self._timers:
-            t.cancel()
-        self._timers.clear()
+        self._timers.cancel_all()
 
     def _start(self) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
 
     def _arm(self, delay: float, fn) -> None:
-        """Schedule ``fn`` if still running; keep the timer for teardown."""
+        """Schedule ``fn`` in the group; it runs only while running (a
+        callback may ``stop()`` and then arm again)."""
         def guarded() -> None:
             if self._running:
                 fn()
 
-        self._timers.append(self.kernel.call_after(delay, guarded))
-        # long-running generators arm one timer per event: prune spent
-        # entries so stop() doesn't walk an ever-growing dead list
-        if len(self._timers) > 64:
-            self._timers = [t for t in self._timers if not t.cancelled
-                            and t.time >= self.kernel.now]
+        self._timers.call_after(delay, guarded)
 
 
 class LoadGenerator(KernelGenerator):

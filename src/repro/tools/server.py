@@ -58,9 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workload-step", type=float, default=10.0)
     parser.add_argument("--workload-threshold", type=float, default=10.0)
     parser.add_argument("--max-concurrent", type=int, default=1)
-    parser.add_argument("--max-inflight", type=int, default=None,
-                        help="alias for --max-concurrent (the server's "
-                             "slot count); takes precedence when given")
     parser.add_argument("--workers", type=int, default=0,
                         help="compute-pool threads (0 = match the slot "
                              "count)")
@@ -153,10 +150,6 @@ def main(argv: list[str] | None = None) -> int:
         print("no problems selected; refusing to register an empty server")
         return 2
 
-    slots = (
-        args.max_inflight if args.max_inflight is not None
-        else args.max_concurrent
-    )
     qos_kwargs = {}
     if args.qos_deadlines is not None:
         qos_kwargs["qos_deadlines"] = parse_class_triple(
@@ -182,7 +175,7 @@ def main(argv: list[str] | None = None) -> int:
                     time_step=args.workload_step,
                     threshold=args.workload_threshold,
                 ),
-                max_concurrent=slots,
+                max_concurrent=args.max_concurrent,
                 max_queue=args.max_queue,
                 reregister_interval=args.reregister,
                 workers=args.workers,
@@ -200,7 +193,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         node = transport.add_node(
             f"server/{server_id}", server, port=args.port,
-            compute_workers=args.workers or slots,
+            compute_workers=args.workers or args.max_concurrent,
         )
         agent_list = ", ".join(
             f"{name}@{host}:{port}" for name, host, port in agents
@@ -214,7 +207,7 @@ def main(argv: list[str] | None = None) -> int:
         run_forever(
             f"netsolve server {server_id!r} on {args.bind}:{node.port} "
             f"({len(registry)} problems, {args.mflops:g} Mflop/s, "
-            f"{slots} slot(s), BLAS threads per slot: {blas}, "
+            f"{args.max_concurrent} slot(s), BLAS threads per slot: {blas}, "
             f"agent(s) {agent_list})"
         )
     if metrics is not None:

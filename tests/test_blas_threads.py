@@ -89,9 +89,10 @@ def test_process_pool_child_runs_one_blas_thread():
     child, parent = run_fresh("""
         from repro.core.executors import ProcessPool
         from repro.numerics.threads import blas_threads, pin_blas_threads
+        from repro.problems.builtin import builtin_registry
 
         pin_blas_threads(2)
-        pool = ProcessPool(1)
+        pool = ProcessPool(1, builtin_registry())
         try:
             print(pool._executor.submit(blas_threads).result(timeout=60))
         finally:

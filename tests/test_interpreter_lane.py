@@ -177,7 +177,7 @@ def test_a_process_pool_forked_while_a_kernel_holds_the_lane_still_solves():
     b = rng.standard_normal(6)
     done = queue.Queue()
     before = set(multiprocessing.active_children())
-    pool = ProcessPool(1)
+    pool = ProcessPool(1, builtin_registry())
     try:
         pool.submit("linsys/dgesv", [a, b], lambda r, _t: done.put(r))
         result = done.get(timeout=WAIT)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.simnet.kernel import EventKernel
+from repro.simnet.kernel import EventKernel, TimerGroup
 
 
 def test_clock_starts_at_zero():
@@ -120,28 +120,6 @@ def test_max_events_guard():
         k.run(max_events=100)
 
 
-def test_every_fires_periodically():
-    k = EventKernel()
-    ticks = []
-    k.every(10.0, lambda: ticks.append(k.now))
-    k.run(until=35.0)
-    assert ticks == [10.0, 20.0, 30.0]
-
-
-def test_every_with_explicit_start():
-    k = EventKernel()
-    ticks = []
-    k.every(10.0, lambda: ticks.append(k.now), start=0.0)
-    k.run(until=25.0)
-    assert ticks == [0.0, 10.0, 20.0]
-
-
-def test_every_rejects_nonpositive_interval():
-    k = EventKernel()
-    with pytest.raises(SimulationError):
-        k.every(0.0, lambda: None)
-
-
 def test_event_wakes_all_waiters_with_value():
     k = EventKernel()
     ev = k.event()
@@ -178,83 +156,6 @@ def test_event_value_before_fire_raises():
     ev = k.event()
     with pytest.raises(SimulationError):
         _ = ev.value
-
-
-def test_run_until_event_returns_value():
-    k = EventKernel()
-    ev = k.event()
-    k.call_after(2.0, lambda: ev.succeed("done"))
-    assert k.run_until(ev) == "done"
-    assert k.now == 2.0
-
-
-def test_run_until_event_deadlock_detected():
-    k = EventKernel()
-    ev = k.event()
-    with pytest.raises(SimulationError):
-        k.run_until(ev)
-
-
-def test_process_sleeps_and_returns():
-    k = EventKernel()
-    log = []
-
-    def proc():
-        log.append(("start", k.now))
-        yield 5.0
-        log.append(("mid", k.now))
-        yield 2.5
-        log.append(("end", k.now))
-        return "result"
-
-    p = k.process(proc())
-    k.run()
-    assert log == [("start", 0.0), ("mid", 5.0), ("end", 7.5)]
-    assert p.done.fired and p.done.value == "result"
-    assert not p.alive
-
-
-def test_process_waits_on_event_and_receives_value():
-    k = EventKernel()
-    ev = k.event()
-    got = []
-
-    def proc():
-        value = yield ev
-        got.append(value)
-
-    k.process(proc())
-    k.call_after(4.0, lambda: ev.succeed("payload"))
-    k.run()
-    assert got == ["payload"]
-
-
-def test_process_interrupt_stops_execution():
-    k = EventKernel()
-    log = []
-
-    def proc():
-        yield 1.0
-        log.append("a")
-        yield 1.0
-        log.append("b")
-
-    p = k.process(proc())
-    k.call_after(1.5, p.interrupt)
-    k.run()
-    assert log == ["a"]
-    assert p.done.fired
-
-
-def test_process_bad_yield_type_raises():
-    k = EventKernel()
-
-    def proc():
-        yield "nonsense"
-
-    k.process(proc())
-    with pytest.raises(SimulationError):
-        k.run()
 
 
 def test_pending_and_peek():
@@ -308,34 +209,6 @@ def test_peek_preserves_run_semantics():
     k.run()
     assert seen == ["live"]
     assert k.now == 2.0
-
-
-# ----------------------------------------------------------------------
-# regression: every() returns a handle for the live cycle, not just the
-# first firing
-# ----------------------------------------------------------------------
-def test_every_cancel_mid_cycle_stops_the_cycle():
-    k = EventKernel()
-    ticks = []
-    handle = k.every(10.0, lambda: ticks.append(k.now))
-    k.run(until=25.0)
-    assert ticks == [10.0, 20.0]
-    # the cycle has re-armed itself twice by now; the original handle
-    # must still control it
-    handle.cancel()
-    k.run(until=100.0)
-    assert ticks == [10.0, 20.0]
-    assert k.pending() == 0
-
-
-def test_every_cancel_from_inside_callback():
-    k = EventKernel()
-    ticks = []
-    handle = k.every(5.0, lambda: (ticks.append(k.now),
-                                   handle.cancel() if len(ticks) >= 3 else None))
-    k.run(until=60.0)
-    assert ticks == [5.0, 10.0, 15.0]
-    assert k.pending() == 0
 
 
 # ----------------------------------------------------------------------
@@ -412,3 +285,54 @@ def test_double_cancel_keeps_pending_consistent():
     assert k.pending() == 1
     k.run()
     assert k.pending() == 0
+
+
+# ----------------------------------------------------------------------
+# TimerGroup: one owner's live timers, cancelled together
+# ----------------------------------------------------------------------
+def test_timer_group_holds_exactly_its_live_timers():
+    k = EventKernel()
+    group = TimerGroup(k)
+    seen = []
+    group.call_after(1.0, lambda: seen.append("fired"))
+    doomed = group.call_after(2.0, lambda: seen.append("doomed"))
+    group.call_at(3.0, lambda: seen.append("kept"))
+    k.call_after(4.0, lambda: seen.append("unowned"))
+    assert len(group) == 3
+    doomed.cancel()
+    assert len(group) == 2
+    k.run(until=1.5)
+    assert seen == ["fired"] and len(group) == 1
+    group.cancel_all()
+    assert len(group) == 0
+    assert k.pending() == 1  # the unowned timer is not the group's
+    k.run()
+    assert seen == ["fired", "unowned"]
+
+
+def test_timer_group_validates_and_survives_cancel_after_fire():
+    k = EventKernel()
+    group = TimerGroup(k)
+    with pytest.raises(SimulationError):
+        group.call_after(-1.0, lambda: None)
+    fired = group.call_after(1.0, lambda: None)
+    k.run()
+    fired.cancel()  # a spent handle: no effect on the counts
+    assert len(group) == 0 and k.pending() == 0
+
+
+def test_timer_group_timer_armed_by_its_own_callback_stays_live():
+    k = EventKernel()
+    group = TimerGroup(k)
+    ticks = []
+
+    def tick():
+        ticks.append(k.now)
+        if len(ticks) < 3:
+            group.call_after(1.0, tick)
+
+    group.call_after(1.0, tick)
+    k.run(until=2.5)
+    assert ticks == [1.0, 2.0] and len(group) == 1
+    k.run()
+    assert ticks == [1.0, 2.0, 3.0] and len(group) == 0

@@ -342,20 +342,25 @@ def test_fired_timers_do_not_pile_up_on_a_node():
     assert len(node._jobs) == 0
 
 
-def test_crash_cancels_every_armed_timer_after_pruning():
+def test_node_group_holds_only_live_timers_and_a_crash_cancels_them():
     kernel, _, transport = make_world()
     node = transport.add_node("a", "h1", Collector())
+    base = kernel.pending()
     fired = []
-    for i in range(300):  # spent timers, to push the list past pruning
+    for _ in range(300):  # spent: each fires before the next is armed
         node.call_after(0.001, lambda: None)
         kernel.run()
-    armed = [
+    for i in range(500):  # armed, then cancelled by their owner
+        node.call_after(5.0 + i, lambda: fired.append("cancelled")).cancel()
+    live = [
         node.call_after(10.0 + i, lambda i=i: fired.append(i))
-        for i in range(500)  # well past the prune threshold, all live
+        for i in range(200)
     ]
-    assert all(t in node._timers for t in armed)
+    assert len(node._timers) == 200
+    assert kernel.pending() == base + 200
     transport.crash("a")
-    assert all(t.cancelled for t in armed)
-    assert not node._timers
+    assert all(t.cancelled for t in live)
+    assert len(node._timers) == 0
+    assert kernel.pending() == base
     kernel.run()
     assert fired == []

@@ -855,6 +855,22 @@ def test_close_ends_the_loop_and_refuses_new_timers():
     assert fired == []
 
 
+def test_node_shutdown_cancels_its_timers_in_the_transport_kernel():
+    fired = []
+    with TcpTransport() as transport:
+        def pending():
+            return transport.call(transport.kernel.pending)
+
+        assert pending() == 1  # the transport's own connection sweep
+        node = transport.add_node("t", _Sink())
+        node.call(lambda: node.call_after(30.0, lambda: fired.append(1)))
+        assert pending() == 2
+        node.shutdown()
+        assert pending() == 1
+        assert len(node._timers) == 0
+    assert fired == []
+
+
 def test_one_loop_thread_plus_the_compute_workers_that_ran():
     import threading
 

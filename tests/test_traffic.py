@@ -121,6 +121,19 @@ def test_poisson_load_deterministic_replay():
     assert run(11) != run(12)
 
 
+def test_long_running_poisson_load_holds_only_live_timers():
+    k, h = make_host()
+    rng = RngStreams(5).get("poisson-live")
+    gen = PoissonJobLoad(h, rng, rate=1 / 10.0, mean_duration=20.0).start()
+    k.run(until=20_000.0)
+    # ~2,000 arrivals armed ~4,000 timers; only the next arrival and
+    # each job still holding the CPU are pending
+    assert len(gen._timers) == k.pending()
+    assert len(gen._timers) == 1 + round(gen._level / gen.unit_load)
+    gen.stop()
+    assert len(gen._timers) == 0 and k.pending() == 0
+
+
 def test_poisson_validation():
     _, h = make_host()
     rng = RngStreams(0).get("x")
