@@ -10,6 +10,7 @@ seconds.
 
 from __future__ import annotations
 
+import multiprocessing
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
@@ -138,9 +139,10 @@ class ServerConfig:
     #: execution lane: "thread" (a compute-pool thread per slot; only
     #: kernels registered as releasing the GIL run side by side, the rest
     #: take turns in the process's interpreter lane) or "process" (opt-in
-    #: for GIL-bound handlers; threaded transports only).  Either way one
-    #: slot runs one kernel on one BLAS thread: OpenBLAS's own pool would
-    #: busy-wait after every call (repro.numerics.threads)
+    #: for GIL-bound handlers; threaded transports and fork platforms
+    #: only).  Either way one slot runs one kernel on one BLAS thread:
+    #: OpenBLAS's own pool would busy-wait after every call
+    #: (repro.numerics.threads)
     executor: str = "thread"
     #: micro-batching: while all slots are busy, up to this many queued
     #: same-problem shape-compatible requests coalesce into one stacked
@@ -187,6 +189,11 @@ class ServerConfig:
         _require(
             self.executor in ("thread", "process"),
             "executor must be 'thread' or 'process'",
+        )
+        _require(
+            self.executor != "process"
+            or "fork" in multiprocessing.get_all_start_methods(),
+            "executor 'process' needs the fork start method",
         )
         _require(self.batch_max >= 0, "batch_max must be >= 0")
         _require(self.cache_entries >= 0, "cache_entries must be >= 0")
