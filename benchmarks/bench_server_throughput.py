@@ -180,9 +180,11 @@ def batching_kernel() -> dict:
     """Registry-boundary cost of a small-FFT flood, stacked vs serial.
 
     Best-of-3 wall-clock on both lanes; the stacked lane runs the whole
-    flood as ``FFT_COUNT / BATCH`` vectorized calls.  Also reports the
-    (smaller) dgesv win — its batched panel factorization vectorizes
-    only the elementwise stages, so most of its time stays per-item.
+    flood as ``FFT_COUNT / BATCH`` calls, each one pocketfft call over
+    the stack.  Also reports dgesv n=96, whose stacked lane is one
+    LAPACK ``gesv`` call through ``np.linalg.solve`` per batch.  Both
+    kernels are compiled, so the stacked lane saves the per-call
+    validation and dispatch around them, not kernel work.
     """
     reg = builtin_registry()
     rng = np.random.default_rng(7)

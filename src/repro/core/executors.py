@@ -11,10 +11,10 @@ lanes a server can execute on:
   only where the kernel releases the GIL (``blas/dgemm``: on a 2-vCPU
   host two slots halve its wall time per 384x384 product, 3.06 -> 1.52
   ms).  Most of the catalogue is Python loops that hold the GIL, and
-  those take turns in one process-wide interpreter lane instead: dgesv
-  n=384 takes 14.7 ms of wall per item in the lane and 15.1 ms two at a
-  time, which also costs 47% more CPU.  Each worker is one compute
-  slot running one kernel on one BLAS thread
+  those take turns in one process-wide interpreter lane instead:
+  ``linsys/det`` n=384 takes 17.8 ms of wall per item in the lane and
+  18.0 ms two at a time, which also costs 50% more CPU.  Each worker is
+  one compute slot running one kernel on one BLAS thread
   (:mod:`repro.numerics.threads`): left at its default, OpenBLAS
   would spread each kernel over its own thread pool, whose
   idle threads busy-wait after every call (a 384x384 ``@`` every 9 ms

@@ -32,7 +32,6 @@ from .sparse import (
 )
 from .tridiag import thomas_solve, tridiag_solve_pivoting, tridiag_matvec
 from .gauss import gauss_legendre, legendre_nodes
-from .batch import lu_factor_batched, solve_batched, fft_batched, matmul_batched
 
 __all__ = [
     "axpy", "dot", "nrm2", "gemv", "gemm", "asum", "iamax", "scal",
@@ -51,5 +50,4 @@ __all__ = [
     "CsrMatrix", "sparse_cg", "sparse_jacobi", "poisson_1d", "poisson_2d",
     "thomas_solve", "tridiag_solve_pivoting", "tridiag_matvec",
     "gauss_legendre", "legendre_nodes",
-    "lu_factor_batched", "solve_batched", "fft_batched", "matmul_batched",
 ]

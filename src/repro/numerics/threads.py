@@ -20,9 +20,10 @@ Slots buy parallelism only for kernels that spend their time in native
 code with the GIL released.  On a 2-vCPU host, two slots halve the
 wall time per 384x384 ``blas/dgemm`` (3.06 -> 1.52 ms).  Most of the
 catalogue is Python loops over NumPy calls, and two such kernels in one
-process convoy on the GIL: dgesv n=64 plus fft n=1024 on two threads
-spend 2,497 us of CPU per item instead of 1,261, and take 1,991 us of
-wall instead of 1,261.  So every kernel not registered as releasing the
+process convoy on the GIL: ``linsys/inverse`` n=64 plus ``sort/merge``
+n=256 on two threads spend 5,075 us of CPU per pair instead of 3,543,
+and take 4,242 us of wall instead of 3,543 (medians of 7 runs).  So
+every kernel not registered as releasing the
 GIL runs inside :data:`INTERPRETER_LANE`, one process-wide lock: a
 second such kernel waits on the lock, asleep, instead of contending for
 the interpreter.

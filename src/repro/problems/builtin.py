@@ -3,7 +3,12 @@
 Mirrors the flavour of the original server's catalogue (LAPACK dense
 linear algebra, BLAS kernels, eigensolvers, ItPack iterative methods,
 QuadPack quadrature, FitPack fitting, plus FFT/ODE/sorting), with each
-problem described in PDL and dispatched to :mod:`repro.numerics`.
+problem described in PDL.  As the original server wrapped vendor
+libraries, ``linsys/dgesv`` and ``signal/fft`` call the compiled
+routines their PDL ``lib`` names, LAPACK ``gesv`` and pocketfft, through
+NumPy; their batch handlers are one stacked call of the same routine,
+bit-identical to per-item calls.  The rest of the catalogue dispatches
+to :mod:`repro.numerics`.
 
 ``builtin_registry()`` returns a fresh registry so callers can prune or
 extend their copy without affecting others (partial servers advertise a
@@ -15,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import numerics as num
-from ..errors import NumericsError
+from ..errors import NumericsError, SingularMatrixError
 from .pdl import parse_pdl
 from .registry import ProblemRegistry
 
@@ -273,7 +278,16 @@ end
 
 
 def _h_dgesv(a, b):
-    return num.solve(a, b)
+    """LAPACK ``gesv`` through NumPy, with :func:`repro.numerics.solve`'s
+    input checks and error type; also solves a stack (the batch lane)."""
+    if a.size == 0:
+        raise NumericsError("empty matrix")
+    if not np.isfinite(a).all():
+        raise NumericsError("matrix contains non-finite entries")
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrixError(str(exc)) from None  # "Singular matrix"
 
 
 def _h_inverse(a):
@@ -358,7 +372,12 @@ def _h_jacobi(a, b):
 
 
 def _h_fft(x):
-    return num.fft(x)
+    """NumPy's pocketfft along the last axis (so also over a batch stack),
+    for the power-of-two lengths the spec promises."""
+    n = x.shape[-1]
+    if n == 0 or (n & (n - 1)) != 0:
+        raise NumericsError(f"fft length must be a power of two, got {n}")
+    return np.fft.fft(x)
 
 
 def _h_ode_linear(m, y0, steps, t1):
@@ -406,15 +425,17 @@ def _h_select(x, k):
 
 
 def _hb_dgesv(items):
-    return num.solve_batched([a for a, _b in items], [b for _a, b in items])
+    a = np.stack([a for a, _b in items])
+    b = np.stack([b for _a, b in items])[:, :, None]
+    return list(_h_dgesv(a, b)[:, :, 0])
 
 
 def _hb_dgemm(items):
-    return num.matmul_batched([a for a, _b in items], [b for _a, b in items])
+    return [num.gemm(a, b) for a, b in items]
 
 
 def _hb_fft(items):
-    return num.fft_batched([x for (x,) in items])
+    return list(_h_fft(np.stack([x for (x,) in items])))
 
 
 #: problems with a stacked batch lane (bit-identical to per-item runs)

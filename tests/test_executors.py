@@ -639,22 +639,41 @@ def test_restart_storm_does_not_accumulate_process_children():
 
 
 def test_tcp_compute_pool_is_bounded_and_counts_saturation():
+    from repro.problems.complexity import Complexity
+    from repro.problems.spec import ObjectKind, ObjectSpec, ProblemSpec
     from repro.trace.instruments import MetricsRegistry
 
+    # the kernel holds its worker until all three requests are in the
+    # pool, so the later two always find it busy
+    queued = threading.Event()
+
+    def hold(x):
+        queued.wait(30.0)
+        return np.float64(x.sum())
+
+    registry = ProblemRegistry()
+    registry.register(ProblemSpec(
+        name="test/hold",
+        inputs=(ObjectSpec("x", ObjectKind.VECTOR, dims=("n",)),),
+        outputs=(ObjectSpec("s", ObjectKind.SCALAR),),
+        complexity=Complexity("n"),
+    ), hold)
     metrics = MetricsRegistry()
     transport, server, probe = make_tcp_server(
         ServerConfig(max_concurrent=3), metrics=metrics, compute_workers=1,
+        registry=registry,
     )
     try:
         for rid in range(1, 4):
-            a, b = linsys(400, seed=rid)
             transport.nodes["probe"].send("server/tsv", SolveRequest(
-                request_id=rid, problem="linsys/dgesv", inputs=(a, b),
+                request_id=rid, problem="test/hold", inputs=(np.ones(4),),
                 reply_to="probe",
             ))
+        node = transport.nodes["server/tsv"]
+        assert wait_for(lambda: node._compute_pool.stats()["submitted"] == 3)
+        queued.set()
         assert wait_for(lambda: len(probe.replies) >= 3, timeout=60.0)
         assert all(r.ok for r in probe.replies)
-        node = transport.nodes["server/tsv"]
         # the pool's completed counter ticks just *after* the reply is
         # sent, so give the last worker a beat to finish bookkeeping
         assert wait_for(lambda: node._compute_pool.stats()["completed"] == 3)
@@ -665,4 +684,5 @@ def test_tcp_compute_pool_is_bounded_and_counts_saturation():
         assert metrics.get("server.pool_saturated").value >= 1
         assert stats["saturated"] == metrics.get("server.pool_saturated").value
     finally:
+        queued.set()
         transport.close()

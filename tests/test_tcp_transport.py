@@ -405,6 +405,25 @@ def test_pool_idle_timeout_redials():
         assert sender._pool.reuses == 0
 
 
+def test_every_dialled_socket_sets_tcp_nodelay():
+    # nothing flows back on an outbound link but ACKs, so Nagle would
+    # hold a message's tail for the peer's delayed ACK
+    import socket
+
+    with TcpTransport() as transport:
+        sender = transport.add_node("tx", _Sink())
+        for name in ("rx0", "rx1"):
+            transport.add_node(name, _Sink())
+
+        def dial_all():
+            conns = [sender._pool.dial(transport.resolve(name))
+                     for name in ("rx0", "rx1", "rx0")]  # a redial too
+            return [c.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+                    for c in conns]
+
+        assert all(sender.call(dial_all))
+
+
 def test_large_payload_sendmsg_roundtrip():
     """A multi-megabyte SolveRequest survives the scatter/gather path."""
     from repro.protocol.messages import SolveRequest
